@@ -9,7 +9,9 @@
 //!   propagation semantics;
 //! * [`Event`] — payload + validity interval, the event-centric view;
 //! * [`SnapshotBuf`] — change-point encoded temporal objects (paper §6.1.1),
-//!   the time-centric view, plus the [`SsCursor`] used by generated kernels.
+//!   the time-centric view, plus the [`SsCursor`] used by generated kernels;
+//! * [`codec`] — the one byte layout of all of the above, shared by
+//!   snapshot files and wire frames.
 //!
 //! # Example
 //!
@@ -27,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 mod event;
 mod mask;
 mod ssbuf;

@@ -39,9 +39,9 @@
 //!   cell's sources drives emission, so a slow source holds results back
 //!   rather than corrupting them;
 //! * **Hardening** — idle sessions are evicted by event-time TTL
-//!   ([`RuntimeConfig::key_ttl`]) *and*, new in this revision, wall-clock
-//!   TTL ([`RuntimeConfig::wall_clock_ttl`]) so a shard with no traffic
-//!   still frees memory; reorder buffers are capped
+//!   ([`RuntimeConfig::key_ttl`]) *and* wall-clock TTL
+//!   ([`RuntimeConfig::wall_clock_ttl`]) so a shard with no traffic still
+//!   frees memory; reorder buffers are capped
 //!   ([`RuntimeConfig::max_pending_per_key`] /
 //!   [`RuntimeConfig::max_pending_per_shard`] with a [`BackstopPolicy`]);
 //!   kernel execution runs under `catch_unwind` so a poisoned key is
@@ -63,9 +63,6 @@
 //! Events later than every interested query's allowed lateness are
 //! *dropped and counted* ([`RuntimeStats::late_dropped`]), the classic
 //! watermark trade-off.
-//!
-//! The pre-control-plane entry points ([`Runtime`], [`MultiRuntime`])
-//! remain as thin deprecated shims over [`StreamService`].
 //!
 //! # Example
 //!
@@ -1415,227 +1412,6 @@ fn shard_index(key: u64, shards: usize) -> usize {
     (z % shards as u64) as usize
 }
 
-#[allow(deprecated)]
-mod compat {
-    //! Deprecated pre-control-plane entry points, kept as thin shims over
-    //! [`StreamService`]. Migration:
-    //!
-    //! * `Runtime::start(cq, config)` → `StreamService::builder(config)` +
-    //!   `register(cq)` + `start()`;
-    //! * `MultiRuntime::builder(config)` + `register`/`register_with_sink`
-    //!   → `StreamServiceBuilder::register` / `register_with`;
-    //! * `QueryId` → [`QueryHandle`] (same `index()` contract);
-    //! * `finish().per_key` → `finish().per_query[handle.index()]`.
-
-    use super::*;
-
-    /// Identifies one registered query of a [`MultiRuntime`].
-    #[deprecated(since = "0.2.0", note = "use `QueryHandle` returned by `StreamService`")]
-    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-    pub struct QueryId(pub(crate) usize);
-
-    impl QueryId {
-        /// The query's position in registration order.
-        pub fn index(self) -> usize {
-            self.0
-        }
-    }
-
-    /// Everything a single-query [`Runtime`] hands back when it drains and
-    /// shuts down.
-    #[deprecated(since = "0.2.0", note = "use `ServiceOutput` from `StreamService::finish`")]
-    #[derive(Debug)]
-    pub struct RuntimeOutput {
-        /// Finalized output events per key.
-        pub per_key: PerKeyOutput,
-        /// Final counter snapshot.
-        pub stats: RuntimeStats,
-    }
-
-    /// Everything a [`MultiRuntime`] hands back when it drains and shuts
-    /// down.
-    #[deprecated(since = "0.2.0", note = "use `ServiceOutput` from `StreamService::finish`")]
-    #[derive(Debug)]
-    pub struct MultiRuntimeOutput {
-        /// Per registered query (in [`QueryId`] order): finalized output
-        /// events per key.
-        pub per_query: Vec<PerKeyOutput>,
-        /// Final counter snapshot.
-        pub stats: RuntimeStats,
-    }
-
-    /// A running sharded streaming service over one compiled query.
-    #[deprecated(since = "0.2.0", note = "use `StreamService` (handle-based control plane)")]
-    #[derive(Debug)]
-    pub struct Runtime {
-        svc: StreamService,
-        q: QueryHandle,
-    }
-
-    impl Runtime {
-        /// Spawns `config.shards` worker threads serving `cq` and returns
-        /// the ingestion handle.
-        pub fn start(cq: Arc<CompiledQuery>, config: RuntimeConfig) -> Runtime {
-            let mut builder = StreamService::builder(config);
-            let q = builder.register(cq);
-            Runtime { svc: builder.start().expect("single registration cannot conflict"), q }
-        }
-
-        /// Like [`Runtime::start`], with a sink receiving each key's events
-        /// as they are finalized.
-        pub fn start_with_sink(
-            cq: Arc<CompiledQuery>,
-            config: RuntimeConfig,
-            sink: OutputSink,
-        ) -> Runtime {
-            let mut builder = StreamService::builder(config);
-            let q = builder.register_with(cq, QuerySettings::with_sink(sink));
-            Runtime { svc: builder.start().expect("single registration cannot conflict"), q }
-        }
-
-        /// Which shard serves `key`.
-        pub fn shard_of(&self, key: u64) -> usize {
-            self.svc.shard_of(key)
-        }
-
-        /// Routes and enqueues events; see [`StreamService::ingest`].
-        pub fn ingest<I: IntoIterator<Item = KeyedEvent>>(&self, events: I) {
-            self.svc.ingest(events);
-        }
-
-        /// Ingests a single event.
-        pub fn send(&self, event: KeyedEvent) {
-            self.svc.send(event);
-        }
-
-        /// Broadcasts an explicit watermark; see
-        /// [`StreamService::watermark`].
-        pub fn watermark(&self, source: usize, time: Time) {
-            self.svc.watermark(source, time);
-        }
-
-        /// Snapshots runtime health counters.
-        pub fn stats(&self) -> RuntimeStats {
-            self.svc.stats()
-        }
-
-        /// Gracefully drains and shuts down.
-        pub fn finish(self) -> RuntimeOutput {
-            let mut out = self.svc.finish();
-            RuntimeOutput { per_key: out.per_query.swap_remove(self.q.index()), stats: out.stats }
-        }
-
-        /// Like [`Runtime::finish`], flushing through the explicit horizon
-        /// `end`.
-        pub fn finish_at(self, end: Time) -> RuntimeOutput {
-            let mut out = self.svc.finish_at(end);
-            RuntimeOutput { per_key: out.per_query.swap_remove(self.q.index()), stats: out.stats }
-        }
-    }
-
-    /// Registers queries for a [`MultiRuntime`].
-    #[deprecated(since = "0.2.0", note = "use `StreamServiceBuilder`")]
-    pub struct MultiRuntimeBuilder {
-        inner: StreamServiceBuilder,
-    }
-
-    impl MultiRuntimeBuilder {
-        /// Registers a query whose outputs accumulate until
-        /// [`MultiRuntime::finish`].
-        pub fn register(&mut self, cq: Arc<CompiledQuery>) -> QueryId {
-            QueryId(self.inner.register(cq).index())
-        }
-
-        /// Registers a query whose finalized events stream to `sink`.
-        pub fn register_with_sink(&mut self, cq: Arc<CompiledQuery>, sink: OutputSink) -> QueryId {
-            QueryId(self.inner.register_with(cq, QuerySettings::with_sink(sink)).index())
-        }
-
-        /// Spawns the shard workers.
-        ///
-        /// # Errors
-        ///
-        /// Fails when no query was registered or two queries declare
-        /// different payload types for the same source position.
-        pub fn start(self) -> tilt_core::Result<MultiRuntime> {
-            if self.inner.regs.is_empty() {
-                return Err(tilt_core::CompileError::Invalid(
-                    "a query group needs at least one query".into(),
-                ));
-            }
-            let n = self.inner.regs.len();
-            match self.inner.start() {
-                Ok(svc) => Ok(MultiRuntime { svc, n }),
-                Err(ServiceError::Compile(e)) => Err(e),
-                Err(other) => Err(tilt_core::CompileError::Invalid(other.to_string())),
-            }
-        }
-    }
-
-    /// A running sharded streaming service over N registered queries.
-    #[deprecated(since = "0.2.0", note = "use `StreamService` (handle-based control plane)")]
-    #[derive(Debug)]
-    pub struct MultiRuntime {
-        svc: StreamService,
-        n: usize,
-    }
-
-    impl MultiRuntime {
-        /// Starts registering queries for a shared runtime.
-        pub fn builder(config: RuntimeConfig) -> MultiRuntimeBuilder {
-            MultiRuntimeBuilder { inner: StreamService::builder(config) }
-        }
-
-        /// Number of registered queries.
-        pub fn num_queries(&self) -> usize {
-            self.n
-        }
-
-        /// Which shard serves `key`.
-        pub fn shard_of(&self, key: u64) -> usize {
-            self.svc.shard_of(key)
-        }
-
-        /// Routes and enqueues events once for all registered queries.
-        pub fn ingest<I: IntoIterator<Item = KeyedEvent>>(&self, events: I) {
-            self.svc.ingest(events);
-        }
-
-        /// Ingests a single event.
-        pub fn send(&self, event: KeyedEvent) {
-            self.svc.send(event);
-        }
-
-        /// Broadcasts an explicit watermark for one shared source.
-        pub fn watermark(&self, source: usize, time: Time) {
-            self.svc.watermark(source, time);
-        }
-
-        /// Snapshots runtime health counters.
-        pub fn stats(&self) -> RuntimeStats {
-            self.svc.stats()
-        }
-
-        /// Gracefully drains and shuts down, returning every query's
-        /// per-key outputs.
-        pub fn finish(self) -> MultiRuntimeOutput {
-            let out = self.svc.finish();
-            MultiRuntimeOutput { per_query: out.per_query, stats: out.stats }
-        }
-
-        /// Like [`MultiRuntime::finish`], flushing through `end`.
-        pub fn finish_at(self, end: Time) -> MultiRuntimeOutput {
-            let out = self.svc.finish_at(end);
-            MultiRuntimeOutput { per_query: out.per_query, stats: out.stats }
-        }
-    }
-}
-
-#[allow(deprecated)]
-pub use compat::{
-    MultiRuntime, MultiRuntimeBuilder, MultiRuntimeOutput, QueryId, Runtime, RuntimeOutput,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1655,7 +1431,7 @@ mod tests {
         Arc::new(Compiler::new().compile(&q).unwrap())
     }
 
-    /// A single-query service: the migration shape for the old `Runtime`.
+    /// A single-query service.
     fn single(cq: &Arc<CompiledQuery>, config: RuntimeConfig) -> (StreamService, QueryHandle) {
         let mut builder = StreamService::builder(config);
         let q = builder.register(Arc::clone(cq));
@@ -2730,34 +2506,65 @@ mod tests {
         assert!(!out.per_query[q.index()][&1].is_empty());
     }
 
-    // ── Deprecated shims ───────────────────────────────────────────────
-
-    #[allow(deprecated)]
+    /// The `service_scalars!` table is the only list of scalar counters:
+    /// registration, the stats snapshot, the wire fields and the
+    /// checkpoint record all follow it.
     #[test]
-    fn deprecated_runtime_shims_still_work() {
-        let cq = sliding_sum_query(4);
-        let runtime = Runtime::start(
-            Arc::clone(&cq),
-            RuntimeConfig { shards: 2, ..RuntimeConfig::default() },
-        );
-        runtime.ingest(key_events(1, 50));
-        let out = runtime.finish_at(Time::new(54));
-        let expected = replay(
-            &cq,
-            &key_events(1, 50).iter().map(|e| e.event.clone()).collect::<Vec<_>>(),
-            Time::new(54),
-        );
-        assert!(streams_equivalent(&coalesce(&expected), &coalesce(&out.per_key[&1])));
+    fn every_scalar_row_reaches_the_registry_the_snapshot_and_the_checkpoint() {
+        use tilt_obs::SampleValue;
+        let service = StreamService::start(RuntimeConfig { shards: 1, ..RuntimeConfig::default() });
+        let registry = service.registry();
+        // (is a counter, current value) of a metric, straight from the registry.
+        let sample = |metric: &str| match service.metrics().find(metric, &[]).map(|s| &s.value) {
+            Some(SampleValue::Counter(v)) => (true, *v as i64),
+            Some(SampleValue::Gauge(v)) => (false, *v),
+            other => panic!("{metric} is not a registered scalar: {other:?}"),
+        };
+        // Poke every row to its own prime, through the registry by name.
+        let primes = (2u64..).filter(|n| (2..*n).all(|d| n % d != 0));
+        for (&(_, metric, _), prime) in stats::SCALARS.iter().zip(primes) {
+            match sample(metric).0 {
+                true => registry.counter(metric).add(prime),
+                false => registry.gauge(metric).set(prime as i64),
+            }
+        }
+        let before: HashMap<&str, i64> = service.stats().fields().collect();
+        for &(field, metric, _) in stats::SCALARS {
+            assert!(before[field] >= 2, "{field} was poked");
+            assert_eq!(before[field], sample(metric).1, "{field} reads {metric}");
+        }
+        // The names the benchmark's remote scrape reads.
+        for name in [
+            "events_out",
+            "late_dropped",
+            "backstop_dropped",
+            "quarantine_dropped",
+            "conservation_balance",
+            "evictions",
+            "revivals",
+            "live_keys",
+        ] {
+            assert!(before.contains_key(name), "fields() lost {name}");
+        }
 
-        let mut builder = MultiRuntime::builder(RuntimeConfig::default());
-        let a = builder.register(Arc::clone(&cq));
-        let b = builder.register(Arc::clone(&cq));
-        let multi = builder.start().unwrap();
-        assert_eq!(multi.num_queries(), 2);
-        multi.ingest(key_events(1, 20));
-        let out = multi.finish_at(Time::new(24));
-        assert_eq!(out.per_query[a.index()][&1], out.per_query[b.index()][&1]);
-        // The old contract: an empty MultiRuntime registration errors.
-        assert!(MultiRuntime::builder(RuntimeConfig::default()).start().is_err());
+        let dir = std::env::temp_dir().join(format!("tilt-scalar-table-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.tiltsnp");
+        let bytes = service.checkpoint(&path).expect("checkpoint") as i64;
+        service.finish();
+        let restored = StreamService::restore(&path, &[]).expect("restore");
+        let after: HashMap<&str, i64> = restored.stats().fields().collect();
+        for &(field, _, _) in stats::SCALARS.iter().filter(|row| row.2) {
+            // The snapshot counts itself; reading it back counts its bytes.
+            let expected = before[field]
+                + match field {
+                    "checkpoints" => 1,
+                    "state_bytes_read" => bytes,
+                    _ => 0,
+                };
+            assert_eq!(after[field], expected, "{field} survives checkpoint → restore");
+        }
+        restored.finish();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

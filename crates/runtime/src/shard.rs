@@ -1673,7 +1673,7 @@ impl Shard {
                 return Err(StateError::Corrupt("duplicate retired key in shard record"));
             }
         }
-        d.finish()
+        Ok(d.finish()?)
     }
 
     /// Serializes one key out of this shard for migration and forgets it.

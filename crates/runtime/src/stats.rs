@@ -1,12 +1,14 @@
 //! Runtime observability: lock-free counters updated by producers and
 //! shard workers, snapshotted on demand as [`RuntimeStats`].
 //!
-//! Since the `tilt-obs` rework, every scalar counter and gauge here is an
-//! instrument registered in a [`tilt_obs::Registry`], so the same numbers
-//! that drive [`RuntimeStats`] are exportable as Prometheus text
-//! exposition or JSON ([`crate::StreamService::metrics`]) without a second
-//! bookkeeping path. The registry hands out `Arc`'d atomics at
-//! registration; hot paths never touch the registry lock.
+//! Every scalar counter and gauge here is an instrument registered in a
+//! [`tilt_obs::Registry`], so the same numbers that drive [`RuntimeStats`]
+//! are exportable as Prometheus text exposition or JSON
+//! ([`crate::StreamService::metrics`]) without a second bookkeeping path.
+//! The registry hands out `Arc`'d atomics at registration; hot paths never
+//! touch the registry lock. The scalars are declared once, in the
+//! `service_scalars!` table: handle, metric name, checkpoint membership,
+//! [`RuntimeStats`] field and wire name all derive from one row.
 //!
 //! Three layers of detail:
 //!
@@ -224,136 +226,373 @@ pub(crate) struct QueryCounters {
     pub(crate) kernel_millis: Arc<Counter>,
 }
 
-/// Shared counters and instruments; one instance per service, updated by
-/// every producer and shard thread.
-pub(crate) struct SharedStats {
-    /// The metric registry every instrument below is registered in; the
-    /// source for [`crate::StreamService::metrics`].
-    pub(crate) registry: Arc<tilt_obs::Registry>,
-    pub(crate) started: Instant,
-    /// Whether detailed instrumentation (histograms, per-query
-    /// attribution, kernel timing, the journal) is collected.
-    /// Base counters are always on.
-    pub(crate) detailed: bool,
-    journal: Journal<ControlEvent>,
-    pub(crate) events_in: Arc<Counter>,
-    pub(crate) events_out: Arc<Counter>,
-    /// Events released from reorder buffers into at least one query's
-    /// session (the "usefully processed" leg of the conservation
-    /// partition). An event consumed by several cells counts once.
-    pub(crate) events_consumed: Arc<Counter>,
-    /// Events released from reorder buffers after every cell that could
-    /// have consumed them was detached (the uncounted leak the obs rework
-    /// closed: they are neither consumed nor late).
-    pub(crate) detach_dropped: Arc<Counter>,
-    /// Per registered query (by [`crate::QueryHandle`] index):
-    /// attribution counters. Grows on live attach.
-    per_query: RwLock<Vec<QueryCounters>>,
-    /// Per registered query: the join frontier it was admitted at
-    /// (`config.start` for queries registered before the service started).
-    pub(crate) query_frontier: RwLock<Vec<i64>>,
-    pub(crate) late_dropped: Arc<Counter>,
-    pub(crate) keys: Arc<Counter>,
-    /// Gauge: keys with a live session right now (created − evicted −
-    /// quarantined + revived).
-    pub(crate) live_keys: Arc<Gauge>,
-    /// Idle sessions retired by the TTL policies (event-time and
-    /// wall-clock).
-    pub(crate) evictions: Arc<Counter>,
-    /// The subset of `evictions` triggered by the wall-clock TTL
-    /// ([`crate::RuntimeConfig::wall_clock_ttl`]).
-    pub(crate) wall_evictions: Arc<Counter>,
-    /// Evicted keys transparently re-created by a later arrival.
-    pub(crate) revivals: Arc<Counter>,
-    /// Events rejected by the reorder-buffer backstop (drop-and-count
-    /// policy; arrivals behind a force-drained frontier are counted as
-    /// `late_dropped` instead).
-    pub(crate) backstop_dropped: Arc<Counter>,
-    /// Events force-drained into their session ahead of the watermark by
-    /// the backstop.
-    pub(crate) backstop_forced: Arc<Counter>,
-    /// Keys whose kernel execution panicked and were quarantined.
-    pub(crate) keys_quarantined: Arc<Counter>,
-    /// Events dropped because their key is quarantined, plus buffered
-    /// events discarded at quarantine time.
-    pub(crate) quarantine_dropped: Arc<Counter>,
-    /// Events accepted into a reorder buffer. Ingestion and reorder
-    /// buffering are shared across registered queries, so this counts each
-    /// event once — N independent services would count it N times.
-    pub(crate) reorder_buffered: Arc<Counter>,
-    /// Kernel executions performed by session advances/flushes.
-    pub(crate) kernels_run: Arc<Counter>,
-    /// Kernel executions *avoided* by structural prefix dedup (what the
-    /// same advances would have cost without sharing, minus what they
-    /// actually cost).
-    pub(crate) kernels_saved: Arc<Counter>,
-    /// Queries attached to the *running* service (registrations before
-    /// `start` are not counted here).
-    pub(crate) attached: Arc<Counter>,
-    /// Queries detached from the running service.
-    pub(crate) detached: Arc<Counter>,
-    /// Gauge: queries currently being served.
-    pub(crate) queries_live: Arc<Gauge>,
-    /// Per-key execution sessions torn down by detach (the reclamation a
-    /// detach buys back; tombstone output reclamation is counted here too,
-    /// one per cleared tombstone slot).
-    pub(crate) sessions_reclaimed: Arc<Counter>,
-    /// `reorder_pending` decrements that would have pushed a shard's gauge
-    /// negative (clamped instead). Always 0 unless accounting is broken;
-    /// the guardrail asserts on it.
-    pub(crate) reorder_underflow: Arc<Counter>,
-    /// Whole-service checkpoints written.
-    pub(crate) checkpoints: Arc<Counter>,
-    /// Bytes written through the durable state layer (checkpoints + spill
-    /// + migration bundles).
-    pub(crate) state_bytes_written: Arc<Counter>,
-    /// Bytes read back through the durable state layer.
-    pub(crate) state_bytes_read: Arc<Counter>,
-    /// Keys spilled to the cold store instead of being flushed to a
-    /// tombstone.
-    pub(crate) spills: Arc<Counter>,
-    /// Spilled keys revived from disk by a later arrival (or the final
-    /// flush).
-    pub(crate) spill_revivals: Arc<Counter>,
-    /// Keys migrated between shards.
-    pub(crate) migrations: Arc<Counter>,
-    /// Spill bundles that failed to read back (disk corruption, as
-    /// opposed to kernel panics — both quarantine, only this increments).
-    pub(crate) spill_corrupt: Arc<Counter>,
-    /// Gauge: buffered events currently serialized inside spill or
-    /// migration bundles rather than resident in a reorder buffer. Part of
-    /// the conservation partition — events on disk are still accounted
-    /// for.
-    pub(crate) spilled_pending: Arc<Gauge>,
-    /// Tombstone output events discarded by
-    /// [`crate::RuntimeConfig::tombstone_output_cap`].
-    pub(crate) tombstone_dropped: Arc<Counter>,
-    pub(crate) max_event_end: Arc<Gauge>,
-    /// The largest explicit watermark promise made on any source (feeds
-    /// attach-frontier negotiation).
-    pub(crate) max_promise: Arc<Gauge>,
-    /// Per shard: events currently queued (sent, not yet received).
-    pub(crate) queue_depth: Vec<Arc<Gauge>>,
-    /// Per shard: events currently held in reorder buffers (gauge; the
-    /// backstop caps this).
-    pub(crate) reorder_pending: Vec<Arc<Gauge>>,
-    /// Per shard: the low-watermark the shard last propagated (minimum
-    /// over its live cells' watermarks).
-    pub(crate) shard_watermark: Vec<Arc<Gauge>>,
-    /// Per shard: how many ticks each accepted event trails the newest
-    /// event start seen on its source (0 = in order).
-    pub(crate) ingest_lag: Vec<Arc<Histogram>>,
-    /// Per shard: ticks between the newest event start the shard has seen
-    /// and each cell's previously finalized emission point, sampled as a
-    /// new cycle becomes due (finalization staleness at catch-up).
-    pub(crate) watermark_lag_hist: Vec<Arc<Histogram>>,
-    /// Per shard: ticks each event sat in a reorder buffer past its start
-    /// before release.
-    pub(crate) reorder_residency: Vec<Arc<Histogram>>,
-    /// Per shard: wall nanoseconds per watermark-advance cycle.
-    pub(crate) advance_ns: Vec<Arc<Histogram>>,
-    /// Per shard: wall nanoseconds per shutdown-flush drain.
-    pub(crate) flush_ns: Vec<Arc<Histogram>>,
+/// Declares the scalar service counters and gauges **once**. Each row is
+/// `field: "metric name"` under the documentation of its public
+/// [`RuntimeStats`] field; from the rows this derives
+///
+/// * the handle field in [`SharedStats`] and its registration in
+///   [`SharedStats::new`],
+/// * the counter list a checkpoint carries, in both directions
+///   ([`SharedStats::durable`], in `durable` row order),
+/// * the [`RuntimeStats`] field, its sampling in [`SharedStats::snapshot`],
+///   and its `(name, value)` entry in [`RuntimeStats::fields`].
+///
+/// Adding a counter is one row. Per-shard vectors, per-query attribution
+/// and the derived watermark/throughput fields are written out by hand in
+/// the macro body below.
+macro_rules! service_scalars {
+    (
+        durable { $( $(#[$ddoc:meta])* $d:ident: $dm:literal, )* }
+        counters { $( $(#[$cdoc:meta])* $c:ident: $cm:literal, )* }
+        gauges { $( $(#[$gdoc:meta])* $g:ident: $gt:ty = $gm:literal, )* }
+    ) => {
+        /// Shared counters and instruments; one instance per service,
+        /// updated by every producer and shard thread.
+        pub(crate) struct SharedStats {
+            $( pub(crate) $d: Arc<Counter>, )*
+            $( pub(crate) $c: Arc<Counter>, )*
+            $( pub(crate) $g: Arc<Gauge>, )*
+            /// The metric registry every instrument here is registered in;
+            /// the source for [`crate::StreamService::metrics`].
+            pub(crate) registry: Arc<tilt_obs::Registry>,
+            pub(crate) started: Instant,
+            /// Whether detailed instrumentation (histograms, per-query
+            /// attribution, kernel timing, the journal) is collected.
+            /// Base counters are always on.
+            pub(crate) detailed: bool,
+            journal: Journal<ControlEvent>,
+            /// Per registered query (by [`crate::QueryHandle`] index):
+            /// attribution counters. Grows on live attach.
+            per_query: RwLock<Vec<QueryCounters>>,
+            /// Per registered query: the join frontier it was admitted at
+            /// (`config.start` for queries registered before the service
+            /// started).
+            pub(crate) query_frontier: RwLock<Vec<i64>>,
+            /// The newest event end seen (feeds attach-frontier
+            /// negotiation).
+            pub(crate) max_event_end: Arc<Gauge>,
+            /// The largest explicit watermark promise made on any source
+            /// (feeds attach-frontier negotiation).
+            pub(crate) max_promise: Arc<Gauge>,
+            /// Per shard: events currently queued (sent, not yet received).
+            pub(crate) queue_depth: Vec<Arc<Gauge>>,
+            /// Per shard: events currently held in reorder buffers (gauge;
+            /// the backstop caps this).
+            pub(crate) reorder_pending: Vec<Arc<Gauge>>,
+            /// Per shard: the low-watermark the shard last propagated
+            /// (minimum over its live cells' watermarks).
+            pub(crate) shard_watermark: Vec<Arc<Gauge>>,
+            /// Per shard: how many ticks each accepted event trails the
+            /// newest event start seen on its source (0 = in order).
+            pub(crate) ingest_lag: Vec<Arc<Histogram>>,
+            /// Per shard: ticks between the newest event start the shard
+            /// has seen and each cell's previously finalized emission
+            /// point, sampled as a new cycle becomes due (finalization
+            /// staleness at catch-up).
+            pub(crate) watermark_lag_hist: Vec<Arc<Histogram>>,
+            /// Per shard: ticks each event sat in a reorder buffer past its
+            /// start before release.
+            pub(crate) reorder_residency: Vec<Arc<Histogram>>,
+            /// Per shard: wall nanoseconds per watermark-advance cycle.
+            pub(crate) advance_ns: Vec<Arc<Histogram>>,
+            /// Per shard: wall nanoseconds per shutdown-flush drain.
+            pub(crate) flush_ns: Vec<Arc<Histogram>>,
+        }
+
+        impl SharedStats {
+            pub(crate) fn new(shards: usize, detailed: bool, journal_capacity: usize) -> Self {
+                let r = Arc::new(tilt_obs::Registry::new());
+                let per_shard_gauge = |name: &str| -> Vec<Arc<Gauge>> {
+                    (0..shards).map(|i| r.gauge_with(name, &[("shard", &i.to_string())])).collect()
+                };
+                let per_shard_hist = |name: &str| -> Vec<Arc<Histogram>> {
+                    (0..shards)
+                        .map(|i| r.histogram_with(name, &[("shard", &i.to_string())]))
+                        .collect()
+                };
+                let floor = |gauge: Arc<Gauge>| {
+                    gauge.set(Time::MIN.ticks());
+                    gauge
+                };
+                SharedStats {
+                    $( $d: r.counter($dm), )*
+                    $( $c: r.counter($cm), )*
+                    $( $g: r.gauge($gm), )*
+                    started: Instant::now(),
+                    detailed,
+                    journal: Journal::new(journal_capacity),
+                    per_query: RwLock::new(Vec::new()),
+                    query_frontier: RwLock::new(Vec::new()),
+                    max_event_end: floor(r.gauge("tilt_max_event_end_ticks")),
+                    max_promise: floor(r.gauge("tilt_max_promise_ticks")),
+                    queue_depth: per_shard_gauge("tilt_queue_depth"),
+                    reorder_pending: per_shard_gauge("tilt_reorder_pending"),
+                    shard_watermark: per_shard_gauge("tilt_shard_watermark_ticks")
+                        .into_iter()
+                        .map(floor)
+                        .collect(),
+                    ingest_lag: per_shard_hist("tilt_ingest_lag_ticks"),
+                    watermark_lag_hist: per_shard_hist("tilt_watermark_lag_ticks"),
+                    reorder_residency: per_shard_hist("tilt_reorder_residency_ticks"),
+                    advance_ns: per_shard_hist("tilt_advance_ns"),
+                    flush_ns: per_shard_hist("tilt_flush_ns"),
+                    registry: r,
+                }
+            }
+
+            /// The monotone service counters a checkpoint carries, in the
+            /// order the record stores them. Rows may only be appended:
+            /// restore zips, so older snapshots with fewer entries still
+            /// load. Gauges (queue depths, pending, live keys) are
+            /// deliberately absent: restore recomputes them from the
+            /// reinstalled state.
+            fn durable(&self) -> Vec<&Counter> {
+                vec![ $( &*self.$d, )* ]
+            }
+
+            pub(crate) fn snapshot(&self) -> RuntimeStats {
+                let queue_depths: Vec<usize> =
+                    self.queue_depth.iter().map(|d| d.get().max(0) as usize).collect();
+                let shard_watermarks: Vec<Time> =
+                    self.shard_watermark.iter().map(|w| Time::new(w.get())).collect();
+                let min_watermark = shard_watermarks.iter().copied().min().unwrap_or(Time::MIN);
+                let max_event_end = Time::new(self.max_event_end.get());
+                let elapsed = self.started.elapsed();
+                let events_in = self.events_in.get();
+                let per_query = self.per_query.read().expect("stats lock");
+                RuntimeStats {
+                    $( $d: self.$d.get(), )*
+                    $( $c: self.$c.get(), )*
+                    $( $g: self.$g.get().max(0) as $gt, )*
+                    events_out_per_query: per_query.iter().map(|c| c.emitted.get()).collect(),
+                    late_per_query: per_query.iter().map(|c| c.late.get()).collect(),
+                    kernel_millis_per_query: per_query
+                        .iter()
+                        .map(|c| c.kernel_millis.get())
+                        .collect(),
+                    query_frontiers: self
+                        .query_frontier
+                        .read()
+                        .expect("stats lock")
+                        .iter()
+                        .map(|t| Time::new(*t))
+                        .collect(),
+                    reorder_pending: self
+                        .reorder_pending
+                        .iter()
+                        .map(|d| d.get().max(0) as usize)
+                        .collect(),
+                    queue_depths,
+                    shard_watermarks,
+                    min_watermark,
+                    watermark_lag: if max_event_end > min_watermark {
+                        max_event_end - min_watermark
+                    } else {
+                        0
+                    },
+                    elapsed,
+                    events_per_sec: if elapsed.as_secs_f64() > 0.0 {
+                        events_in as f64 / elapsed.as_secs_f64()
+                    } else {
+                        0.0
+                    },
+                }
+            }
+        }
+
+        /// A point-in-time snapshot of service health, returned by
+        /// [`crate::StreamService::stats`].
+        #[derive(Clone, Debug)]
+        pub struct RuntimeStats {
+            $( $(#[$ddoc])* pub $d: u64, )*
+            $( $(#[$cdoc])* pub $c: u64, )*
+            $( $(#[$gdoc])* pub $g: $gt, )*
+            /// Output events emitted per registered query, indexed by
+            /// [`crate::QueryHandle::index`]. Detached queries keep their
+            /// final counts.
+            pub events_out_per_query: Vec<u64>,
+            /// Per registered query: events that query lost to its own
+            /// lateness bound (admission refusals attributed per query; an
+            /// event several queries refuse is attributed to each).
+            /// Collected only with [`crate::RuntimeConfig::metrics`] on;
+            /// zeros otherwise.
+            pub late_per_query: Vec<u64>,
+            /// Per registered query: kernel work attributed to it, in
+            /// *millikernels* (an advance running `d` distinct kernels for
+            /// `m` member queries charges each member `d·1000/m`).
+            /// Collected only with [`crate::RuntimeConfig::metrics`] on;
+            /// zeros otherwise.
+            pub kernel_millis_per_query: Vec<u64>,
+            /// Per registered query: the join frontier it was admitted at —
+            /// `config.start` for queries registered before the service
+            /// started, the negotiated attach frontier for live attaches.
+            /// Monotone non-decreasing in registration order.
+            pub query_frontiers: Vec<Time>,
+            /// Events currently held in each shard's reorder buffers
+            /// (gauge; the backstop caps on this are
+            /// [`crate::RuntimeConfig::max_pending_per_key`] and
+            /// [`crate::RuntimeConfig::max_pending_per_shard`]).
+            pub reorder_pending: Vec<usize>,
+            /// Events sitting in each shard's ingest queue (backpressure
+            /// signal).
+            pub queue_depths: Vec<usize>,
+            /// Each shard's current low-watermark.
+            pub shard_watermarks: Vec<Time>,
+            /// The minimum shard watermark: everything at or before this
+            /// time has been finalized on every shard.
+            pub min_watermark: Time,
+            /// Ticks between the newest event seen and the minimum
+            /// watermark — how far finalization trails ingestion.
+            pub watermark_lag: i64,
+            /// Wall-clock time since the service started.
+            pub elapsed: Duration,
+            /// Ingest throughput since start (events per wall-clock second).
+            pub events_per_sec: f64,
+        }
+
+        impl RuntimeStats {
+            /// Every scalar counter and gauge as a `(field name, value)`
+            /// pair, plus [`RuntimeStats::conservation_balance`] — the
+            /// form remote scrapes carry.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, i64)> {
+                [
+                    $( (stringify!($d), self.$d as i64), )*
+                    $( (stringify!($c), self.$c as i64), )*
+                    $( (stringify!($g), self.$g as i64), )*
+                    ("conservation_balance", self.conservation_balance()),
+                ]
+                .into_iter()
+            }
+        }
+
+        /// `(field, metric name, checkpointed)` per row, for the test that
+        /// holds every derived list to the table.
+        #[cfg(test)]
+        pub(crate) const SCALARS: &[(&str, &str, bool)] = &[
+            $( (stringify!($d), $dm, true), )*
+            $( (stringify!($c), $cm, false), )*
+            $( (stringify!($g), $gm, false), )*
+        ];
+    };
+}
+
+service_scalars! {
+    durable {
+        /// Events accepted by ingestion so far.
+        events_in: "tilt_events_in_total",
+        /// Output events emitted across all keys and queries so far.
+        events_out: "tilt_events_out_total",
+        /// Events released from reorder buffers into at least one query's
+        /// session (an event consumed by several cells counts once). With
+        /// `late_dropped`, the drop counters, and the pending gauges this
+        /// partitions `events_in` — see
+        /// [`RuntimeStats::conservation_balance`].
+        events_consumed: "tilt_events_consumed_total",
+        /// Events released from reorder buffers after every query that
+        /// could have consumed them detached (neither consumed nor late).
+        detach_dropped: "tilt_detach_dropped_total",
+        /// Events no registered query could use: later than every
+        /// interested query's allowed lateness, or addressed to a source
+        /// position no query reads (e.g. ingesting into an attach-first
+        /// service before its first attach). Counted once per event,
+        /// however many queries are registered.
+        late_dropped: "tilt_late_dropped_total",
+        /// Distinct keys ever seen (live, evicted, and quarantined).
+        keys: "tilt_keys_total",
+        /// Idle sessions retired by the TTL policies.
+        evictions: "tilt_evictions_total",
+        /// The subset of `evictions` triggered by the wall-clock TTL
+        /// ([`crate::RuntimeConfig::wall_clock_ttl`]) rather than
+        /// event-time idleness.
+        wall_evictions: "tilt_wall_evictions_total",
+        /// Evicted keys whose session was transparently re-created by a
+        /// later arrival.
+        revivals: "tilt_revivals_total",
+        /// Events rejected by the reorder-buffer backstop under
+        /// [`crate::BackstopPolicy::DropNewest`] (arrivals behind a
+        /// force-drained frontier are counted as `late_dropped` instead).
+        backstop_dropped: "tilt_backstop_dropped_total",
+        /// Events force-drained into their session ahead of the watermark
+        /// under [`crate::BackstopPolicy::ForceDrain`].
+        backstop_forced: "tilt_backstop_forced_total",
+        /// Keys quarantined after a panic inside their kernel execution;
+        /// their subsequent events are dropped (`quarantine_dropped`)
+        /// instead of taking the shard down.
+        keys_quarantined: "tilt_keys_quarantined_total",
+        /// Events dropped because their key is quarantined, plus buffered
+        /// events discarded at quarantine time.
+        quarantine_dropped: "tilt_quarantine_dropped_total",
+        /// Events accepted into per-key reorder buffers. Reorder/watermark
+        /// work is shared: this counts each ingested event once no matter
+        /// how many queries are registered, whereas N independent services
+        /// would buffer and sort every event N times.
+        reorder_buffered: "tilt_reorder_buffered_total",
+        /// Kernel executions performed by session advances and flushes.
+        kernels_run: "tilt_kernels_run_total",
+        /// Kernel executions avoided by the structural prefix dedup across
+        /// registered queries (0 for a single-query service).
+        kernels_saved: "tilt_kernels_saved_total",
+        /// Queries attached to the running service (pre-start
+        /// registrations are not counted).
+        attached: "tilt_attached_total",
+        /// Queries detached from the running service.
+        detached: "tilt_detached_total",
+        /// Per-key execution sessions (and tombstone output slots)
+        /// reclaimed by detach.
+        sessions_reclaimed: "tilt_sessions_reclaimed_total",
+        /// Tombstone output events discarded by
+        /// [`crate::RuntimeConfig::tombstone_output_cap`].
+        tombstone_dropped: "tilt_tombstone_output_dropped_total",
+        /// Keys whose state was spilled verbatim to the cold store instead
+        /// of being flushed to an in-memory tombstone (requires
+        /// [`crate::StreamServiceBuilder::spill_to`]).
+        spills: "tilt_state_spills_total",
+        /// Spilled keys revived from disk — by a later arrival or by the
+        /// final flush. Every spilled key is eventually revived exactly
+        /// once (the `durability` bench guardrail asserts
+        /// `spills == spill_revivals` at shutdown).
+        spill_revivals: "tilt_state_revivals_total",
+        /// Keys migrated between shards
+        /// ([`crate::StreamService::migrate_key`] /
+        /// [`crate::StreamService::rebalance`]).
+        migrations: "tilt_state_migrations_total",
+        /// Whole-service checkpoints written
+        /// ([`crate::StreamService::checkpoint`]).
+        checkpoints: "tilt_state_checkpoints_total",
+        /// Bytes written through the durable state layer: checkpoints,
+        /// spill bundles, and migration payloads.
+        state_bytes_written: "tilt_state_bytes_written_total",
+        /// Bytes read back through the durable state layer.
+        state_bytes_read: "tilt_state_bytes_read_total",
+        /// Spill bundles that failed to read back from disk. Each one also
+        /// quarantined its key — this counter is what distinguishes disk
+        /// corruption from kernel panics in
+        /// [`RuntimeStats::keys_quarantined`].
+        spill_corrupt: "tilt_state_spill_corrupt_total",
+    }
+    counters {
+        /// Reorder-pending decrements that had to be clamped at zero
+        /// (always 0 unless accounting is broken; the bench guardrail
+        /// asserts on it).
+        reorder_underflow: "tilt_reorder_underflow_total",
+    }
+    gauges {
+        /// Keys with a live session right now (created − evicted −
+        /// quarantined + revived). With idle eviction enabled
+        /// ([`crate::RuntimeConfig::key_ttl`] /
+        /// [`crate::RuntimeConfig::wall_clock_ttl`]) this is the
+        /// steady-state memory gauge: it tracks the *active* key
+        /// population, not every key ever seen.
+        live_keys: u64 = "tilt_live_keys",
+        /// Queries currently being served.
+        queries_live: u64 = "tilt_queries_live",
+        /// Buffered events currently serialized inside spill or migration
+        /// bundles rather than resident in a reorder buffer. Still part of
+        /// the conservation partition:
+        /// [`RuntimeStats::conservation_balance`] counts them as their own
+        /// account.
+        spilled_pending: usize = "tilt_state_spilled_pending",
+    }
 }
 
 impl std::fmt::Debug for SharedStats {
@@ -370,73 +609,6 @@ impl std::fmt::Debug for SharedStats {
 }
 
 impl SharedStats {
-    pub(crate) fn new(shards: usize, detailed: bool, journal_capacity: usize) -> Self {
-        let r = Arc::new(tilt_obs::Registry::new());
-        let per_shard_gauge = |name: &str| -> Vec<Arc<Gauge>> {
-            (0..shards).map(|i| r.gauge_with(name, &[("shard", &i.to_string())])).collect()
-        };
-        let per_shard_hist = |name: &str| -> Vec<Arc<Histogram>> {
-            (0..shards).map(|i| r.histogram_with(name, &[("shard", &i.to_string())])).collect()
-        };
-        let max_event_end = r.gauge("tilt_max_event_end_ticks");
-        max_event_end.set(Time::MIN.ticks());
-        let max_promise = r.gauge("tilt_max_promise_ticks");
-        max_promise.set(Time::MIN.ticks());
-        let shard_watermark = per_shard_gauge("tilt_shard_watermark_ticks");
-        for w in &shard_watermark {
-            w.set(Time::MIN.ticks());
-        }
-        SharedStats {
-            started: Instant::now(),
-            detailed,
-            journal: Journal::new(journal_capacity),
-            events_in: r.counter("tilt_events_in_total"),
-            events_out: r.counter("tilt_events_out_total"),
-            events_consumed: r.counter("tilt_events_consumed_total"),
-            detach_dropped: r.counter("tilt_detach_dropped_total"),
-            per_query: RwLock::new(Vec::new()),
-            query_frontier: RwLock::new(Vec::new()),
-            late_dropped: r.counter("tilt_late_dropped_total"),
-            keys: r.counter("tilt_keys_total"),
-            live_keys: r.gauge("tilt_live_keys"),
-            evictions: r.counter("tilt_evictions_total"),
-            wall_evictions: r.counter("tilt_wall_evictions_total"),
-            revivals: r.counter("tilt_revivals_total"),
-            backstop_dropped: r.counter("tilt_backstop_dropped_total"),
-            backstop_forced: r.counter("tilt_backstop_forced_total"),
-            keys_quarantined: r.counter("tilt_keys_quarantined_total"),
-            quarantine_dropped: r.counter("tilt_quarantine_dropped_total"),
-            reorder_buffered: r.counter("tilt_reorder_buffered_total"),
-            kernels_run: r.counter("tilt_kernels_run_total"),
-            kernels_saved: r.counter("tilt_kernels_saved_total"),
-            attached: r.counter("tilt_attached_total"),
-            detached: r.counter("tilt_detached_total"),
-            queries_live: r.gauge("tilt_queries_live"),
-            sessions_reclaimed: r.counter("tilt_sessions_reclaimed_total"),
-            reorder_underflow: r.counter("tilt_reorder_underflow_total"),
-            checkpoints: r.counter("tilt_state_checkpoints_total"),
-            state_bytes_written: r.counter("tilt_state_bytes_written_total"),
-            state_bytes_read: r.counter("tilt_state_bytes_read_total"),
-            spills: r.counter("tilt_state_spills_total"),
-            spill_revivals: r.counter("tilt_state_revivals_total"),
-            migrations: r.counter("tilt_state_migrations_total"),
-            spill_corrupt: r.counter("tilt_state_spill_corrupt_total"),
-            spilled_pending: r.gauge("tilt_state_spilled_pending"),
-            tombstone_dropped: r.counter("tilt_tombstone_output_dropped_total"),
-            max_event_end,
-            max_promise,
-            queue_depth: per_shard_gauge("tilt_queue_depth"),
-            reorder_pending: per_shard_gauge("tilt_reorder_pending"),
-            shard_watermark,
-            ingest_lag: per_shard_hist("tilt_ingest_lag_ticks"),
-            watermark_lag_hist: per_shard_hist("tilt_watermark_lag_ticks"),
-            reorder_residency: per_shard_hist("tilt_reorder_residency_ticks"),
-            advance_ns: per_shard_hist("tilt_advance_ns"),
-            flush_ns: per_shard_hist("tilt_flush_ns"),
-            registry: r,
-        }
-    }
-
     /// Records a control-plane transition in the journal (a no-op when
     /// detailed instrumentation is off).
     pub(crate) fn note_control(&self, event: ControlEvent) {
@@ -516,78 +688,16 @@ impl SharedStats {
         self.max_promise.set_max(time.ticks());
     }
 
-    /// The monotone service counters a checkpoint carries, in the fixed
-    /// order [`SharedStats::restore_counters`] reads them back. Gauges
-    /// (queue depths, pending, live keys) are deliberately absent: restore
-    /// recomputes them from the reinstalled state.
+    /// The values of the checkpointed counters ([`SharedStats::durable`]).
     pub(crate) fn durable_counters(&self) -> Vec<u64> {
-        vec![
-            self.events_in.get(),
-            self.events_out.get(),
-            self.events_consumed.get(),
-            self.detach_dropped.get(),
-            self.late_dropped.get(),
-            self.keys.get(),
-            self.evictions.get(),
-            self.wall_evictions.get(),
-            self.revivals.get(),
-            self.backstop_dropped.get(),
-            self.backstop_forced.get(),
-            self.keys_quarantined.get(),
-            self.quarantine_dropped.get(),
-            self.reorder_buffered.get(),
-            self.kernels_run.get(),
-            self.kernels_saved.get(),
-            self.attached.get(),
-            self.detached.get(),
-            self.sessions_reclaimed.get(),
-            self.tombstone_dropped.get(),
-            self.spills.get(),
-            self.spill_revivals.get(),
-            self.migrations.get(),
-            self.checkpoints.get(),
-            self.state_bytes_written.get(),
-            self.state_bytes_read.get(),
-            // Appended in PR 10; must stay last-but-extendable — restore
-            // zips, so older snapshots with fewer entries still load.
-            self.spill_corrupt.get(),
-        ]
+        self.durable().iter().map(|c| c.get()).collect()
     }
 
     /// Adds checkpointed counter values onto this (fresh) instance; the
     /// slice must come from [`SharedStats::durable_counters`].
     pub(crate) fn restore_counters(&self, vals: &[u64]) {
-        let targets = [
-            &self.events_in,
-            &self.events_out,
-            &self.events_consumed,
-            &self.detach_dropped,
-            &self.late_dropped,
-            &self.keys,
-            &self.evictions,
-            &self.wall_evictions,
-            &self.revivals,
-            &self.backstop_dropped,
-            &self.backstop_forced,
-            &self.keys_quarantined,
-            &self.quarantine_dropped,
-            &self.reorder_buffered,
-            &self.kernels_run,
-            &self.kernels_saved,
-            &self.attached,
-            &self.detached,
-            &self.sessions_reclaimed,
-            &self.tombstone_dropped,
-            &self.spills,
-            &self.spill_revivals,
-            &self.migrations,
-            &self.checkpoints,
-            &self.state_bytes_written,
-            &self.state_bytes_read,
-            &self.spill_corrupt,
-        ];
-        for (target, v) in targets.iter().zip(vals) {
-            target.add(*v);
+        for (counter, v) in self.durable().iter().zip(vals) {
+            counter.add(*v);
         }
     }
 
@@ -599,76 +709,6 @@ impl SharedStats {
         let deficit = self.reorder_pending[shard].sub_clamped(n as i64);
         debug_assert_eq!(deficit, 0, "reorder_pending[{shard}] underflow by {deficit}");
         self.reorder_underflow.add(deficit as u64);
-    }
-
-    pub(crate) fn snapshot(&self) -> RuntimeStats {
-        let queue_depths: Vec<usize> =
-            self.queue_depth.iter().map(|d| d.get().max(0) as usize).collect();
-        let shard_watermarks: Vec<Time> =
-            self.shard_watermark.iter().map(|w| Time::new(w.get())).collect();
-        let min_watermark = shard_watermarks.iter().copied().min().unwrap_or(Time::MIN);
-        let max_event_end = Time::new(self.max_event_end.get());
-        let elapsed = self.started.elapsed();
-        let events_in = self.events_in.get();
-        let per_query = self.per_query.read().expect("stats lock");
-        RuntimeStats {
-            events_in,
-            events_out: self.events_out.get(),
-            events_consumed: self.events_consumed.get(),
-            detach_dropped: self.detach_dropped.get(),
-            events_out_per_query: per_query.iter().map(|c| c.emitted.get()).collect(),
-            late_per_query: per_query.iter().map(|c| c.late.get()).collect(),
-            kernel_millis_per_query: per_query.iter().map(|c| c.kernel_millis.get()).collect(),
-            query_frontiers: self
-                .query_frontier
-                .read()
-                .expect("stats lock")
-                .iter()
-                .map(|t| Time::new(*t))
-                .collect(),
-            late_dropped: self.late_dropped.get(),
-            keys: self.keys.get(),
-            live_keys: self.live_keys.get().max(0) as u64,
-            evictions: self.evictions.get(),
-            wall_evictions: self.wall_evictions.get(),
-            revivals: self.revivals.get(),
-            backstop_dropped: self.backstop_dropped.get(),
-            backstop_forced: self.backstop_forced.get(),
-            keys_quarantined: self.keys_quarantined.get(),
-            quarantine_dropped: self.quarantine_dropped.get(),
-            reorder_pending: self.reorder_pending.iter().map(|d| d.get().max(0) as usize).collect(),
-            reorder_buffered: self.reorder_buffered.get(),
-            reorder_underflow: self.reorder_underflow.get(),
-            kernels_run: self.kernels_run.get(),
-            kernels_saved: self.kernels_saved.get(),
-            attached: self.attached.get(),
-            detached: self.detached.get(),
-            queries_live: self.queries_live.get().max(0) as u64,
-            sessions_reclaimed: self.sessions_reclaimed.get(),
-            checkpoints: self.checkpoints.get(),
-            state_bytes_written: self.state_bytes_written.get(),
-            state_bytes_read: self.state_bytes_read.get(),
-            spills: self.spills.get(),
-            spill_revivals: self.spill_revivals.get(),
-            migrations: self.migrations.get(),
-            spill_corrupt: self.spill_corrupt.get(),
-            spilled_pending: self.spilled_pending.get().max(0) as usize,
-            tombstone_dropped: self.tombstone_dropped.get(),
-            queue_depths,
-            shard_watermarks,
-            min_watermark,
-            watermark_lag: if max_event_end > min_watermark {
-                max_event_end - min_watermark
-            } else {
-                0
-            },
-            elapsed,
-            events_per_sec: if elapsed.as_secs_f64() > 0.0 {
-                events_in as f64 / elapsed.as_secs_f64()
-            } else {
-                0.0
-            },
-        }
     }
 }
 
@@ -714,152 +754,6 @@ impl SinkTable {
     pub(crate) fn any(&self) -> bool {
         self.sinks.read().expect("sink lock").iter().any(Option::is_some)
     }
-}
-
-/// A point-in-time snapshot of service health, returned by
-/// [`crate::StreamService::stats`].
-#[derive(Clone, Debug)]
-pub struct RuntimeStats {
-    /// Events accepted by ingestion so far.
-    pub events_in: u64,
-    /// Output events emitted across all keys and queries so far.
-    pub events_out: u64,
-    /// Events released from reorder buffers into at least one query's
-    /// session. With `late_dropped`, the drop counters, and the pending
-    /// gauges this partitions `events_in` — see
-    /// [`RuntimeStats::conservation_balance`].
-    pub events_consumed: u64,
-    /// Events released from reorder buffers after every query that could
-    /// have consumed them detached (neither consumed nor late).
-    pub detach_dropped: u64,
-    /// Output events emitted per registered query, indexed by
-    /// [`crate::QueryHandle::index`]. Detached queries keep their final
-    /// counts.
-    pub events_out_per_query: Vec<u64>,
-    /// Per registered query: events that query lost to its own lateness
-    /// bound (admission refusals attributed per query; an event several
-    /// queries refuse is attributed to each). Collected only with
-    /// [`crate::RuntimeConfig::metrics`] on; zeros otherwise.
-    pub late_per_query: Vec<u64>,
-    /// Per registered query: kernel work attributed to it, in
-    /// *millikernels* (an advance running `d` distinct kernels for `m`
-    /// member queries charges each member `d·1000/m`). Collected only with
-    /// [`crate::RuntimeConfig::metrics`] on; zeros otherwise.
-    pub kernel_millis_per_query: Vec<u64>,
-    /// Per registered query: the join frontier it was admitted at —
-    /// `config.start` for queries registered before the service started,
-    /// the negotiated attach frontier for live attaches. Monotone
-    /// non-decreasing in registration order.
-    pub query_frontiers: Vec<Time>,
-    /// Events no registered query could use: later than every interested
-    /// query's allowed lateness, or addressed to a source position no
-    /// query reads (e.g. ingesting into an attach-first service before
-    /// its first attach). Counted once per event, however many queries
-    /// are registered.
-    pub late_dropped: u64,
-    /// Distinct keys ever seen (live, evicted, and quarantined).
-    pub keys: u64,
-    /// Keys with a live session right now. With idle eviction enabled
-    /// ([`crate::RuntimeConfig::key_ttl`] /
-    /// [`crate::RuntimeConfig::wall_clock_ttl`]) this is the steady-state
-    /// memory gauge: it tracks the *active* key population, not every key
-    /// ever seen.
-    pub live_keys: u64,
-    /// Idle sessions retired by the TTL policies.
-    pub evictions: u64,
-    /// The subset of `evictions` triggered by the wall-clock TTL
-    /// ([`crate::RuntimeConfig::wall_clock_ttl`]) rather than event-time
-    /// idleness.
-    pub wall_evictions: u64,
-    /// Evicted keys whose session was transparently re-created by a later
-    /// arrival.
-    pub revivals: u64,
-    /// Events rejected by the reorder-buffer backstop under
-    /// [`crate::BackstopPolicy::DropNewest`].
-    pub backstop_dropped: u64,
-    /// Events force-drained into their session ahead of the watermark under
-    /// [`crate::BackstopPolicy::ForceDrain`].
-    pub backstop_forced: u64,
-    /// Keys quarantined after a panic inside their kernel execution; their
-    /// subsequent events are dropped (`quarantine_dropped`) instead of
-    /// taking the shard down.
-    pub keys_quarantined: u64,
-    /// Events dropped because their key is quarantined, plus buffered
-    /// events discarded at quarantine time.
-    pub quarantine_dropped: u64,
-    /// Events currently held in each shard's reorder buffers (gauge; the
-    /// backstop caps on this are [`crate::RuntimeConfig::max_pending_per_key`]
-    /// and [`crate::RuntimeConfig::max_pending_per_shard`]).
-    pub reorder_pending: Vec<usize>,
-    /// Events accepted into per-key reorder buffers. Reorder/watermark work
-    /// is shared: this counts each ingested event once no matter how many
-    /// queries are registered, whereas N independent services would buffer
-    /// and sort every event N times.
-    pub reorder_buffered: u64,
-    /// Reorder-pending decrements that had to be clamped at zero (always 0
-    /// unless accounting is broken; the bench guardrail asserts on it).
-    pub reorder_underflow: u64,
-    /// Kernel executions performed by session advances.
-    pub kernels_run: u64,
-    /// Kernel executions avoided by the structural prefix dedup across
-    /// registered queries (0 for a single-query service).
-    pub kernels_saved: u64,
-    /// Queries attached to the running service (pre-start registrations
-    /// are not counted).
-    pub attached: u64,
-    /// Queries detached from the running service.
-    pub detached: u64,
-    /// Queries currently being served.
-    pub queries_live: u64,
-    /// Per-key execution sessions (and tombstone output slots) reclaimed
-    /// by detach.
-    pub sessions_reclaimed: u64,
-    /// Whole-service checkpoints written
-    /// ([`crate::StreamService::checkpoint`]).
-    pub checkpoints: u64,
-    /// Bytes written through the durable state layer: checkpoints, spill
-    /// bundles, and migration payloads.
-    pub state_bytes_written: u64,
-    /// Bytes read back through the durable state layer.
-    pub state_bytes_read: u64,
-    /// Keys whose state was spilled verbatim to the cold store instead of
-    /// being flushed to an in-memory tombstone (requires
-    /// [`crate::StreamServiceBuilder::spill_to`]).
-    pub spills: u64,
-    /// Spilled keys revived from disk — by a later arrival or by the final
-    /// flush. Every spilled key is eventually revived exactly once (the
-    /// `durability` bench guardrail asserts `spills == spill_revivals` at
-    /// shutdown).
-    pub spill_revivals: u64,
-    /// Keys migrated between shards ([`crate::StreamService::migrate_key`]
-    /// / [`crate::StreamService::rebalance`]).
-    pub migrations: u64,
-    /// Spill bundles that failed to read back from disk. Each one also
-    /// quarantined its key — this counter is what distinguishes disk
-    /// corruption from kernel panics in [`RuntimeStats::keys_quarantined`].
-    pub spill_corrupt: u64,
-    /// Buffered events currently serialized inside spill or migration
-    /// bundles (gauge). These are neither consumed nor resident in a
-    /// reorder buffer, so [`RuntimeStats::conservation_balance`] counts
-    /// them as their own account.
-    pub spilled_pending: usize,
-    /// Tombstone output events discarded by
-    /// [`crate::RuntimeConfig::tombstone_output_cap`].
-    pub tombstone_dropped: u64,
-    /// Events sitting in each shard's ingest queue (backpressure signal).
-    pub queue_depths: Vec<usize>,
-    /// Each shard's current low-watermark.
-    pub shard_watermarks: Vec<Time>,
-    /// The minimum shard watermark: everything at or before this time has
-    /// been finalized on every shard.
-    pub min_watermark: Time,
-    /// Ticks between the newest event seen and the minimum watermark — how
-    /// far finalization trails ingestion.
-    pub watermark_lag: i64,
-    /// Wall-clock time since the service started.
-    pub elapsed: Duration,
-    /// Ingest throughput since start (events per wall-clock second).
-    pub events_per_sec: f64,
 }
 
 impl RuntimeStats {

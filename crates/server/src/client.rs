@@ -12,24 +12,25 @@
 //! server's in-order replies.
 //!
 //! Ingest is credit-driven: the client chunks batches to the server's
-//! current grant and waits for each chunk's [`Message::Credit`] /
-//! [`Message::Busy`] before sending the next, so a slow service
-//! backpressures the producer instead of ballooning socket buffers.
+//! current grant (and to the frame size cap, whichever is reached first)
+//! and waits for each chunk's [`Message::Credit`] / [`Message::Busy`]
+//! before sending the next, so a slow service backpressures the producer
+//! instead of ballooning socket buffers.
 //!
 //! # Self-healing
 //!
 //! With a [`RetryPolicy`] configured ([`Client::connect_with`]), a dead
 //! socket is not the end: the client redials with jittered exponential
-//! backoff, re-handshakes, and — on a version-3 connection — sends
-//! [`Message::Resume`] for every live subscription, so each subscriber
-//! observes every output frame exactly once across the reconnect (the
-//! client tracks each query's next expected sequence number and drops
-//! replayed duplicates). Requests other than ingest are retried once on
-//! the fresh connection; ingest is *not* auto-retried, because a batch
-//! that died mid-flight may or may not have been applied — the caller
-//! sees the error and decides. If the server's replay ring has already
-//! evicted part of the missed suffix, the subscription ends (its
-//! collector returns) and [`Client::resume_gaps`] counts the loss.
+//! backoff, re-handshakes, and sends [`Message::Resume`] for every live
+//! subscription, so each subscriber observes every output frame exactly
+//! once across the reconnect (the client tracks each query's next
+//! expected sequence number and drops replayed duplicates). Requests
+//! other than ingest are retried once on the fresh connection; ingest is
+//! *not* auto-retried, because a batch that died mid-flight may or may
+//! not have been applied — the caller sees the error and decides. If the
+//! server's replay ring has already evicted part of the missed suffix,
+//! the subscription ends (its collector returns) and
+//! [`Client::resume_gaps`] counts the loss.
 
 use std::collections::HashMap;
 use std::io::{self, Write as _};
@@ -43,8 +44,8 @@ use tilt_data::{Event, Time, Value};
 use tilt_runtime::KeyedEvent;
 
 use crate::protocol::{
-    read_message, write_message, ErrorCode, Message, RecvError, TextKind, WireEvent,
-    PROTOCOL_VERSION,
+    fitting_frame, read_message, try_encode_frame, write_message, ErrorCode, Message, RecvError,
+    TextKind, WireError, WireEvent, PROTOCOL_VERSION,
 };
 
 /// Why a client call failed.
@@ -83,6 +84,12 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
+    }
+}
+
+impl From<WireError> for ClientError {
+    fn from(e: WireError) -> Self {
+        ClientError::Protocol(e.to_string())
     }
 }
 
@@ -134,25 +141,15 @@ impl RetryPolicy {
 }
 
 /// Connection-level knobs. [`Client::connect`] uses the defaults (no
-/// retries, no timeouts — the legacy behavior); [`Client::connect_with`]
-/// takes the full set.
-#[derive(Clone, Copy, Debug)]
+/// retries, no timeouts); [`Client::connect_with`] takes the full set.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ClientConfig {
-    /// The protocol version to offer in the handshake. Below 3 the
-    /// server sends unsequenced output and reconnects cannot resume.
-    pub version: u16,
     /// `Some` enables automatic redial + re-handshake + subscriber
     /// resume when the connection dies.
     pub retry: Option<RetryPolicy>,
     /// Socket read/write timeout. A connection that stalls longer is
     /// declared dead (and, with `retry`, redialed).
     pub io_timeout: Option<Duration>,
-}
-
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig { version: PROTOCOL_VERSION, retry: None, io_timeout: None }
-    }
 }
 
 /// A query attached over the wire.
@@ -307,20 +304,12 @@ fn open_conn(addr: SocketAddr, config: &ClientConfig) -> Result<RawConn, ClientE
         let _ = stream.set_write_timeout(Some(limit));
     }
     let mut writer = stream.try_clone()?;
-    write_message(&mut writer, &Message::Hello { version: config.version })?;
+    write_message(&mut writer, &Message::Hello { version: PROTOCOL_VERSION })?;
     writer.flush()?;
     // Read the HelloAck inline, before any reader thread exists.
     let mut read_half = stream;
     let credit = match read_message(&mut read_half) {
-        Ok((Message::HelloAck { version, credit }, _)) => {
-            if version != config.version {
-                return Err(ClientError::Protocol(format!(
-                    "offered version {}, server acked {version}",
-                    config.version
-                )));
-            }
-            credit
-        }
+        Ok((Message::HelloAck { version: PROTOCOL_VERSION, credit }, _)) => credit,
         Ok((Message::Error { code, message }, _)) => {
             return Err(ClientError::Server { code, message });
         }
@@ -411,7 +400,12 @@ impl Client {
     }
 
     fn request_on(lane: &mut Lane, msg: &Message) -> Result<Message, ClientError> {
-        write_message(&mut lane.writer, msg)?;
+        Client::exchange(lane, &try_encode_frame(msg)?)
+    }
+
+    /// Writes one encoded request frame and waits for its reply.
+    fn exchange(lane: &mut Lane, frame: &[u8]) -> Result<Message, ClientError> {
+        lane.writer.write_all(frame)?;
         lane.writer.flush()?;
         match lane.replies.recv() {
             Ok(Message::Error { code, message }) => Err(ClientError::Server { code, message }),
@@ -464,8 +458,10 @@ impl Client {
     }
 
     /// Delivers a batch of events, chunked to the server's credit grants
-    /// and waiting for each chunk's acknowledgement — the producer-side
-    /// half of the backpressure loop.
+    /// and the frame size cap, waiting for each chunk's acknowledgement —
+    /// the producer-side half of the backpressure loop. An event that
+    /// cannot fit a frame on its own fails the call with
+    /// [`ClientError::Protocol`]; the chunks before it were delivered.
     ///
     /// Never auto-retried: a chunk that died mid-flight may or may not
     /// have been applied, and only the caller can decide whether
@@ -482,11 +478,12 @@ impl Client {
         let mut lane = self.inner.lane.lock().expect("request lane lock");
         let mut rest = wire.as_slice();
         while !rest.is_empty() {
-            let take = rest.len().min(lane.credit.max(1) as usize);
-            let (chunk, tail) = rest.split_at(take);
-            rest = tail;
+            let (frame, taken) = fitting_frame(rest, lane.credit.max(1) as usize, |events| {
+                Message::Ingest { events: events.to_vec() }
+            })?;
+            rest = &rest[taken..];
             report.frames += 1;
-            match Client::request_on(&mut lane, &Message::Ingest { events: chunk.to_vec() })? {
+            match Client::exchange(&mut lane, &frame)? {
                 Message::Credit { grant } => lane.credit = grant.max(1),
                 Message::Busy { grant } => {
                     report.busy += 1;
@@ -546,7 +543,7 @@ impl Client {
 
     /// Checkpoints the service into one snapshot file at `path` on the
     /// **server's** filesystem (the snapshot bytes never cross the
-    /// wire). Requires protocol version 2 on both ends.
+    /// wire).
     pub fn checkpoint(&self, path: &str) -> Result<(), ClientError> {
         match self.request(&Message::Checkpoint { path: path.to_owned() })? {
             Message::Ok => Ok(()),
@@ -642,10 +639,9 @@ fn reconnect_locked(inner: &Arc<Inner>, lane: &mut Lane) -> Result<(), ClientErr
     Err(last)
 }
 
-/// Re-joins every live subscription on a fresh connection. Version-3
-/// connections resume exactly where they left off; on older versions
-/// (no [`Message::Resume`]) the subscriptions cannot be made whole, so
-/// they end instead of silently gapping.
+/// Re-joins every live subscription on a fresh connection, each exactly
+/// where it left off; one that cannot be made whole ends instead of
+/// silently gapping.
 fn resume_subscriptions(inner: &Arc<Inner>, lane: &mut Lane) {
     let live: Vec<(u32, u64)> = inner
         .subs
@@ -663,10 +659,6 @@ fn resume_subscriptions(inner: &Arc<Inner>, lane: &mut Lane) {
                 let _ = entry.tx.send(SubItem::Eos);
             }
         };
-        if inner.config.version < 3 {
-            end_sub(false);
-            continue;
-        }
         match Client::request_on(lane, &Message::Resume { query, next_seq }) {
             // Replayed frames follow on the reader thread, routed and
             // de-duplicated like any live frame.
@@ -687,12 +679,6 @@ fn reader_loop(stream: TcpStream, inner: Arc<Inner>, replies: Sender<Message>, e
     let mut stream = std::io::BufReader::new(stream);
     loop {
         match read_message(&mut stream) {
-            Ok((Message::Output { query, key, events }, _)) => {
-                let subs = inner.subs.lock().expect("subs lock");
-                if let Some(entry) = subs.get(&query) {
-                    let _ = entry.tx.send(SubItem::Output(key, events));
-                }
-            }
             Ok((Message::OutputSeq { query, seq, key, events }, _)) => {
                 let mut subs = inner.subs.lock().expect("subs lock");
                 if let Some(entry) = subs.get_mut(&query) {

@@ -8,9 +8,10 @@
 //!
 //! Three layers:
 //!
-//! * [`protocol`] — the codec: a versioned [`protocol::Message`] enum,
-//!   fixed-width little-endian encoding, and a total (panic-free)
-//!   decoder hardened against hostile frames.
+//! * [`protocol`] — framing and per-message field order over
+//!   [`tilt_data::codec`]: the [`protocol::Message`] enum, one protocol
+//!   version, and a total (panic-free) decoder hardened against hostile
+//!   frames.
 //! * [`Server`] — thread-per-connection TCP server owning an
 //!   attach-first service and a catalog of prepared queries; surfaces
 //!   shard backpressure to producers as explicit

@@ -18,22 +18,20 @@
 //! no varints, so every field has a statically known size and truncation
 //! is detected exactly. Strings are `u32` length + UTF-8 bytes;
 //! vectors are `u32` count + elements; `Option<i64>` is a `u8` presence
-//! flag + value.
+//! flag + value. Those primitives, and the layout of [`Value`] and
+//! [`Event`], are [`tilt_data::codec`]'s — the same bytes a snapshot file
+//! holds; this module adds only framing and per-message field order.
 //!
 //! # Versioning
 //!
-//! The first frame on a connection must be [`Message::Hello`] carrying
-//! the version the client speaks. The server accepts any version in
-//! `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION` and answers
-//! [`Message::HelloAck`] echoing the *negotiated* version (the client's,
-//! capped at the server's) — so a version-1 client keeps working against
-//! a version-2 server, it just cannot use the durability messages
-//! ([`Message::Checkpoint`] / [`Message::Restore`], added in version 2;
-//! sending them on a version-1 connection earns [`ErrorCode::Version`]).
-//! An unsupported version is refused with [`ErrorCode::Version`] and the
-//! connection closes. Unknown message tags and malformed bodies are
-//! [`WireError`]s, never panics — a hostile peer can at worst get its
-//! own connection closed.
+//! There is one protocol version, [`PROTOCOL_VERSION`]. The first frame
+//! on a connection must be [`Message::Hello`] carrying exactly that
+//! version; the server answers [`Message::HelloAck`] echoing it. Any
+//! other version is refused with [`ErrorCode::Version`] and the
+//! connection closes — both halves ship from this crate, so there is
+//! nothing older to negotiate down to. Unknown message tags and
+//! malformed bodies are [`WireError`]s, never panics — a hostile peer
+//! can at worst get its own connection closed.
 //!
 //! # Safety against hostile input
 //!
@@ -42,32 +40,29 @@
 //! bytes must be UTF-8, event intervals must be non-empty (`end > start`),
 //! tuple values are depth-limited ([`MAX_VALUE_DEPTH`]), and a payload
 //! with trailing bytes is rejected. The codec allocates at most
-//! proportionally to the (capped) frame it was handed.
+//! proportionally to the (capped) frame it was handed. Encoding honours
+//! the same cap: a sender splits event batches into frames that fit
+//! ([`fitting_frame`]) and a message that still cannot fit is an error
+//! ([`WireError::Oversize`]), never an oversize frame.
 
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 
-use tilt_data::{Event, Time, Value};
+use tilt_data::codec::{CodecError, Dec, Enc};
+use tilt_data::{Event, Value};
 
-/// The newest protocol version this build speaks. Version 2 added the
-/// durability control plane ([`Message::Checkpoint`] /
-/// [`Message::Restore`] / [`Message::Restored`]). Version 3 added
-/// subscriber resume: sequence-numbered output frames
-/// ([`Message::OutputSeq`]), the [`Message::Resume`] request, and its
-/// [`Message::Resumed`] reply.
-pub const PROTOCOL_VERSION: u16 = 3;
+pub use tilt_data::codec::MAX_VALUE_DEPTH;
 
-/// The oldest client version the server still accepts. A version-1
-/// connection speaks the full pre-durability surface unchanged.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+/// The one protocol version this build speaks.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on a frame's payload length. A `len` header above this is
-/// rejected without allocating.
+/// rejected without allocating, and no frame above it is ever sent.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
-/// Maximum nesting depth of [`Value::Tuple`] payloads — bounds decode
-/// recursion so a crafted frame cannot overflow the stack.
-pub const MAX_VALUE_DEPTH: usize = 16;
+/// The fixed-width part of an encoded event: start(8) + end(8) + value
+/// tag(1). No frame holds more than `MAX_FRAME_LEN / MIN_EVENT_LEN`
+/// events, which bounds what a sender need try to fit.
+pub const MIN_EVENT_LEN: usize = 17;
 
 /// Machine-readable error category carried by [`Message::Error`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -214,7 +209,7 @@ pub enum Message {
         query: u32,
     },
     /// Stream the query's per-key finalized output to *this* connection
-    /// as [`Message::Output`] frames. Answered with [`Message::Ok`] or
+    /// as [`Message::OutputSeq`] frames. Answered with [`Message::Ok`] or
     /// [`Message::Error`]; several connections may subscribe to one query.
     Subscribe {
         /// The query id from [`Message::Attached`].
@@ -241,8 +236,7 @@ pub enum Message {
     },
     /// Checkpoint the running service into one snapshot file at `path`
     /// on the **server's** filesystem (the bytes never cross the wire).
-    /// Answered with [`Message::Ok`] or [`Message::Error`]. Requires
-    /// protocol version 2.
+    /// Answered with [`Message::Ok`] or [`Message::Error`].
     Checkpoint {
         /// Server-side snapshot path.
         path: String,
@@ -253,8 +247,7 @@ pub enum Message {
     /// so the server re-resolves them by name. Only a *fresh* service
     /// (no attached queries, no ingested events) may be replaced;
     /// otherwise the server answers [`ErrorCode::Conflict`]. Answered
-    /// with [`Message::Restored`] or [`Message::Error`]. Requires
-    /// protocol version 2.
+    /// with [`Message::Restored`] or [`Message::Error`].
     Restore {
         /// Server-side snapshot path.
         path: String,
@@ -267,7 +260,7 @@ pub enum Message {
     /// retained [`Message::OutputSeq`] frame with `seq >= next_seq`,
     /// exactly once, in order) or [`Message::Error`]
     /// ([`ErrorCode::ResumeGap`] when the ring has already evicted part
-    /// of the requested suffix). Requires protocol version 3.
+    /// of the requested suffix).
     Resume {
         /// The query id from [`Message::Attached`].
         query: u32,
@@ -313,17 +306,7 @@ pub enum Message {
         /// Human-readable detail.
         message: String,
     },
-    /// One key's newly finalized events for one subscribed query, in
-    /// per-key time order.
-    Output {
-        /// The subscribed query.
-        query: u32,
-        /// The key these events belong to.
-        key: u64,
-        /// The finalized events.
-        events: Vec<Event<Value>>,
-    },
-    /// No further [`Message::Output`] frames will arrive for this query
+    /// No further [`Message::OutputSeq`] frames will arrive for this query
     /// (service shut down or query detached).
     Eos {
         /// The subscribed query.
@@ -350,12 +333,11 @@ pub enum Message {
         /// `(id, frontier ticks)` per live restored query, in slot order.
         queries: Vec<(u32, i64)>,
     },
-    /// One key's newly finalized events for one subscribed query, tagged
-    /// with the query's delivery sequence number. Version-3 connections
-    /// receive this instead of [`Message::Output`]; `seq` is contiguous
-    /// and monotone per query across *all* of the query's output frames
-    /// (shared by every subscriber), which is what makes
-    /// [`Message::Resume`] exact.
+    /// One key's newly finalized events for one subscribed query, in
+    /// per-key time order, tagged with the query's delivery sequence
+    /// number. `seq` is contiguous and monotone per query across *all* of
+    /// the query's output frames (shared by every subscriber), which is
+    /// what makes [`Message::Resume`] exact.
     OutputSeq {
         /// The subscribed query.
         query: u32,
@@ -383,7 +365,8 @@ pub enum WireError {
     /// The payload ended before a field's fixed width was satisfied, or a
     /// declared string/vector length exceeds the bytes present.
     Truncated,
-    /// A frame header declared a payload above [`MAX_FRAME_LEN`].
+    /// A frame header declared — or a message encoded to — a payload above
+    /// [`MAX_FRAME_LEN`].
     Oversize(u32),
     /// An unknown tag where a known enum discriminant was required.
     BadTag {
@@ -427,6 +410,19 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        match e {
+            CodecError::Truncated | CodecError::BadCount => WireError::Truncated,
+            CodecError::BadTag { what, tag } => WireError::BadTag { what, tag },
+            CodecError::BadUtf8 => WireError::BadUtf8,
+            CodecError::BadInterval { start, end } => WireError::BadInterval { start, end },
+            CodecError::TooDeep => WireError::TooDeep,
+            CodecError::TrailingBytes(n) => WireError::TrailingBytes(n),
+        }
+    }
+}
+
 /// Why reading the next message off a connection failed.
 #[derive(Debug)]
 pub enum RecvError {
@@ -452,77 +448,7 @@ impl std::error::Error for RecvError {}
 
 // ── encoding ───────────────────────────────────────────────────────────
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-    fn u16(&mut self, x: u16) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn i64(&mut self, x: i64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn opt_i64(&mut self, x: Option<i64>) {
-        match x {
-            Some(v) => {
-                self.u8(1);
-                self.i64(v);
-            }
-            None => self.u8(0),
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.u8(0),
-            Value::Bool(b) => {
-                self.u8(1);
-                self.u8(*b as u8);
-            }
-            Value::Int(x) => {
-                self.u8(2);
-                self.i64(*x);
-            }
-            Value::Float(x) => {
-                self.u8(3);
-                self.u64(x.to_bits());
-            }
-            Value::Str(s) => {
-                self.u8(4);
-                self.str(s);
-            }
-            Value::Tuple(fields) => {
-                self.u8(5);
-                self.u16(fields.len() as u16);
-                for f in fields.iter() {
-                    self.value(f);
-                }
-            }
-        }
-    }
-    fn event(&mut self, e: &Event<Value>) {
-        self.i64(e.start.ticks());
-        self.i64(e.end.ticks());
-        self.value(&e.payload);
-    }
-}
-
-/// Encodes `msg` as a frame payload (no length header).
-pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::with_capacity(16) };
+fn encode_into(e: &mut Enc, msg: &Message) {
     match msg {
         Message::Hello { version } => {
             e.u8(0x01);
@@ -605,15 +531,7 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             e.u8(code.to_u8());
             e.str(message);
         }
-        Message::Output { query, key, events } => {
-            e.u8(0x87);
-            e.u32(*query);
-            e.u64(*key);
-            e.u32(events.len() as u32);
-            for ev in events {
-                e.event(ev);
-            }
-        }
+        // 0x87 was the unsequenced `Output` of protocol versions 1–3.
         Message::Eos { query } => {
             e.u8(0x88);
             e.u32(*query);
@@ -655,133 +573,75 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             e.u64(*replayed);
         }
     }
-    e.buf
 }
 
-/// Encodes `msg` as a complete frame (length header + payload).
+/// Encodes `msg` as a frame payload (no length header).
+pub fn encode(msg: &Message) -> Vec<u8> {
+    let mut e = Enc::new();
+    encode_into(&mut e, msg);
+    e.into_bytes()
+}
+
+/// Encodes `msg` as a complete frame (length header + payload), or
+/// [`WireError::Oversize`] if the payload exceeds [`MAX_FRAME_LEN`].
+pub fn try_encode_frame(msg: &Message) -> Result<Vec<u8>, WireError> {
+    let mut e = Enc::new();
+    e.u32(0); // the length header, filled in below
+    encode_into(&mut e, msg);
+    let mut frame = e.into_bytes();
+    let len = u32::try_from(frame.len() - 4).unwrap_or(u32::MAX);
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::Oversize(len));
+    }
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    Ok(frame)
+}
+
+/// [`try_encode_frame`] for messages known to fit.
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_FRAME_LEN`].
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let payload = encode(msg);
-    debug_assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64, "oversize frame encoded");
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    try_encode_frame(msg).expect("message exceeds MAX_FRAME_LEN")
+}
+
+/// The frame of `make(&items[..n])` for an `n <= limit` whose frame fits
+/// [`MAX_FRAME_LEN`], with that `n`: all `limit` items if they fit,
+/// otherwise as many as the overshoot suggests. This is how senders of
+/// event batches ([`Message::Ingest`], [`Message::OutputSeq`]) split by
+/// bytes: take what fits, send it, come back with the rest. Fails only
+/// when a single item does not fit.
+pub fn fitting_frame<T>(
+    items: &[T],
+    limit: usize,
+    make: impl Fn(&[T]) -> Message,
+) -> Result<(Vec<u8>, usize), WireError> {
+    let mut n = items.len().min(limit);
+    loop {
+        match try_encode_frame(&make(&items[..n])) {
+            Err(WireError::Oversize(len)) if n > 1 => {
+                n = (n as u64 * MAX_FRAME_LEN as u64 / len as u64).clamp(1, n as u64 - 1) as usize;
+            }
+            frame => return frame.map(|frame| (frame, n)),
+        }
+    }
 }
 
 // ── decoding ───────────────────────────────────────────────────────────
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn opt_i64(&mut self) -> Result<Option<i64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.i64()?)),
-            tag => Err(WireError::BadTag { what: "option", tag }),
-        }
-    }
-    /// A declared element count, validated against the bytes actually
-    /// present (each element needs at least `min_width` bytes) so a
-    /// hostile count cannot trigger a huge allocation.
-    fn count(&mut self, min_width: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_width.max(1)) > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        std::str::from_utf8(self.take(n)?).map(str::to_owned).map_err(|_| WireError::BadUtf8)
-    }
-    fn value(&mut self, depth: usize) -> Result<Value, WireError> {
-        if depth > MAX_VALUE_DEPTH {
-            return Err(WireError::TooDeep);
-        }
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => match self.u8()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                tag => Err(WireError::BadTag { what: "bool", tag }),
-            },
-            2 => Ok(Value::Int(self.i64()?)),
-            3 => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            4 => Ok(Value::Str(Arc::from(self.str()?.as_str()))),
-            5 => {
-                let n = self.u16()? as usize;
-                if n > self.remaining() {
-                    return Err(WireError::Truncated);
-                }
-                let mut fields = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fields.push(self.value(depth + 1)?);
-                }
-                Ok(Value::Tuple(fields.into()))
-            }
-            tag => Err(WireError::BadTag { what: "value", tag }),
-        }
-    }
-    fn event(&mut self) -> Result<Event<Value>, WireError> {
-        let start = self.i64()?;
-        let end = self.i64()?;
-        if end <= start {
-            return Err(WireError::BadInterval { start, end });
-        }
-        let payload = self.value(0)?;
-        Ok(Event { start: Time::new(start), end: Time::new(end), payload })
-    }
-}
-
 /// Decodes one frame payload into a [`Message`]. Total: returns an error
 /// for any byte sequence it cannot interpret, and never panics.
 pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-    let mut d = Dec { buf: payload, pos: 0 };
+    let mut d = Dec::new(payload);
     let msg = match d.u8()? {
         0x01 => Message::Hello { version: d.u16()? },
-        0x02 => {
-            // key(8) + source(4) + start(8) + end(8) + value tag(1)
-            let n = d.count(29)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = d.u64()?;
-                let source = d.u32()?;
-                events.push(WireEvent { key, source, event: d.event()? });
-            }
-            Message::Ingest { events }
-        }
+        0x02 => Message::Ingest {
+            // key(8) + source(4) + the event
+            events: d.seq(12 + MIN_EVENT_LEN, |d| {
+                Ok(WireEvent { key: d.u64()?, source: d.u32()?, event: d.event()? })
+            })?,
+        },
         0x03 => Message::Watermark { source: d.u32()?, time: d.i64()? },
         0x04 => {
             Message::Attach { name: d.str()?, lateness: d.opt_i64()?, emit_interval: d.opt_i64()? }
@@ -794,16 +654,8 @@ pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
         0x0A => Message::Catalog,
         0x0B => Message::Shutdown { end: d.opt_i64()? },
         0x0C => Message::Checkpoint { path: d.str()? },
-        0x0D => {
-            let path = d.str()?;
-            // Each name carries at least its 4-byte length header.
-            let n = d.count(4)?;
-            let mut queries = Vec::with_capacity(n);
-            for _ in 0..n {
-                queries.push(d.str()?);
-            }
-            Message::Restore { path, queries }
-        }
+        // Each name carries at least its 4-byte length header.
+        0x0D => Message::Restore { path: d.str()?, queries: d.seq(4, Dec::str)? },
         0x0E => Message::Resume { query: d.u32()?, next_seq: d.u64()? },
         0x81 => Message::HelloAck { version: d.u16()?, credit: d.u32()? },
         0x82 => Message::Credit { grant: d.u32()? },
@@ -815,69 +667,37 @@ pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
                 .ok_or(WireError::BadTag { what: "error code", tag: 0 })?;
             Message::Error { code, message: d.str()? }
         }
-        0x87 => {
-            let query = d.u32()?;
-            let key = d.u64()?;
-            // start(8) + end(8) + value tag(1)
-            let n = d.count(17)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                events.push(d.event()?);
-            }
-            Message::Output { query, key, events }
-        }
         0x88 => Message::Eos { query: d.u32()? },
-        0x89 => {
-            // name len(4) + value(8)
-            let n = d.count(12)?;
-            let mut fields = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = d.str()?;
-                fields.push((name, d.i64()?));
-            }
-            Message::StatsReply { fields }
-        }
+        // name len(4) + value(8)
+        0x89 => Message::StatsReply { fields: d.seq(12, |d| Ok((d.str()?, d.i64()?)))? },
         0x8A => {
             let kind = TextKind::from_u8(d.u8()?)
                 .ok_or(WireError::BadTag { what: "text kind", tag: 0 })?;
             Message::Text { kind, text: d.str()? }
         }
-        0x8B => {
-            // id(4) + frontier(8)
-            let n = d.count(12)?;
-            let mut queries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = d.u32()?;
-                queries.push((id, d.i64()?));
-            }
-            Message::Restored { queries }
-        }
-        0x8C => {
-            let query = d.u32()?;
-            let seq = d.u64()?;
-            let key = d.u64()?;
-            // start(8) + end(8) + value tag(1)
-            let n = d.count(17)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                events.push(d.event()?);
-            }
-            Message::OutputSeq { query, seq, key, events }
-        }
+        // id(4) + frontier(8)
+        0x8B => Message::Restored { queries: d.seq(12, |d| Ok((d.u32()?, d.i64()?)))? },
+        0x8C => Message::OutputSeq {
+            query: d.u32()?,
+            seq: d.u64()?,
+            key: d.u64()?,
+            events: d.seq(MIN_EVENT_LEN, Dec::event)?,
+        },
         0x8D => Message::Resumed { query: d.u32()?, replayed: d.u64()? },
         tag => return Err(WireError::BadTag { what: "message", tag }),
     };
-    if d.remaining() > 0 {
-        return Err(WireError::TrailingBytes(d.remaining()));
-    }
+    d.finish()?;
     Ok(msg)
 }
 
 // ── framed transport ───────────────────────────────────────────────────
 
-/// Writes `msg` as one frame, returning the bytes written.
+/// Writes `msg` as one frame, returning the bytes written. A message
+/// that encodes above [`MAX_FRAME_LEN`] is an `InvalidInput` error and
+/// nothing is written.
 pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<usize> {
-    let frame = encode_frame(msg);
+    let frame =
+        try_encode_frame(msg).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     w.write_all(&frame)?;
     Ok(frame.len())
 }
@@ -923,6 +743,8 @@ pub fn read_message(r: &mut impl Read) -> Result<(Message, usize), RecvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use tilt_data::Time;
 
     fn roundtrip(msg: Message) {
         let payload = encode(&msg);
@@ -932,7 +754,7 @@ mod tests {
     #[test]
     fn representative_messages_roundtrip() {
         roundtrip(Message::Hello { version: PROTOCOL_VERSION });
-        roundtrip(Message::HelloAck { version: 1, credit: 8192 });
+        roundtrip(Message::HelloAck { version: PROTOCOL_VERSION, credit: 8192 });
         roundtrip(Message::Ingest {
             events: vec![WireEvent {
                 key: 7,
@@ -944,15 +766,6 @@ mod tests {
             name: "sliding_sum".into(),
             lateness: Some(8),
             emit_interval: None,
-        });
-        roundtrip(Message::Output {
-            query: 3,
-            key: 42,
-            events: vec![Event::new(
-                Time::new(-5),
-                Time::new(0),
-                Value::tuple([Value::Int(1), Value::Str(Arc::from("hi")), Value::Null]),
-            )],
         });
         roundtrip(Message::Error { code: ErrorCode::UnknownName, message: "no such query".into() });
         roundtrip(Message::StatsReply {
@@ -1017,7 +830,7 @@ mod tests {
     #[test]
     fn empty_event_intervals_are_rejected() {
         // Hand-assemble an Ingest frame whose event has end == start.
-        let mut e = Enc { buf: Vec::new() };
+        let mut e = Enc::new();
         e.u8(0x02);
         e.u32(1);
         e.u64(1); // key
@@ -1026,7 +839,7 @@ mod tests {
         e.i64(5); // end == start: empty
         e.u8(0); // Null payload
         assert_eq!(
-            decode(&e.buf),
+            decode(&e.into_bytes()),
             Err(WireError::BadInterval { start: 5, end: 5 }),
             "empty interval must be refused before Event::new can panic"
         );
@@ -1035,19 +848,20 @@ mod tests {
     #[test]
     fn tuple_depth_is_bounded() {
         // A payload of nested tuple tags deeper than MAX_VALUE_DEPTH.
-        let mut e = Enc { buf: Vec::new() };
-        e.u8(0x87); // Output
+        let mut e = Enc::new();
+        e.u8(0x8C); // OutputSeq
         e.u32(0); // query
+        e.u64(0); // seq
         e.u64(0); // key
         e.u32(1); // one event
         e.i64(0); // start
         e.i64(1); // end
         for _ in 0..(MAX_VALUE_DEPTH + 2) {
             e.u8(5); // Tuple
-            e.u16(1); // one field
+            e.u32(1); // one field
         }
         e.u8(0); // innermost Null
-        assert_eq!(decode(&e.buf), Err(WireError::TooDeep));
+        assert_eq!(decode(&e.into_bytes()), Err(WireError::TooDeep));
     }
 
     #[test]

@@ -32,13 +32,13 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tilt_core::CompiledQuery;
-use tilt_data::{Event, Time, Value};
+use tilt_data::Time;
 use tilt_obs::{Counter, Gauge};
 use tilt_runtime::{
     ControlEvent, KeyedEvent, QueryHandle, QuerySettings, RuntimeConfig, RuntimeStats,
@@ -46,8 +46,8 @@ use tilt_runtime::{
 };
 
 use crate::protocol::{
-    read_message, write_message, ErrorCode, Message, RecvError, TextKind, WireError,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    fitting_frame, read_message, try_encode_frame, ErrorCode, Message, RecvError, TextKind,
+    WireError, MAX_FRAME_LEN, MIN_EVENT_LEN, PROTOCOL_VERSION,
 };
 
 /// Events a client may put in one [`Message::Ingest`] frame on the happy
@@ -99,64 +99,55 @@ impl Default for ServerConfig {
     }
 }
 
-/// Server-side connection/byte/credit accounting, registered in the
-/// *service's* metrics registry so one scrape covers both layers.
-/// Cloning shares the underlying counters (the fields are `Arc`s).
-#[derive(Clone)]
-struct NetStats {
-    conns_open: Arc<Gauge>,
-    conns_total: Arc<Counter>,
-    bytes_in: Arc<Counter>,
-    bytes_out: Arc<Counter>,
-    frames_in: Arc<Counter>,
-    frames_out: Arc<Counter>,
-    credit_stalls: Arc<Counter>,
-    decode_errors: Arc<Counter>,
-    resume_replays: Arc<Counter>,
-    resume_gaps: Arc<Counter>,
-    ring_evictions: Arc<Counter>,
-    idle_disconnects: Arc<Counter>,
-    budget_disconnects: Arc<Counter>,
+/// Declares the server's own accounting once per counter: the handle
+/// (named as it appears in a `StatsReply`), its kind, and its metric
+/// name. Registration, re-homing and the wire fields all follow the rows.
+macro_rules! net_stats {
+    ($( $field:ident: $kind:ident = $register:ident($metric:literal), )*) => {
+        /// Server-side connection/byte/credit accounting, registered in
+        /// the *service's* metrics registry so one scrape covers both
+        /// layers. Cloning shares the underlying counters (the fields
+        /// are `Arc`s).
+        #[derive(Clone)]
+        struct NetStats {
+            $( $field: Arc<$kind>, )*
+        }
+
+        impl NetStats {
+            fn new(registry: &tilt_obs::Registry) -> NetStats {
+                NetStats { $( $field: registry.$register($metric), )* }
+            }
+
+            /// Re-homes the accounting into `registry` (a restored
+            /// service's), carrying the current values over so the scrape
+            /// stays continuous.
+            fn rehome(&self, registry: &tilt_obs::Registry) -> NetStats {
+                let next = NetStats::new(registry);
+                $( next.$field.add(self.$field.get()); )*
+                next
+            }
+
+            fn fields(&self) -> impl Iterator<Item = (&'static str, i64)> {
+                [ $( (stringify!($field), self.$field.get() as i64), )* ].into_iter()
+            }
+        }
+    };
 }
 
-impl NetStats {
-    fn new(registry: &tilt_obs::Registry) -> NetStats {
-        NetStats {
-            conns_open: registry.gauge("tilt_server_conns_open"),
-            conns_total: registry.counter("tilt_server_conns_total"),
-            bytes_in: registry.counter("tilt_server_bytes_in_total"),
-            bytes_out: registry.counter("tilt_server_bytes_out_total"),
-            frames_in: registry.counter("tilt_server_frames_in_total"),
-            frames_out: registry.counter("tilt_server_frames_out_total"),
-            credit_stalls: registry.counter("tilt_server_credit_stalls_total"),
-            decode_errors: registry.counter("tilt_server_decode_errors_total"),
-            resume_replays: registry.counter("tilt_server_resume_replays_total"),
-            resume_gaps: registry.counter("tilt_server_resume_gaps_total"),
-            ring_evictions: registry.counter("tilt_server_replay_ring_evictions_total"),
-            idle_disconnects: registry.counter("tilt_server_idle_disconnects_total"),
-            budget_disconnects: registry.counter("tilt_server_budget_disconnects_total"),
-        }
-    }
-
-    /// Re-homes the accounting into `registry` (a restored service's),
-    /// carrying the current values over so the scrape stays continuous.
-    fn rehome(&self, registry: &tilt_obs::Registry) -> NetStats {
-        let next = NetStats::new(registry);
-        next.conns_open.add(self.conns_open.get());
-        next.conns_total.add(self.conns_total.get());
-        next.bytes_in.add(self.bytes_in.get());
-        next.bytes_out.add(self.bytes_out.get());
-        next.frames_in.add(self.frames_in.get());
-        next.frames_out.add(self.frames_out.get());
-        next.credit_stalls.add(self.credit_stalls.get());
-        next.decode_errors.add(self.decode_errors.get());
-        next.resume_replays.add(self.resume_replays.get());
-        next.resume_gaps.add(self.resume_gaps.get());
-        next.ring_evictions.add(self.ring_evictions.get());
-        next.idle_disconnects.add(self.idle_disconnects.get());
-        next.budget_disconnects.add(self.budget_disconnects.get());
-        next
-    }
+net_stats! {
+    conns_open: Gauge = gauge("tilt_server_conns_open"),
+    conns_total: Counter = counter("tilt_server_conns_total"),
+    bytes_in: Counter = counter("tilt_server_bytes_in_total"),
+    bytes_out: Counter = counter("tilt_server_bytes_out_total"),
+    frames_in: Counter = counter("tilt_server_frames_in_total"),
+    frames_out: Counter = counter("tilt_server_frames_out_total"),
+    credit_stalls: Counter = counter("tilt_server_credit_stalls_total"),
+    decode_errors: Counter = counter("tilt_server_decode_errors_total"),
+    resume_replays: Counter = counter("tilt_server_resume_replays_total"),
+    resume_gaps: Counter = counter("tilt_server_resume_gaps_total"),
+    ring_evictions: Counter = counter("tilt_server_replay_ring_evictions_total"),
+    idle_disconnects: Counter = counter("tilt_server_idle_disconnects_total"),
+    budget_disconnects: Counter = counter("tilt_server_budget_disconnects_total"),
 }
 
 /// One connection's write half, shared between its handler thread and
@@ -165,43 +156,50 @@ struct ConnShared {
     id: u64,
     writer: Mutex<TcpStream>,
     alive: AtomicBool,
-    /// The negotiated protocol version (0 until the handshake lands).
-    /// Decides whether output fan-out uses [`Message::OutputSeq`] (v3+)
-    /// or the legacy [`Message::Output`].
-    version: AtomicU32,
 }
 
 impl ConnShared {
-    /// Sends one frame atomically (whole frames never interleave).
-    /// Returns `false` — and marks the connection dead — if the write
-    /// fails or stalls past [`WRITE_STALL_LIMIT`].
+    /// Sends one message as one frame; see [`ConnShared::send_frame`]. A
+    /// message too large to frame also ends the connection: the peer is
+    /// waiting for a reply that cannot be delivered.
     fn send(&self, msg: &Message, net: &NetStats) -> bool {
-        if !self.alive.load(Ordering::Acquire) {
-            return false;
-        }
-        let mut w = self.writer.lock().expect("conn writer lock");
-        tilt_fault::fail_point!("server.conn.write", {
-            self.alive.store(false, Ordering::Release);
-            let _ = w.shutdown(Shutdown::Both);
-            return false;
-        });
-        match write_message(&mut *w, msg).and_then(|n| w.flush().map(|_| n)) {
-            Ok(n) => {
-                net.bytes_out.add(n as u64);
-                net.frames_out.inc();
-                true
-            }
+        match try_encode_frame(msg) {
+            Ok(frame) => self.send_frame(&frame, net),
             Err(_) => {
-                self.alive.store(false, Ordering::Release);
-                let _ = w.shutdown(Shutdown::Both);
+                self.close(&self.writer.lock().expect("conn writer lock"));
                 false
             }
         }
     }
 
-    /// Whether this connection negotiated resume-capable version 3.
-    fn wants_seq(&self) -> bool {
-        self.version.load(Ordering::Relaxed) >= 3
+    /// Sends one encoded frame atomically (whole frames never
+    /// interleave). Returns `false` — and marks the connection dead — if
+    /// the write fails or stalls past [`WRITE_STALL_LIMIT`].
+    fn send_frame(&self, frame: &[u8], net: &NetStats) -> bool {
+        if !self.alive.load(Ordering::Acquire) {
+            return false;
+        }
+        let mut w = self.writer.lock().expect("conn writer lock");
+        tilt_fault::fail_point!("server.conn.write", {
+            self.close(&w);
+            return false;
+        });
+        match w.write_all(frame).and_then(|_| w.flush()) {
+            Ok(()) => {
+                net.bytes_out.add(frame.len() as u64);
+                net.frames_out.inc();
+                true
+            }
+            Err(_) => {
+                self.close(&w);
+                false
+            }
+        }
+    }
+
+    fn close(&self, writer: &TcpStream) {
+        self.alive.store(false, Ordering::Release);
+        let _ = writer.shutdown(Shutdown::Both);
     }
 }
 
@@ -213,8 +211,9 @@ impl ConnShared {
 struct SubState {
     /// The sequence number the next output frame will carry.
     next_seq: u64,
-    /// The most recent frames, oldest first: `(seq, key, events)`.
-    ring: VecDeque<(u64, u64, Vec<Event<Value>>)>,
+    /// The most recent encoded [`Message::OutputSeq`] frames, oldest
+    /// first, each with its sequence number.
+    ring: VecDeque<(u64, Vec<u8>)>,
     /// Connections currently receiving this query's output.
     conns: Vec<Arc<ConnShared>>,
 }
@@ -269,43 +268,47 @@ impl Inner {
         Arc::clone(self.subs.lock().expect("subs lock").entry(query).or_default())
     }
 
-    /// The fan-out sink for `query`: assigns the frame its sequence
-    /// number, records it in the replay ring, and sends it to every
-    /// live subscriber — all under the query's delivery lock, so the
-    /// sequence each connection observes is gap-free and monotone.
-    /// Records even with zero subscribers, so a resume after a full
-    /// disconnect still replays the missed suffix.
+    /// The fan-out sink for `query`: encodes each sink call once, as
+    /// consecutive frames that each fit the frame cap, gives every frame
+    /// the next sequence number, sends it to every live subscriber and
+    /// records it in the replay ring — all under the query's delivery
+    /// lock, so the sequence each connection observes is gap-free and
+    /// monotone. Records even with zero subscribers, so a resume after a
+    /// full disconnect still replays the missed suffix.
     fn fanout_sink(self: &Arc<Self>, query: u32) -> tilt_runtime::OutputSink {
         let inner = Arc::clone(self);
         let sub = self.substate(query);
         Arc::new(move |key, events| {
             let net = inner.net();
             let mut st = sub.lock().expect("substate lock");
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            st.ring.push_back((seq, key, events.to_vec()));
-            while st.ring.len() > inner.replay_ring_capacity {
-                st.ring.pop_front();
-                net.ring_evictions.inc();
-            }
-            let mut legacy: Option<Message> = None;
-            let mut seqd: Option<Message> = None;
-            for conn in &st.conns {
-                let msg = if conn.wants_seq() {
-                    seqd.get_or_insert_with(|| Message::OutputSeq {
-                        query,
-                        seq,
-                        key,
-                        events: events.to_vec(),
-                    })
-                } else {
-                    legacy.get_or_insert_with(|| Message::Output {
-                        query,
-                        key,
-                        events: events.to_vec(),
-                    })
+            let mut rest = events;
+            while !rest.is_empty() {
+                let seq = st.next_seq;
+                // No frame holds more events than this; encoding more only
+                // to find that out would make a huge release quadratic.
+                let most = MAX_FRAME_LEN as usize / MIN_EVENT_LEN;
+                let framed = fitting_frame(rest, most, |events| Message::OutputSeq {
+                    query,
+                    seq,
+                    key,
+                    events: events.to_vec(),
+                });
+                let Ok((frame, taken)) = framed else {
+                    // One event larger than a whole frame has no wire
+                    // representation; the stream continues without it.
+                    rest = &rest[1..];
+                    continue;
                 };
-                conn.send(msg, &net);
+                rest = &rest[taken..];
+                for conn in &st.conns {
+                    conn.send_frame(&frame, &net);
+                }
+                st.next_seq += 1;
+                st.ring.push_back((seq, frame));
+                if st.ring.len() > inner.replay_ring_capacity {
+                    st.ring.pop_front();
+                    net.ring_evictions.inc();
+                }
             }
         })
     }
@@ -322,40 +325,34 @@ impl Inner {
         }
     }
 
-    /// Stats counters as wire fields: service health plus the server's
-    /// own accounting.
+    /// Stats counters as wire fields: every scalar of the service's
+    /// [`RuntimeStats`] plus the server's own accounting.
     fn stats_fields(&self, stats: &RuntimeStats) -> Vec<(String, i64)> {
-        let mut fields: Vec<(String, i64)> = vec![
-            ("events_in".into(), stats.events_in as i64),
-            ("events_out".into(), stats.events_out as i64),
-            ("events_consumed".into(), stats.events_consumed as i64),
-            ("late_dropped".into(), stats.late_dropped as i64),
-            ("backstop_dropped".into(), stats.backstop_dropped as i64),
-            ("quarantine_dropped".into(), stats.quarantine_dropped as i64),
-            ("detach_dropped".into(), stats.detach_dropped as i64),
-            ("conservation_balance".into(), stats.conservation_balance()),
-            ("queries_live".into(), stats.queries_live as i64),
-            ("keys".into(), stats.keys as i64),
-            ("live_keys".into(), stats.live_keys as i64),
-            ("evictions".into(), stats.evictions as i64),
-            ("revivals".into(), stats.revivals as i64),
-        ];
-        let net = self.net();
-        fields.push(("conns_open".into(), net.conns_open.get()));
-        fields.push(("conns_total".into(), net.conns_total.get() as i64));
-        fields.push(("bytes_in".into(), net.bytes_in.get() as i64));
-        fields.push(("bytes_out".into(), net.bytes_out.get() as i64));
-        fields.push(("frames_in".into(), net.frames_in.get() as i64));
-        fields.push(("frames_out".into(), net.frames_out.get() as i64));
-        fields.push(("credit_stalls".into(), net.credit_stalls.get() as i64));
-        fields.push(("decode_errors".into(), net.decode_errors.get() as i64));
-        fields.push(("resume_replays".into(), net.resume_replays.get() as i64));
-        fields.push(("resume_gaps".into(), net.resume_gaps.get() as i64));
-        fields.push(("ring_evictions".into(), net.ring_evictions.get() as i64));
-        fields.push(("idle_disconnects".into(), net.idle_disconnects.get() as i64));
-        fields.push(("budget_disconnects".into(), net.budget_disconnects.get() as i64));
-        fields
+        stats.fields().chain(self.net().fields()).map(|(name, v)| (name.to_owned(), v)).collect()
     }
+
+    /// Runs `f` on the running service and the handle of attached query
+    /// `query`; otherwise the error reply saying which of the two is
+    /// missing.
+    fn with_query<T>(
+        &self,
+        query: u32,
+        f: impl FnOnce(&StreamService, QueryHandle) -> Result<T, Message>,
+    ) -> Result<T, Message> {
+        let handle = self.handles.lock().expect("handles lock").get(&query).copied();
+        match (handle, &*self.slot.read().expect("slot lock")) {
+            (None, _) => Err(Message::Error {
+                code: ErrorCode::UnknownQuery,
+                message: format!("no attached query {query}"),
+            }),
+            (Some(handle), Slot::Running(svc)) => f(svc, handle),
+            (Some(_), _) => Err(shut_down()),
+        }
+    }
+}
+
+fn shut_down() -> Message {
+    Message::Error { code: ErrorCode::ShuttingDown, message: "service has shut down".into() }
 }
 
 fn service_error(e: ServiceError) -> Message {
@@ -473,7 +470,6 @@ impl Server {
                         id,
                         writer: Mutex::new(writer),
                         alive: AtomicBool::new(true),
-                        version: AtomicU32::new(0),
                     });
                     conns.lock().expect("conns lock").push(Arc::clone(&conn));
                     inner.net().conns_total.inc();
@@ -557,8 +553,7 @@ fn read_frame(r: &mut impl std::io::Read) -> Result<(Message, usize), RecvError>
 /// closes, errs, idles out, or exhausts its decode-error budget.
 fn handle_conn(inner: Arc<Inner>, conn: Arc<ConnShared>, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
-    // `Some(version)` once the handshake completed.
-    let mut greeted: Option<u16> = None;
+    let mut greeted = false;
     let mut decode_errors = 0u32;
     loop {
         let msg = match read_frame(&mut reader) {
@@ -599,16 +594,14 @@ fn handle_conn(inner: Arc<Inner>, conn: Arc<ConnShared>, stream: TcpStream) {
                 continue;
             }
         };
-        if greeted.is_none() {
+        if !greeted {
             match msg {
-                Message::Hello { version }
-                    if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-                {
-                    // Negotiate down to the client's version; v2-only
-                    // requests on the connection are then refused.
-                    greeted = Some(version);
-                    conn.version.store(version as u32, Ordering::Relaxed);
-                    conn.send(&Message::HelloAck { version, credit: INITIAL_CREDIT }, &inner.net());
+                Message::Hello { version: PROTOCOL_VERSION } => {
+                    greeted = true;
+                    conn.send(
+                        &Message::HelloAck { version: PROTOCOL_VERSION, credit: INITIAL_CREDIT },
+                        &inner.net(),
+                    );
                     continue;
                 }
                 Message::Hello { version } => {
@@ -616,8 +609,7 @@ fn handle_conn(inner: Arc<Inner>, conn: Arc<ConnShared>, stream: TcpStream) {
                         &Message::Error {
                             code: ErrorCode::Version,
                             message: format!(
-                                "server speaks versions \
-                                 {MIN_PROTOCOL_VERSION}-{PROTOCOL_VERSION}, client sent {version}"
+                                "server speaks version {PROTOCOL_VERSION}, client sent {version}"
                             ),
                         },
                         &inner.net(),
@@ -636,8 +628,7 @@ fn handle_conn(inner: Arc<Inner>, conn: Arc<ConnShared>, stream: TcpStream) {
                 }
             }
         }
-        let version = greeted.unwrap_or(PROTOCOL_VERSION);
-        if !handle_request(&inner, &conn, msg, version) {
+        if !handle_request(&inner, &conn, msg) {
             break;
         }
     }
@@ -656,16 +647,6 @@ fn handle_conn(inner: Arc<Inner>, conn: Arc<ConnShared>, stream: TcpStream) {
     inner.net().conns_open.sub(1);
     if let Slot::Running(svc) = &*inner.slot.read().expect("slot lock") {
         svc.record_control(ControlEvent::Disconnect { conn: conn.id });
-    }
-}
-
-/// The refusal for durability requests on a pre-v2 connection.
-fn durability_needs_v2(version: u16) -> Message {
-    Message::Error {
-        code: ErrorCode::Version,
-        message: format!(
-            "checkpoint/restore require protocol version 2, connection negotiated {version}"
-        ),
     }
 }
 
@@ -703,10 +684,7 @@ fn restore_service(inner: &Arc<Inner>, path: &str, names: &[String]) -> Message 
             }
         }
         _ => {
-            return Message::Error {
-                code: ErrorCode::ShuttingDown,
-                message: "service has shut down".into(),
-            };
+            return shut_down();
         }
     }
     let restored = match StreamService::restore(std::path::Path::new(path), &roster) {
@@ -733,9 +711,70 @@ fn restore_service(inner: &Arc<Inner>, path: &str, names: &[String]) -> Message 
     Message::Restored { queries }
 }
 
-/// Handles one post-handshake request on a connection negotiated at
-/// `version`. Returns `false` to close the connection.
-fn handle_request(inner: &Arc<Inner>, conn: &Arc<ConnShared>, msg: Message, version: u16) -> bool {
+/// Adds `conn` to the subscribers of `query`: at the live edge for a
+/// [`Message::Subscribe`], or — for a [`Message::Resume`] — after
+/// replaying every retained frame from `resume_at` on. The reply, the
+/// replay and the join all happen under the query's delivery lock, so
+/// the replayed suffix and the live frames after it are contiguous, each
+/// sequence number exactly once. Returns `false` to close the connection.
+fn join_stream(
+    inner: &Arc<Inner>,
+    conn: &Arc<ConnShared>,
+    query: u32,
+    resume_at: Option<u64>,
+) -> bool {
+    let joined = inner.with_query(query, |svc, handle| {
+        // (Re-)install the fan-out sink — idempotent, and necessary when
+        // a resuming client is the query's only subscriber and the sink
+        // was never installed on this service instance.
+        svc.subscribe(handle, inner.fanout_sink(query)).map_err(service_error)?;
+        let net = inner.net();
+        let sub = inner.substate(query);
+        let mut st = sub.lock().expect("substate lock");
+        let reply = match resume_at {
+            None => Message::Ok,
+            Some(next_seq) if next_seq > st.next_seq => {
+                return Err(Message::Error {
+                    code: ErrorCode::Protocol,
+                    message: format!(
+                        "resume seq {next_seq} is ahead of the stream \
+                         (next unassigned seq is {})",
+                        st.next_seq
+                    ),
+                });
+            }
+            Some(next_seq) if next_seq < st.next_seq - st.ring.len() as u64 => {
+                net.resume_gaps.inc();
+                return Err(Message::Error {
+                    code: ErrorCode::ResumeGap,
+                    message: format!(
+                        "replay ring retains seqs {}..{}, seq {next_seq} was evicted",
+                        st.next_seq - st.ring.len() as u64,
+                        st.next_seq
+                    ),
+                });
+            }
+            Some(next_seq) => Message::Resumed { query, replayed: st.next_seq - next_seq },
+        };
+        let alive = conn.send(&reply, &net);
+        if let Some(next_seq) = resume_at {
+            for (_, frame) in st.ring.iter().filter(|(seq, _)| *seq >= next_seq) {
+                conn.send_frame(frame, &net);
+            }
+            net.resume_replays.add(st.next_seq - next_seq);
+        }
+        if !st.conns.iter().any(|c| c.id == conn.id) {
+            st.conns.push(Arc::clone(conn));
+        }
+        svc.record_control(ControlEvent::Subscribe { conn: conn.id, query: query as usize });
+        Ok(alive)
+    });
+    joined.unwrap_or_else(|reply| conn.send(&reply, &inner.net()))
+}
+
+/// Handles one post-handshake request. Returns `false` to close the
+/// connection.
+fn handle_request(inner: &Arc<Inner>, conn: &Arc<ConnShared>, msg: Message) -> bool {
     match msg {
         Message::Hello { .. } => {
             conn.send(
@@ -760,10 +799,7 @@ fn handle_request(inner: &Arc<Inner>, conn: &Arc<ConnShared>, msg: Message, vers
                         Message::Credit { grant: INITIAL_CREDIT }
                     }
                 }
-                _ => Message::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "service has shut down".into(),
-                },
+                _ => shut_down(),
             };
             conn.send(&reply, &inner.net())
         }
@@ -792,65 +828,23 @@ fn handle_request(inner: &Arc<Inner>, conn: &Arc<ConnShared>, msg: Message, vers
                         Err(e) => service_error(e),
                     }
                 }
-                (Some(_), _) => Message::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "service has shut down".into(),
-                },
+                (Some(_), _) => shut_down(),
             };
             conn.send(&reply, &inner.net())
         }
         Message::Detach { query } => {
-            let handle = inner.handles.lock().expect("handles lock").get(&query).copied();
-            let reply = match (handle, &*inner.slot.read().expect("slot lock")) {
-                (None, _) => Message::Error {
-                    code: ErrorCode::UnknownQuery,
-                    message: format!("no attached query {query}"),
-                },
-                (Some(handle), Slot::Running(svc)) => match svc.detach(handle) {
-                    Ok(()) => {
-                        inner.finish_subscribers(query);
-                        Message::Ok
-                    }
-                    Err(e) => service_error(e),
-                },
-                (Some(_), _) => Message::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "service has shut down".into(),
-                },
-            };
-            conn.send(&reply, &inner.net())
-        }
-        Message::Subscribe { query } => {
-            let handle = inner.handles.lock().expect("handles lock").get(&query).copied();
-            let reply = match (handle, &*inner.slot.read().expect("slot lock")) {
-                (None, _) => Message::Error {
-                    code: ErrorCode::UnknownQuery,
-                    message: format!("no attached query {query}"),
-                },
-                (Some(handle), Slot::Running(svc)) => {
-                    match svc.subscribe(handle, inner.fanout_sink(query)) {
-                        Ok(()) => {
-                            let sub = inner.substate(query);
-                            let mut st = sub.lock().expect("substate lock");
-                            if !st.conns.iter().any(|c| c.id == conn.id) {
-                                st.conns.push(Arc::clone(conn));
-                            }
-                            svc.record_control(ControlEvent::Subscribe {
-                                conn: conn.id,
-                                query: query as usize,
-                            });
-                            Message::Ok
-                        }
-                        Err(e) => service_error(e),
-                    }
+            let detached =
+                inner.with_query(query, |svc, handle| svc.detach(handle).map_err(service_error));
+            let reply = match detached {
+                Ok(()) => {
+                    inner.finish_subscribers(query);
+                    Message::Ok
                 }
-                (Some(_), _) => Message::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "service has shut down".into(),
-                },
+                Err(reply) => reply,
             };
             conn.send(&reply, &inner.net())
         }
+        Message::Subscribe { query } => join_stream(inner, conn, query, None),
         Message::Stats => {
             let reply = {
                 let slot = inner.slot.read().expect("slot lock");
@@ -919,131 +913,19 @@ fn handle_request(inner: &Arc<Inner>, conn: &Arc<ConnShared>, msg: Message, vers
             conn.send(&reply, &inner.net())
         }
         Message::Checkpoint { path } => {
-            let reply = if version < 2 {
-                durability_needs_v2(version)
-            } else {
-                match &*inner.slot.read().expect("slot lock") {
-                    Slot::Running(svc) => match svc.checkpoint(std::path::Path::new(&path)) {
-                        Ok(_) => Message::Ok,
-                        Err(e) => {
-                            Message::Error { code: ErrorCode::Internal, message: e.to_string() }
-                        }
-                    },
-                    _ => Message::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "service has shut down".into(),
-                    },
-                }
+            let reply = match &*inner.slot.read().expect("slot lock") {
+                Slot::Running(svc) => match svc.checkpoint(std::path::Path::new(&path)) {
+                    Ok(_) => Message::Ok,
+                    Err(e) => Message::Error { code: ErrorCode::Internal, message: e.to_string() },
+                },
+                _ => shut_down(),
             };
             conn.send(&reply, &inner.net())
         }
         Message::Restore { path, queries } => {
-            let reply = if version < 2 {
-                durability_needs_v2(version)
-            } else {
-                restore_service(inner, &path, &queries)
-            };
-            conn.send(&reply, &inner.net())
+            conn.send(&restore_service(inner, &path, &queries), &inner.net())
         }
-        Message::Resume { query, next_seq } => {
-            if version < 3 {
-                return conn.send(
-                    &Message::Error {
-                        code: ErrorCode::Version,
-                        message: format!(
-                            "resume requires protocol version 3, connection negotiated {version}"
-                        ),
-                    },
-                    &inner.net(),
-                );
-            }
-            let handle = inner.handles.lock().expect("handles lock").get(&query).copied();
-            match (handle, &*inner.slot.read().expect("slot lock")) {
-                (None, _) => conn.send(
-                    &Message::Error {
-                        code: ErrorCode::UnknownQuery,
-                        message: format!("no attached query {query}"),
-                    },
-                    &inner.net(),
-                ),
-                (Some(handle), Slot::Running(svc)) => {
-                    // (Re-)install the fan-out sink — idempotent, and
-                    // necessary when the resuming client is the query's
-                    // only subscriber and the sink was never installed
-                    // on this service instance.
-                    match svc.subscribe(handle, inner.fanout_sink(query)) {
-                        Ok(()) => {
-                            let net = inner.net();
-                            let sub = inner.substate(query);
-                            // Everything under the delivery lock: the
-                            // replayed suffix and subsequent live frames
-                            // are contiguous, each seq exactly once.
-                            let mut st = sub.lock().expect("substate lock");
-                            let oldest = st.next_seq - st.ring.len() as u64;
-                            if next_seq > st.next_seq {
-                                conn.send(
-                                    &Message::Error {
-                                        code: ErrorCode::Protocol,
-                                        message: format!(
-                                            "resume seq {next_seq} is ahead of the stream \
-                                             (next unassigned seq is {})",
-                                            st.next_seq
-                                        ),
-                                    },
-                                    &net,
-                                )
-                            } else if next_seq < oldest {
-                                net.resume_gaps.inc();
-                                conn.send(
-                                    &Message::Error {
-                                        code: ErrorCode::ResumeGap,
-                                        message: format!(
-                                            "replay ring retains seqs {oldest}..{}, \
-                                             seq {next_seq} was evicted",
-                                            st.next_seq
-                                        ),
-                                    },
-                                    &net,
-                                )
-                            } else {
-                                let replayed = st.next_seq - next_seq;
-                                conn.send(&Message::Resumed { query, replayed }, &net);
-                                for (seq, key, events) in
-                                    st.ring.iter().filter(|(s, _, _)| *s >= next_seq)
-                                {
-                                    conn.send(
-                                        &Message::OutputSeq {
-                                            query,
-                                            seq: *seq,
-                                            key: *key,
-                                            events: events.clone(),
-                                        },
-                                        &net,
-                                    );
-                                }
-                                net.resume_replays.add(replayed);
-                                if !st.conns.iter().any(|c| c.id == conn.id) {
-                                    st.conns.push(Arc::clone(conn));
-                                }
-                                svc.record_control(ControlEvent::Subscribe {
-                                    conn: conn.id,
-                                    query: query as usize,
-                                });
-                                true
-                            }
-                        }
-                        Err(e) => conn.send(&service_error(e), &inner.net()),
-                    }
-                }
-                (Some(_), _) => conn.send(
-                    &Message::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "service has shut down".into(),
-                    },
-                    &inner.net(),
-                ),
-            }
-        }
+        Message::Resume { query, next_seq } => join_stream(inner, conn, query, Some(next_seq)),
         // Server-to-client tags arriving at the server are a protocol
         // violation; close on them.
         Message::HelloAck { .. }
@@ -1052,7 +934,6 @@ fn handle_request(inner: &Arc<Inner>, conn: &Arc<ConnShared>, msg: Message, vers
         | Message::Attached { .. }
         | Message::Ok
         | Message::Error { .. }
-        | Message::Output { .. }
         | Message::Eos { .. }
         | Message::StatsReply { .. }
         | Message::Text { .. }

@@ -11,9 +11,9 @@
 //!   and a terminating end record that carries the record count. Torn and
 //!   truncated files fail with [`StateError::Truncated`]; bit flips fail
 //!   with [`StateError::Checksum`]; nothing panics on hostile bytes.
-//! * **Fixed-width little-endian primitives** with the same tagged
-//!   [`Value`] encoding the wire protocol uses (tags 0–5, depth-capped),
-//!   so a fuzzer finding against one codec reproduces against the other.
+//! * **One byte layout.** Record payloads are built with
+//!   [`tilt_data::codec`]'s [`Enc`] / [`Dec`] (re-exported here) — the
+//!   same primitives the wire protocol frames its messages with.
 //! * **Validated structure.** Span lists must advance strictly, events
 //!   must not end before they start, counts are checked against the bytes
 //!   actually present before any allocation.
@@ -27,18 +27,15 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use tilt_data::{Event, SnapshotBuf, Time, Value};
+use tilt_data::codec::CodecError;
+pub use tilt_data::codec::{Dec, Enc, MAX_VALUE_DEPTH};
 
 /// First eight bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"TILTSNP\x01";
 
 /// Current format version; readers reject anything else.
 pub const FORMAT_VERSION: u16 = 1;
-
-/// Depth cap for nested [`Value::Tuple`]s, mirroring the wire protocol.
-pub const MAX_VALUE_DEPTH: usize = 16;
 
 /// Record kind terminating a snapshot file; its payload is the count of
 /// preceding records, so a file that merely *looks* complete (ends on a
@@ -121,6 +118,20 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
+impl From<CodecError> for StateError {
+    fn from(e: CodecError) -> StateError {
+        match e {
+            CodecError::Truncated => StateError::Truncated,
+            CodecError::BadCount => StateError::BadCount,
+            CodecError::BadTag { tag, .. } => StateError::BadTag(tag),
+            CodecError::BadUtf8 => StateError::BadUtf8,
+            CodecError::BadInterval { .. } => StateError::BadInterval,
+            CodecError::TooDeep => StateError::TooDeep,
+            CodecError::TrailingBytes(_) => StateError::TrailingBytes,
+        }
+    }
+}
+
 impl StateError {
     fn io(context: &'static str) -> impl FnOnce(std::io::Error) -> StateError {
         move |e| StateError::Io { kind: e.kind(), context }
@@ -164,338 +175,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
-}
-
-// ---------------------------------------------------------------------------
-// Primitive encoder / decoder
-// ---------------------------------------------------------------------------
-
-/// Append-only byte builder for snapshot payloads.
-#[derive(Default)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian u16.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian i64.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an f64 as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends `Some`/`None` as a presence byte plus the value.
-    pub fn opt_i64(&mut self, v: Option<i64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.i64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Appends `Some`/`None` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Appends a [`Time`] as its tick count.
-    pub fn time(&mut self, t: Time) {
-        self.i64(t.ticks());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed raw byte slice.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Appends a tagged [`Value`] (tags 0–5, recursing into tuples).
-    pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.u8(0),
-            Value::Bool(b) => {
-                self.u8(1);
-                self.u8(*b as u8);
-            }
-            Value::Int(i) => {
-                self.u8(2);
-                self.i64(*i);
-            }
-            Value::Float(x) => {
-                self.u8(3);
-                self.f64(*x);
-            }
-            Value::Str(s) => {
-                self.u8(4);
-                self.str(s);
-            }
-            Value::Tuple(items) => {
-                self.u8(5);
-                self.u32(items.len() as u32);
-                for item in items.iter() {
-                    self.value(item);
-                }
-            }
-        }
-    }
-
-    /// Appends an event as `start, end, payload`.
-    pub fn event(&mut self, e: &Event<Value>) {
-        self.time(e.start);
-        self.time(e.end);
-        self.value(&e.payload);
-    }
-
-    /// Appends a snapshot buffer as `start, span count, (t_end, value)*`.
-    pub fn ssbuf(&mut self, buf: &SnapshotBuf<Value>) {
-        self.time(buf.start());
-        self.u32(buf.len() as u32);
-        for span in buf.spans() {
-            self.time(span.t_end);
-            self.value(&span.value);
-        }
-    }
-}
-
-/// Bounds-checked reader over a payload slice. Every accessor returns
-/// [`StateError`] instead of panicking, and count fields are validated
-/// against the bytes actually remaining before any allocation.
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    /// A reader over `buf` positioned at the start.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Fails with [`StateError::TrailingBytes`] unless fully consumed.
-    pub fn finish(&self) -> Result<(), StateError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(StateError::TrailingBytes)
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
-        if self.remaining() < n {
-            return Err(StateError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, StateError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u16.
-    pub fn u16(&mut self) -> Result<u16, StateError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, StateError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, StateError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian i64.
-    pub fn i64(&mut self) -> Result<i64, StateError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an f64 from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, StateError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a presence byte plus value written by [`Enc::opt_i64`].
-    pub fn opt_i64(&mut self) -> Result<Option<i64>, StateError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.i64()?)),
-            t => Err(StateError::BadTag(t)),
-        }
-    }
-
-    /// Reads a presence byte plus value written by [`Enc::opt_u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, StateError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(StateError::BadTag(t)),
-        }
-    }
-
-    /// Reads a [`Time`].
-    pub fn time(&mut self) -> Result<Time, StateError> {
-        Ok(Time::new(self.i64()?))
-    }
-
-    /// Reads a boolean stored as 0/1; any other byte is a bad tag.
-    pub fn flag(&mut self) -> Result<bool, StateError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(StateError::BadTag(t)),
-        }
-    }
-
-    /// Reads a count whose elements occupy at least `min_width` bytes
-    /// each, rejecting hostile counts that point past the end before any
-    /// allocation is sized from them.
-    pub fn count(&mut self, min_width: usize) -> Result<usize, StateError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_width.max(1)) > self.remaining() {
-            return Err(StateError::BadCount);
-        }
-        Ok(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, StateError> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| StateError::BadUtf8)
-    }
-
-    /// Reads a length-prefixed raw byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], StateError> {
-        let n = self.count(1)?;
-        self.take(n)
-    }
-
-    /// Reads a tagged [`Value`] with nesting capped at
-    /// [`MAX_VALUE_DEPTH`].
-    pub fn value(&mut self) -> Result<Value, StateError> {
-        self.value_at(0)
-    }
-
-    fn value_at(&mut self, depth: usize) -> Result<Value, StateError> {
-        if depth > MAX_VALUE_DEPTH {
-            return Err(StateError::TooDeep);
-        }
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(self.flag()?)),
-            2 => Ok(Value::Int(self.i64()?)),
-            3 => Ok(Value::Float(self.f64()?)),
-            4 => Ok(Value::Str(Arc::from(self.str()?.as_str()))),
-            5 => {
-                let n = self.count(1)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value_at(depth + 1)?);
-                }
-                Ok(Value::Tuple(items.into()))
-            }
-            t => Err(StateError::BadTag(t)),
-        }
-    }
-
-    /// Reads an event, rejecting empty or reversed intervals (the
-    /// in-memory invariant `end > start` that `Event::new` asserts must
-    /// be re-established *before* construction on hostile bytes).
-    pub fn event(&mut self) -> Result<Event<Value>, StateError> {
-        let start = self.time()?;
-        let end = self.time()?;
-        if end <= start {
-            return Err(StateError::BadInterval);
-        }
-        let payload = self.value()?;
-        Ok(Event::new(start, end, payload))
-    }
-
-    /// Reads a snapshot buffer, validating that spans advance strictly
-    /// (so reconstruction cannot panic on hostile bytes).
-    pub fn ssbuf(&mut self) -> Result<SnapshotBuf<Value>, StateError> {
-        let start = self.time()?;
-        let n = self.count(9)?;
-        let mut buf = SnapshotBuf::with_capacity(start, n);
-        let mut prev = start;
-        for _ in 0..n {
-            let t_end = self.time()?;
-            if t_end <= prev {
-                return Err(StateError::BadInterval);
-            }
-            let value = self.value()?;
-            buf.push_raw(t_end, value);
-            prev = t_end;
-        }
-        Ok(buf)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -853,7 +532,6 @@ impl Lineage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilt_data::TimeRange;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -861,118 +539,6 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32_continue(crc32(b"1234"), b"56789"), crc32(b"123456789"));
-    }
-
-    fn sample_values() -> Vec<Value> {
-        vec![
-            Value::Null,
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Int(-7),
-            Value::Int(i64::MAX),
-            Value::Float(3.25),
-            Value::Float(f64::NEG_INFINITY),
-            Value::Str(Arc::from("héllo")),
-            Value::Tuple(vec![Value::Int(1), Value::Tuple(vec![Value::Null].into())].into()),
-        ]
-    }
-
-    #[test]
-    fn primitives_round_trip() {
-        let mut enc = Enc::new();
-        enc.u8(7);
-        enc.u16(65535);
-        enc.u32(123456);
-        enc.u64(u64::MAX);
-        enc.i64(-42);
-        enc.f64(-0.5);
-        enc.opt_i64(None);
-        enc.opt_i64(Some(9));
-        enc.opt_u64(Some(11));
-        enc.str("abc");
-        enc.bytes(&[1, 2, 3]);
-        for v in sample_values() {
-            enc.value(&v);
-        }
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.u8().unwrap(), 7);
-        assert_eq!(dec.u16().unwrap(), 65535);
-        assert_eq!(dec.u32().unwrap(), 123456);
-        assert_eq!(dec.u64().unwrap(), u64::MAX);
-        assert_eq!(dec.i64().unwrap(), -42);
-        assert_eq!(dec.f64().unwrap(), -0.5);
-        assert_eq!(dec.opt_i64().unwrap(), None);
-        assert_eq!(dec.opt_i64().unwrap(), Some(9));
-        assert_eq!(dec.opt_u64().unwrap(), Some(11));
-        assert_eq!(dec.str().unwrap(), "abc");
-        assert_eq!(dec.bytes().unwrap(), &[1, 2, 3]);
-        for v in sample_values() {
-            assert_eq!(dec.value().unwrap(), v);
-        }
-        dec.finish().unwrap();
-    }
-
-    #[test]
-    fn events_and_ssbufs_round_trip() {
-        let events = vec![
-            Event::new(Time::new(5), Time::new(10), Value::Float(1.0)),
-            Event::new(Time::new(16), Time::new(23), Value::Float(2.0)),
-        ];
-        let buf = SnapshotBuf::from_events(&events, TimeRange::new(Time::new(0), Time::new(30)));
-        let mut enc = Enc::new();
-        enc.event(&events[0]);
-        enc.ssbuf(&buf);
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.event().unwrap(), events[0]);
-        let back = dec.ssbuf().unwrap();
-        assert_eq!(back, buf);
-        dec.finish().unwrap();
-    }
-
-    #[test]
-    fn empty_and_reversed_intervals_are_rejected() {
-        for (start, end) in [(3i64, 3i64), (5, 4)] {
-            let mut enc = Enc::new();
-            enc.time(Time::new(start));
-            enc.time(Time::new(end));
-            enc.value(&Value::Null);
-            let bytes = enc.into_bytes();
-            assert_eq!(Dec::new(&bytes).event(), Err(StateError::BadInterval));
-        }
-    }
-
-    #[test]
-    fn non_advancing_spans_rejected() {
-        let mut enc = Enc::new();
-        enc.time(Time::new(0));
-        enc.u32(2);
-        enc.time(Time::new(5));
-        enc.value(&Value::Int(1));
-        enc.time(Time::new(5)); // does not advance
-        enc.value(&Value::Int(2));
-        let bytes = enc.into_bytes();
-        assert_eq!(Dec::new(&bytes).ssbuf(), Err(StateError::BadInterval));
-    }
-
-    #[test]
-    fn hostile_counts_and_depth_rejected() {
-        // A count far beyond the remaining bytes must fail before
-        // allocating.
-        let mut enc = Enc::new();
-        enc.u32(u32::MAX);
-        let bytes = enc.into_bytes();
-        assert_eq!(Dec::new(&bytes).str(), Err(StateError::BadCount));
-
-        // Deeply nested tuples are refused at the cap.
-        let mut bytes = Vec::new();
-        for _ in 0..(MAX_VALUE_DEPTH + 2) {
-            bytes.push(5u8); // Tuple
-            bytes.extend_from_slice(&1u32.to_le_bytes());
-        }
-        bytes.push(0u8); // innermost Null
-        assert_eq!(Dec::new(&bytes).value(), Err(StateError::TooDeep));
     }
 
     #[test]

@@ -242,16 +242,10 @@ fn torn_checkpoint_recovers_from_newest_valid_snapshot() {
 /// re-handshake, `Resume` from its last delivered sequence number, and
 /// observe every frame exactly once — final per-key output identical to
 /// the in-process fault-free run.
-#[test]
-fn killed_subscriber_reconnects_and_resumes_exactly_once() {
+fn resume_after_kill(arrivals: Vec<KeyedEvent>, lateness: i64) {
     let _scenario = fault::Scenario::setup();
     let seed = fault::seed_from_env(SEED_DEFAULT);
     let cq = window_query(8, 0);
-    let streams: Vec<Vec<Event<Value>>> = (0..5)
-        .map(|k| stream_from_segments(&[(1, 2, k * 9), (1, 3, -5), (2, 2, 13 + k)]))
-        .collect();
-    let arrivals = arrival_sequence(&streams, 2);
-    let lateness = lateness_needed(&arrivals).max(1);
     let horizon = arrivals.iter().map(|ke| ke.event.end.ticks()).max().unwrap_or(0) + lateness + 16;
     let end = Time::new(horizon);
     let cfg = config(2, lateness);
@@ -301,7 +295,29 @@ fn killed_subscriber_reconnects_and_resumes_exactly_once() {
     assert_eq!(stats.get("resume_gaps"), Some(0), "no subscriber fell off the ring");
     let got = sub.collect_per_key();
     server.stop();
+    for events in got.values() {
+        assert!(events.windows(2).all(|w| w[0].end <= w[1].start), "in order, nothing twice");
+    }
     assert_identical(&got, &want, "killed connection + resume");
+}
+
+#[test]
+fn killed_subscriber_reconnects_and_resumes_exactly_once() {
+    // Five keys under bounded disorder: many small frames.
+    let streams: Vec<Vec<Event<Value>>> = (0..5)
+        .map(|k| stream_from_segments(&[(1, 2, k * 9), (1, 3, -5), (2, 2, 13 + k)]))
+        .collect();
+    let arrivals = arrival_sequence(&streams, 2);
+    let lateness = lateness_needed(&arrivals).max(1);
+    resume_after_kill(arrivals, lateness);
+    // One hot key whose whole output (> 1 MiB) is released by a single
+    // watermark: the killed frame is the first of several consecutive
+    // ones cut from one sink call, all replayed from the ring.
+    let n = 50_000i64;
+    let hot = (1..=n)
+        .map(|t| KeyedEvent::new(1, 0, Event::point(Time::new(t), Value::Float(t as f64))))
+        .collect();
+    resume_after_kill(hot, 2 * n);
 }
 
 // ─────────────── schedule C: error-every-Nth spill write ───────────────

@@ -89,7 +89,7 @@ impl Tape {
         }
     }
     fn message(&mut self) -> Message {
-        match self.small(27) {
+        match self.small(26) {
             0 => Message::Hello { version: self.next() as u16 },
             1 => Message::Ingest {
                 events: (0..self.small(6))
@@ -136,34 +136,29 @@ impl Tape {
                     message: self.string(),
                 }
             }
-            17 => Message::Output {
-                query: self.next() as u32,
-                key: self.next(),
-                events: (0..self.small(5)).map(|_| self.event()).collect(),
-            },
-            18 => Message::Eos { query: self.next() as u32 },
-            19 => Message::StatsReply {
+            17 => Message::Eos { query: self.next() as u32 },
+            18 => Message::StatsReply {
                 fields: (0..self.small(6)).map(|_| (self.string(), self.next() as i64)).collect(),
             },
-            20 => {
+            19 => {
                 let kinds = [TextKind::Metrics, TextKind::Journal, TextKind::Catalog];
                 Message::Text {
                     kind: kinds[self.small(kinds.len() as u64) as usize],
                     text: self.string(),
                 }
             }
-            21 => Message::Checkpoint { path: self.string() },
-            22 => Message::Restore {
+            20 => Message::Checkpoint { path: self.string() },
+            21 => Message::Restore {
                 path: self.string(),
                 queries: (0..self.small(4)).map(|_| self.string()).collect(),
             },
-            23 => Message::Restored {
+            22 => Message::Restored {
                 queries: (0..self.small(4))
                     .map(|_| (self.next() as u32, self.next() as i64))
                     .collect(),
             },
-            24 => Message::Resume { query: self.next() as u32, next_seq: self.next() },
-            25 => Message::OutputSeq {
+            23 => Message::Resume { query: self.next() as u32, next_seq: self.next() },
+            24 => Message::OutputSeq {
                 query: self.next() as u32,
                 seq: self.next(),
                 key: self.next(),
@@ -192,6 +187,25 @@ proptest! {
         let (back, n) = read_message(&mut cursor).expect("frame decodes");
         prop_assert_eq!(back, msg);
         prop_assert_eq!(n, frame.len());
+    }
+
+    /// One layout: an event's bytes inside an `Ingest` frame payload are
+    /// the bytes a snapshot record payload holds for it (record payloads
+    /// are built with `tilt_state::Enc`), so the formats cannot drift.
+    #[test]
+    fn events_encode_identically_on_the_wire_and_on_disk(
+        words in prop::collection::vec(any::<u64>(), 4..64),
+    ) {
+        let event = Tape::new(words).event();
+        let mut record = tilt_state::Enc::new();
+        record.event(&event);
+        let record = record.into_bytes();
+        let frame = encode(&Message::Ingest {
+            events: vec![WireEvent { key: 7, source: 1, event: event.clone() }],
+        });
+        // tag(1) + count(4) + key(8) + source(4), then the event.
+        prop_assert_eq!(&frame[17..], &record[..]);
+        prop_assert_eq!(tilt_state::Dec::new(&frame[17..]).event().expect("decodes"), event);
     }
 
     /// Every strict prefix of a valid payload is rejected (no prefix of
@@ -299,13 +313,19 @@ fn assert_service_alive(server: &Server) -> i64 {
     client.stats().expect("stats after shutdown").get("decode_errors").expect("counter present")
 }
 
-/// Raw-socket helper: handshake properly, then deliver `attack` bytes.
-/// Returns whatever the server sent back after the HelloAck.
-fn attack_after_handshake(addr: std::net::SocketAddr, attack: &[u8]) -> Vec<u8> {
+/// Raw-socket helper: a connection that has completed the handshake.
+fn greeted(addr: std::net::SocketAddr) -> TcpStream {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.write_all(&encode_frame(&Message::Hello { version: PROTOCOL_VERSION })).expect("hello");
     let (ack, _) = read_message(&mut s).expect("hello ack");
     assert!(matches!(ack, Message::HelloAck { .. }), "expected HelloAck, got {ack:?}");
+    s
+}
+
+/// Raw-socket helper: handshake properly, then deliver `attack` bytes.
+/// Returns whatever the server sent back after the HelloAck.
+fn attack_after_handshake(addr: std::net::SocketAddr, attack: &[u8]) -> Vec<u8> {
+    let mut s = greeted(addr);
     s.write_all(attack).expect("attack bytes");
     // Half-close so a server blocked mid-frame sees EOF instead of
     // waiting for bytes that will never come.
@@ -384,10 +404,7 @@ fn peer_death_at_every_frame_offset_leaks_nothing() {
         }],
     });
     for cut in 0..=frame.len() {
-        let mut s = TcpStream::connect(server.addr()).expect("connect");
-        s.write_all(&encode_frame(&Message::Hello { version: PROTOCOL_VERSION })).expect("hello");
-        let (ack, _) = read_message(&mut s).expect("hello ack");
-        assert!(matches!(ack, Message::HelloAck { .. }), "expected HelloAck, got {ack:?}");
+        let mut s = greeted(server.addr());
         s.write_all(&frame[..cut]).expect("partial frame");
         drop(s); // die mid-frame
     }
@@ -426,45 +443,12 @@ fn peer_death_at_every_frame_offset_leaks_nothing() {
     server.stop();
 }
 
-/// Version-3-only tags on a negotiated-down connection earn a Version
-/// error — reported, not fatal, exactly like durability tags on v1.
-#[test]
-fn resume_on_old_versions_is_refused_with_version_error() {
-    let server = test_server(1, 8);
-    for v in [1u16, 2] {
-        let mut s = TcpStream::connect(server.addr()).expect("connect");
-        s.write_all(&encode_frame(&Message::Hello { version: v })).unwrap();
-        match read_message(&mut s) {
-            Ok((Message::HelloAck { version, .. }, _)) => assert_eq!(version, v),
-            other => panic!("expected HelloAck, got {other:?}"),
-        }
-        s.write_all(&encode_frame(&Message::Resume { query: 0, next_seq: 0 })).unwrap();
-        match read_message(&mut s) {
-            Ok((Message::Error { code, .. }, _)) => {
-                assert_eq!(code, tilt_server::protocol::ErrorCode::Version)
-            }
-            other => panic!("expected Version error, got {other:?}"),
-        }
-        // The same connection still answers the legacy surface.
-        s.write_all(&encode_frame(&Message::Stats)).unwrap();
-        match read_message(&mut s) {
-            Ok((Message::StatsReply { .. }, _)) => {}
-            other => panic!("expected StatsReply, got {other:?}"),
-        }
-    }
-    assert_service_alive(&server);
-    server.stop();
-}
-
 /// The decode-error budget: recoverable malformed frames are answered
 /// and tolerated up to the budget, then the connection is dropped.
 #[test]
 fn decode_error_budget_tolerates_then_disconnects() {
     let server = test_server(1, 8);
-    let mut s = TcpStream::connect(server.addr()).expect("connect");
-    s.write_all(&encode_frame(&Message::Hello { version: PROTOCOL_VERSION })).unwrap();
-    let (ack, _) = read_message(&mut s).expect("hello ack");
-    assert!(matches!(ack, Message::HelloAck { .. }));
+    let mut s = greeted(server.addr());
     // An unknown tag in a fully read frame: recoverable.
     let mut bad = 1u32.to_le_bytes().to_vec();
     bad.push(0x42);
@@ -501,18 +485,20 @@ fn decode_error_budget_tolerates_then_disconnects() {
 #[test]
 fn wrong_version_and_missing_hello_are_refused() {
     let server = test_server(1, 8);
-    // Wrong version.
-    let mut s = TcpStream::connect(server.addr()).expect("connect");
-    s.write_all(&encode_frame(&Message::Hello { version: PROTOCOL_VERSION + 9 })).unwrap();
-    match read_message(&mut s) {
-        Ok((Message::Error { code, .. }, _)) => {
-            assert_eq!(code, tilt_server::protocol::ErrorCode::Version)
+    // Any version but the one this build speaks, older or newer.
+    for version in [1, 2, 3, PROTOCOL_VERSION + 9] {
+        let mut s = TcpStream::connect(server.addr()).expect("connect");
+        s.write_all(&encode_frame(&Message::Hello { version })).unwrap();
+        match read_message(&mut s) {
+            Ok((Message::Error { code, .. }, _)) => {
+                assert_eq!(code, tilt_server::protocol::ErrorCode::Version, "version {version}")
+            }
+            other => panic!("version {version}: expected version Error, got {other:?}"),
         }
-        other => panic!("expected version Error, got {other:?}"),
+        let mut rest = Vec::new();
+        let _ = s.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "connection closed after refusing version {version}");
     }
-    let mut rest = Vec::new();
-    let _ = s.read_to_end(&mut rest);
-    assert!(rest.is_empty(), "connection closed after version refusal");
     // First frame is not Hello.
     let mut s = TcpStream::connect(server.addr()).expect("connect");
     s.write_all(&encode_frame(&Message::Stats)).unwrap();
@@ -552,47 +538,6 @@ fn control_plane_errors_are_reported_not_fatal() {
 }
 
 // ───────────────────── durability over the wire ────────────────────────
-
-/// A version-1 client still negotiates and speaks the whole legacy
-/// surface, but durability tags earn a Version error (not a close, not
-/// a panic) on its connection.
-#[test]
-fn version_1_connections_work_but_cannot_use_durability() {
-    let server = test_server(1, 8);
-    let mut s = TcpStream::connect(server.addr()).expect("connect");
-    s.write_all(&encode_frame(&Message::Hello { version: 1 })).unwrap();
-    match read_message(&mut s) {
-        Ok((Message::HelloAck { version, .. }, _)) => {
-            assert_eq!(version, 1, "server negotiates down to the client's version")
-        }
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
-    // Durability on a v1 connection: refused with Version, kept open.
-    s.write_all(&encode_frame(&Message::Checkpoint { path: "/tmp/x".into() })).unwrap();
-    match read_message(&mut s) {
-        Ok((Message::Error { code, .. }, _)) => {
-            assert_eq!(code, tilt_server::protocol::ErrorCode::Version)
-        }
-        other => panic!("expected Version error, got {other:?}"),
-    }
-    s.write_all(&encode_frame(&Message::Restore { path: "/tmp/x".into(), queries: vec![] }))
-        .unwrap();
-    match read_message(&mut s) {
-        Ok((Message::Error { code, .. }, _)) => {
-            assert_eq!(code, tilt_server::protocol::ErrorCode::Version)
-        }
-        other => panic!("expected Version error, got {other:?}"),
-    }
-    // The same connection still answers the legacy surface.
-    s.write_all(&encode_frame(&Message::Stats)).unwrap();
-    match read_message(&mut s) {
-        Ok((Message::StatsReply { .. }, _)) => {}
-        other => panic!("expected StatsReply, got {other:?}"),
-    }
-    drop(s);
-    assert_service_alive(&server);
-    server.stop();
-}
 
 fn snapshot_path(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -846,6 +791,80 @@ proptest! {
             assert_identical(&wire, &local, &format!("shards={shards} disp={displacement}"));
         }
     }
+}
+
+// ──────────────────────────── the frame cap ────────────────────────────
+
+/// A hot key releasing more than a frame's worth of output in one sink
+/// call: the subscriber must see consecutive frames that each fit the
+/// cap, with contiguous sequence numbers, carrying every event exactly
+/// once and in order.
+#[test]
+fn oversize_output_is_split_into_frames_that_fit() {
+    let cq = window_query(8, 0);
+    // Every tick a distinct sum, nothing final until the one watermark.
+    let n = 50_000i64;
+    let arrivals: Vec<KeyedEvent> = (1..=n)
+        .map(|t| KeyedEvent::new(1, 0, Event::point(Time::new(t), Value::Float(t as f64))))
+        .collect();
+    let cfg = test_config(1, 2 * n);
+    let end = Time::new(n + 16);
+    let local = in_process_reference(&cq, &arrivals, cfg, end);
+    assert!(local[&1].len() as u64 * 25 > MAX_FRAME_LEN as u64, "workload exceeds one frame");
+
+    let server = Server::start(cfg, vec![("w".into(), Arc::clone(&cq))]).expect("server starts");
+    let producer = Client::connect(server.addr()).expect("producer connects");
+    let q = producer.attach("w", None, None).expect("attach");
+    let mut s = greeted(server.addr());
+    s.write_all(&encode_frame(&Message::Subscribe { query: q.id() })).unwrap();
+    assert!(matches!(read_message(&mut s), Ok((Message::Ok, _))));
+
+    producer.ingest(arrivals).expect("ingest");
+    producer.watermark(0, end).expect("watermark releases everything at once");
+    producer.shutdown(Some(end)).expect("shutdown");
+    let mut got: Vec<Event<Value>> = Vec::new();
+    let mut frames = 0u64;
+    loop {
+        match read_message(&mut s).expect("every frame fits the cap and decodes") {
+            (Message::OutputSeq { seq, key, events, .. }, _) => {
+                assert_eq!(seq, frames, "sequence numbers are contiguous");
+                assert_eq!(key, 1);
+                frames += 1;
+                got.extend(events);
+            }
+            (Message::Eos { .. }, _) => break,
+            (other, _) => panic!("unexpected frame {other:?}"),
+        }
+    }
+    server.stop();
+    assert!(frames >= 2, "the release spans several frames, got {frames}");
+    assert!(got.windows(2).all(|w| w[0].end <= w[1].start), "in order, nothing twice");
+    assert_identical(&HashMap::from([(1, got)]), &local, "split output");
+}
+
+/// `Client::ingest` chunks by bytes as well as by credit: a full credit
+/// window of string payloads is larger than one frame.
+#[test]
+fn ingest_splits_a_credit_window_that_exceeds_one_frame() {
+    let server = test_server(1, 8);
+    let client = Client::connect(server.addr()).expect("connect");
+    let payload = "x".repeat(300);
+    let n = tilt_server::INITIAL_CREDIT as usize;
+    let report = client
+        .ingest((0..n).map(|i| {
+            KeyedEvent::new(i as u64, 0, Event::point(Time::new(1), Value::str(&payload)))
+        }))
+        .expect("a credit window of large events is delivered");
+    assert_eq!(report.events, n);
+    assert!(report.frames >= 2, "split by bytes, got {} frame(s)", report.frames);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("events_in"), Some(n as i64), "every event arrived");
+    assert_eq!(stats.get("decode_errors"), Some(0));
+    // A single event no frame can hold is refused before anything is sent.
+    let huge = Value::str(&"x".repeat(MAX_FRAME_LEN as usize));
+    assert!(client.ingest([KeyedEvent::new(0, 0, Event::point(Time::new(1), huge))]).is_err());
+    assert_eq!(client.stats().expect("connection survives").get("events_in"), Some(n as i64));
+    server.stop();
 }
 
 // ───────────────────────── fan-out and teardown ────────────────────────
