@@ -31,7 +31,7 @@
 //! the per-tick tier — the gate is a static property of the plan, checked
 //! once at compile time.
 
-use tilt_data::NullMask;
+use tilt_data::{ColumnRef, NullMask};
 
 use super::compiled::{ArithOp, Class, CmpOp, Instr, Reg, TypedCtx, TypedProgram};
 
@@ -46,7 +46,8 @@ pub(crate) const MAX_BATCH: usize = 256;
 /// unboxed fold/result path described by `modes` (see
 /// [`super::reduce::typed_fold_class`]).
 pub(crate) fn batchable(tp: &TypedProgram, modes: &[Option<(Class, Class)>]) -> bool {
-    if !tp.is_fully_typed() {
+    // A provably-φ body (no root) has no result column to write.
+    if !tp.is_fully_typed() || tp.root.is_none() {
         return false;
     }
     for (i, reg) in tp.reduce_regs.iter().enumerate() {
@@ -99,37 +100,58 @@ impl Init {
     }
 }
 
-/// Walks the body in order, proving it straight-line, whitelisted, and
-/// def-before-use with operands distinct from destinations.
-fn body_ok(tp: &TypedProgram) -> bool {
+/// The registers live before any body or map instruction runs: the
+/// prelude's constants and φ seeds. `None` when the prelude holds anything
+/// else.
+fn prelude_init(tp: &TypedProgram) -> Option<Init> {
     let mut init = Init {
         f: vec![false; tp.n_f as usize],
         i: vec![false; tp.n_i as usize],
         b: vec![false; tp.n_b as usize],
     };
-    // The prelude (constants, φ seeds) and the driver-filled point/reduce
-    // slots are the only registers live at body entry.
     for ins in &tp.prelude {
         match ins {
             Instr::ConstF { dst, .. } => init.def(Class::F, *dst),
             Instr::ConstI { dst, .. } => init.def(Class::I, *dst),
             Instr::ConstB { dst, .. } => init.def(Class::B, *dst),
             Instr::Null { dst } if dst.class != Class::V => init.def(dst.class, dst.idx),
-            _ => return false,
+            _ => return None,
         }
     }
+    Some(init)
+}
+
+/// Walks the body in order, proving it straight-line, whitelisted, and
+/// def-before-use with operands distinct from destinations.
+fn body_ok(tp: &TypedProgram) -> bool {
+    let Some(mut init) = prelude_init(tp) else { return false };
+    // Besides the prelude, the driver-filled point/reduce slots are the
+    // only registers live at body entry.
     for r in tp.point_regs.iter().chain(&tp.reduce_regs).flatten() {
         if r.class == Class::V {
             return false;
         }
         init.def(r.class, r.idx);
     }
-    for ins in &tp.instrs {
-        if !step(ins, &mut init) {
-            return false;
-        }
+    tp.instrs.iter().all(|ins| step(ins, &mut init))
+}
+
+/// Whether a fused window map can execute over lanes (see
+/// [`BatchCtx::exec`]): the same proof as the body's, with the element
+/// register as the one driver-filled slot — so a map reading anything the
+/// body computes per tick stays on the per-element path.
+pub(crate) fn map_batchable(
+    tp: &TypedProgram,
+    var: Reg,
+    instrs: &[Instr],
+    root: Option<Reg>,
+) -> bool {
+    let Some(mut init) = prelude_init(tp) else { return false };
+    if var.class == Class::V || root.is_none() {
+        return false;
     }
-    true
+    init.def(var.class, var.idx);
+    instrs.iter().all(|ins| step(ins, &mut init))
 }
 
 /// Admits one instruction: reads must be initialized and distinct from the
@@ -294,7 +316,9 @@ fn cmp_lanes_c<T: Copy + PartialOrd>(op: CmpOp, d: &mut [bool], a: &[T], c: T) {
 
 /// The three-way conditional move, lane-wise: φ condition → φ, else copy
 /// the selected branch's value and flag (`None` branch = φ), exactly like
-/// the scalar `Select` arm.
+/// the scalar `Select` arm — computed a mask word (64 lanes) at a time:
+/// the condition packs into bits, the result mask is three ANDs and two
+/// ORs, and the value move is a branch-free per-lane pick.
 fn select_lanes<T: Copy>(
     k: usize,
     cond: &[bool],
@@ -304,23 +328,63 @@ fn select_lanes<T: Copy>(
     d: &mut [T],
     dmask: &mut NullMask,
 ) {
-    for j in 0..k {
-        let src = if cmask.get(j) {
-            None
-        } else if cond[j] {
-            t
-        } else {
-            f
-        };
-        match src {
-            None => dmask.set(j, true),
-            Some((scol, smask)) => {
-                d[j] = scol[j];
-                dmask.set(j, smask.get(j));
+    for (w, lanes) in cond[..k].chunks(64).enumerate() {
+        let base = w * 64;
+        let mut cbits = 0u64;
+        for (j, &c) in lanes.iter().enumerate() {
+            cbits |= (c as u64) << j;
+        }
+        let cnull = cmask.word(w);
+        let tnull = t.map_or(!0, |(_, m)| m.word(w));
+        let fnull = f.map_or(!0, |(_, m)| m.word(w));
+        dmask.set_word(w, cnull | (cbits & tnull) | (!cbits & fnull));
+        let d = &mut d[base..base + lanes.len()];
+        match (t, f) {
+            (Some((tc, _)), Some((fc, _))) => {
+                let (tc, fc) = (&tc[base..], &fc[base..]);
+                for (j, d) in d.iter_mut().enumerate() {
+                    *d = if lanes[j] { tc[j] } else { fc[j] };
+                }
             }
+            // With one branch φ, lanes that do not take the other are φ
+            // whatever they hold: copy it everywhere.
+            (Some((sc, _)), None) | (None, Some((sc, _))) => {
+                d.copy_from_slice(&sc[base..base + lanes.len()]);
+            }
+            (None, None) => {}
         }
     }
 }
+
+/// An unboxed register class as a Rust type: how class-generic code reads
+/// a scalar register or a lane column of that class.
+pub(crate) trait Lane: Copy + Default {
+    /// The scalar register `r` (`None` = φ).
+    fn scalar(ctx: &TypedCtx, r: Reg) -> Option<Self>;
+    /// The lane column and lane mask of register `r`.
+    fn lanes(bc: &BatchCtx, r: Reg) -> (&[Self], &NullMask);
+}
+
+macro_rules! lane {
+    ($t:ty, $class:ident, $get:ident, $file:ident, $masks:ident) => {
+        impl Lane for $t {
+            #[inline]
+            fn scalar(ctx: &TypedCtx, r: Reg) -> Option<$t> {
+                debug_assert_eq!(r.class, Class::$class);
+                let (x, null) = ctx.$get(r.idx);
+                (!null).then_some(x)
+            }
+            #[inline]
+            fn lanes(bc: &BatchCtx, r: Reg) -> (&[$t], &NullMask) {
+                debug_assert_eq!(r.class, Class::$class);
+                (&bc.$file[r.idx as usize * bc.cap..][..bc.cap], &bc.$masks[r.idx as usize])
+            }
+        }
+    };
+}
+lane!(f64, F, get_f, f, nf);
+lane!(i64, I, get_i, i, ni);
+lane!(bool, B, get_b, b, nb);
 
 impl BatchCtx {
     /// Columns sized for `tp`, all lanes φ, capacity [`MAX_BATCH`].
@@ -394,28 +458,77 @@ impl BatchCtx {
         }
     }
 
-    /// Reads one lane of a typed register as a boxed [`tilt_data::Value`]
-    /// (the root column, boxed once per visited tick at push time).
-    pub(crate) fn read_lane(&self, reg: Reg, lane: usize) -> tilt_data::Value {
-        use tilt_data::Value;
-        match reg.class {
-            Class::F if !self.nf[reg.idx as usize].get(lane) => {
-                Value::Float(self.f[reg.idx as usize * self.cap + lane])
+    /// Fills lanes `0..run.len()` of register `var` with the spans `run`
+    /// of a source column and its φ mask — the element loads of a
+    /// lanes-mapped window, a slice copy when the classes agree. The class
+    /// pair is matched once per run; a column that cannot provide the
+    /// register's class reads as φ, integers coerce into `F` registers
+    /// (exactly [`tilt_data::Value::as_f64`]).
+    pub(crate) fn load_run(
+        &mut self,
+        var: Reg,
+        col: &ColumnRef<'_>,
+        nulls: &NullMask,
+        run: std::ops::Range<usize>,
+    ) {
+        fn boxed<U>(
+            lanes: &mut [U],
+            mask: &mut NullMask,
+            n: usize,
+            read: impl Fn(usize) -> Option<U>,
+        ) {
+            for j in 0..n {
+                match read(j) {
+                    Some(x) if !mask.get(j) => lanes[j] = x,
+                    _ => mask.set(j, true),
+                }
             }
-            Class::I if !self.ni[reg.idx as usize].get(lane) => {
-                Value::Int(self.i[reg.idx as usize * self.cap + lane])
-            }
-            Class::B if !self.nb[reg.idx as usize].get(lane) => {
-                Value::Bool(self.b[reg.idx as usize * self.cap + lane])
-            }
-            _ => Value::Null,
         }
+        let (r, cap, n, lo) = (var.idx as usize, self.cap, run.len(), run.start);
+        let mask = match var.class {
+            Class::F => &mut self.nf[r],
+            Class::I => &mut self.ni[r],
+            Class::B => &mut self.nb[r],
+            Class::V => unreachable!("V element register in a lanes map"),
+        };
+        mask.copy_range(nulls, lo, n);
+        match (var.class, col) {
+            (Class::F, ColumnRef::F64(v)) => self.f[r * cap..][..n].copy_from_slice(&v[run]),
+            (Class::F, ColumnRef::I64(v)) => {
+                lanes1(&mut self.f[r * cap..][..n], &v[run], |x: i64| x as f64)
+            }
+            (Class::I, ColumnRef::I64(v)) => self.i[r * cap..][..n].copy_from_slice(&v[run]),
+            (Class::B, ColumnRef::Bool(v)) => self.b[r * cap..][..n].copy_from_slice(&v[run]),
+            (Class::F, ColumnRef::Boxed(_)) => {
+                boxed(&mut self.f[r * cap..][..n], mask, n, |j| col.f64_at(lo + j))
+            }
+            (Class::I, ColumnRef::Boxed(_)) => {
+                boxed(&mut self.i[r * cap..][..n], mask, n, |j| col.i64_at(lo + j))
+            }
+            (Class::B, ColumnRef::Boxed(_)) => {
+                boxed(&mut self.b[r * cap..][..n], mask, n, |j| col.bool_at(lo + j))
+            }
+            // A column of another class reads as φ throughout.
+            _ => mask.set_range(0, n, true),
+        }
+    }
+
+    /// Flags lanes `0..n` of register `r` φ wherever slots `lo..lo + n` of
+    /// `src` are.
+    pub(crate) fn or_nulls(&mut self, r: Reg, src: &NullMask, lo: usize, n: usize) {
+        let mask = match r.class {
+            Class::F => &mut self.nf[r.idx as usize],
+            Class::I => &mut self.ni[r.idx as usize],
+            Class::B => &mut self.nb[r.idx as usize],
+            Class::V => unreachable!("V register in a lanes map"),
+        };
+        mask.or_range(src, lo, n);
     }
 
     /// Executes a gated body over lanes `0..k`, where lane `j` is grid
     /// tick `t0 + j·p`. Semantics match the scalar [`exec`] loop lane for
     /// lane; see the module docs for the φ-lane garbage discipline.
-    pub(crate) fn exec(&mut self, instrs: &[Instr], t0: i64, p: i64, k: usize) {
+    pub(super) fn exec(&mut self, instrs: &[Instr], t0: i64, p: i64, k: usize) {
         let cap = self.cap;
         debug_assert!(k <= cap);
         for ins in instrs {

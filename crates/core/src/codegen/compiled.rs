@@ -40,8 +40,9 @@
 
 use std::collections::HashMap;
 
-use tilt_data::{NullMask, Value};
+use tilt_data::{ColumnRef, NullMask, Value};
 
+use super::batch::{map_batchable, BatchCtx, Lane};
 use super::program::{PointSpec, Program};
 use crate::error::{CompileError, Result};
 use crate::ir::typeck::{binary_type, unary_type, TypeInfo};
@@ -553,8 +554,8 @@ impl TypedCtx {
         }
     }
 
-    /// Like [`TypedCtx::store_value`] but by reference (point loads, map
-    /// elements): unboxed classes never clone the payload.
+    /// Like [`TypedCtx::store_value`] but by reference (boxed point loads
+    /// and map elements): unboxed classes never clone the payload.
     #[inline]
     pub(crate) fn load_value(&mut self, r: Reg, v: &Value) {
         match r.class {
@@ -564,6 +565,23 @@ impl TypedCtx {
             Class::V => {
                 self.fallback_ops += 1;
                 self.v[r.idx as usize] = v.clone();
+            }
+        }
+    }
+
+    /// Loads slot `i` of a source column (a live span: the caller checked
+    /// the mask) into `r` — the element load of a per-element map. Unboxed
+    /// classes index the column; a `V` register boxes the slot, which is
+    /// fallback traffic.
+    #[inline]
+    pub(crate) fn load_slot(&mut self, r: Reg, col: &ColumnRef<'_>, i: usize) {
+        match r.class {
+            Class::F => self.store_f64(r, col.f64_at(i)),
+            Class::I => self.store_i64(r, col.i64_at(i)),
+            Class::B => self.store_bool(r, col.bool_at(i)),
+            Class::V => {
+                self.fallback_ops += 1;
+                self.v[r.idx as usize] = col.value_at(i);
             }
         }
     }
@@ -609,6 +627,8 @@ pub(crate) struct TypedMap {
     var: Reg,
     instrs: Vec<Instr>,
     root: Option<Reg>,
+    /// Whether the map passed the lanes gate (`batch::map_batchable`).
+    lanes: bool,
 }
 
 impl TypedMap {
@@ -617,10 +637,14 @@ impl TypedMap {
     pub(crate) fn fold_class(&self) -> Option<Class> {
         self.root.map(|r| r.class)
     }
-}
 
-impl TypedMap {
-    /// Applies the map to one window element (`Value::Null` = skip).
+    /// Whether [`TypedMap::apply_lanes`] may be used.
+    pub(crate) fn runs_on_lanes(&self) -> bool {
+        self.lanes
+    }
+
+    /// Applies the map to one boxed window element (`Value::Null` = skip)
+    /// — the dynamic fold's path through a typed map.
     pub(crate) fn run(&self, ctx: &mut TypedCtx, elem: &Value) -> Value {
         ctx.map_runs += 1;
         ctx.load_value(self.var, elem);
@@ -631,36 +655,41 @@ impl TypedMap {
         }
     }
 
-    /// Applies the map and reads the root as an unboxed `f64` (`None` = φ)
-    /// — the typed reduce fold path when [`TypedMap::fold_class`] is
-    /// `Some(Class::F)`. No boxed `Value` is built on either side.
-    pub(crate) fn run_f64(&self, ctx: &mut TypedCtx, elem: &Value) -> Option<f64> {
+    /// Applies the map to slot `i` of a source column and reads the root
+    /// unboxed (`None` = φ) — the typed fold path, one element at a time.
+    /// No boxed `Value` is built on either side.
+    pub(crate) fn apply<T: Lane>(
+        &self,
+        ctx: &mut TypedCtx,
+        col: &ColumnRef<'_>,
+        i: usize,
+    ) -> Option<T> {
         ctx.map_runs += 1;
-        ctx.load_value(self.var, elem);
+        ctx.load_slot(self.var, col, i);
         exec(&self.instrs, ctx);
-        let r = self.root?;
-        debug_assert_eq!(r.class, Class::F);
-        let (x, n) = ctx.get_f(r.idx);
-        if n {
-            None
-        } else {
-            Some(x)
-        }
+        T::scalar(ctx, self.root?)
     }
 
-    /// Applies the map and reads the root as an unboxed `i64` (`None` = φ).
-    pub(crate) fn run_i64(&self, ctx: &mut TypedCtx, elem: &Value) -> Option<i64> {
-        ctx.map_runs += 1;
-        ctx.load_value(self.var, elem);
-        exec(&self.instrs, ctx);
-        let r = self.root?;
-        debug_assert_eq!(r.class, Class::I);
-        let (x, n) = ctx.get_i(r.idx);
-        if n {
-            None
-        } else {
-            Some(x)
-        }
+    /// Applies the map to the spans `run` (at most a batch) of a source
+    /// column at once, as lanes `0..run.len()` of `bc`, at evaluation time
+    /// `t`; returns the root's lane column and a lane mask flagging what
+    /// the fold must drop: φ source spans (they execute as φ lanes, but a
+    /// map may turn φ into a value) and φ map outputs. One dispatch per
+    /// instruction per run.
+    pub(crate) fn apply_lanes<'b, T: Lane>(
+        &self,
+        bc: &'b mut BatchCtx,
+        t: i64,
+        col: &ColumnRef<'_>,
+        nulls: &NullMask,
+        run: std::ops::Range<usize>,
+    ) -> (&'b [T], &'b NullMask) {
+        let k = run.len();
+        bc.load_run(self.var, col, nulls, run.clone());
+        bc.exec(&self.instrs, t, 0, k);
+        let root = self.root.expect("the lanes gate requires a root");
+        bc.or_nulls(root, nulls, run.start, k);
+        T::lanes(bc, root)
     }
 }
 
@@ -717,6 +746,14 @@ impl TypedProgram {
             Some(r) => ctx.read_value(r),
             None => Value::Null,
         }
+    }
+
+    /// Executes the program and reads the root unboxed (`None` = φ); the
+    /// root's class must be `T`'s.
+    #[inline]
+    pub(crate) fn run_as<T: Lane>(&self, ctx: &mut TypedCtx) -> Option<T> {
+        exec(&self.instrs, ctx);
+        T::scalar(ctx, self.root?)
     }
 
     /// Whether the plan never touches the dynamic enum: no `V` registers
@@ -1208,7 +1245,7 @@ pub(crate) fn compile_typed(
     for map in cc.typed_maps.iter_mut().flatten() {
         thread_jumps(&mut map.instrs);
     }
-    Ok(TypedProgram {
+    let mut tp = TypedProgram {
         prelude: cc.prelude,
         instrs: cc.instrs,
         root,
@@ -1220,7 +1257,18 @@ pub(crate) fn compile_typed(
         reduce_regs: cc.reduce_regs,
         typed_maps: cc.typed_maps,
         reduce_elem: cc.reduce_elem,
-    })
+    };
+    let lanes: Vec<bool> = tp
+        .typed_maps
+        .iter()
+        .map(|m| m.as_ref().is_some_and(|m| map_batchable(&tp, m.var, &m.instrs, m.root)))
+        .collect();
+    for (map, lanes) in tp.typed_maps.iter_mut().zip(lanes) {
+        if let Some(map) = map {
+            map.lanes = lanes;
+        }
+    }
+    Ok(tp)
 }
 
 /// Whether `code` is safe to execute on a path the source program did not
@@ -1635,7 +1683,7 @@ impl TypedCompiler<'_> {
             Out::Reg(r, ty) => (Some(r), Some((r.class, ty))),
             Out::Null => (None, None),
         };
-        Ok((TypedMap { var: var_reg, instrs, root: root_reg }, elem))
+        Ok((TypedMap { var: var_reg, instrs, root: root_reg, lanes: false }, elem))
     }
 
     fn emit_unary(&mut self, op: UnOp, ao: Out) -> Result<Out> {

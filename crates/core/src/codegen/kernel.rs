@@ -11,13 +11,13 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use tilt_data::{SnapshotBuf, SsCursor, Time, TimeRange, Value};
+use tilt_data::{ColWriter, SnapshotBuf, SsCursor, Time, TimeRange, Value};
 use tilt_obs::Profiler;
 
-use super::batch::{batchable, BatchCtx, MAX_BATCH};
-use super::compiled::{compile_typed, type_lookup, Class, TypedCtx, TypedMap, TypedProgram};
+use super::batch::{batchable, BatchCtx, Lane, MAX_BATCH};
+use super::compiled::{compile_typed, type_lookup, Class, TypedCtx, TypedProgram};
 use super::program::{compile, EvalCtx, PointSpec, Program};
-use super::reduce::{typed_fold_class, typed_result_class, ReduceRunner};
+use super::reduce::{typed_fold_class, typed_result_class, MapRun, ReduceRunner};
 use crate::error::Result;
 use crate::ir::typeck::TypeInfo;
 use crate::ir::{TObjId, TempExpr};
@@ -258,7 +258,7 @@ impl Kernel {
     }
 
     /// The interpreted tier: per-tick closure-tree evaluation over
-    /// [`Value`] slots.
+    /// [`Value`] slots, each read materialized from the source columns.
     fn run_interp(
         &self,
         bufs: &[Option<&SnapshotBuf<Value>>],
@@ -270,15 +270,21 @@ impl Kernel {
         }
         let mut ctx = self.program.new_ctx();
         let program = &self.program;
-        self.drive(bufs, range, out, &[], &mut |points, reduces, g| {
-            eval_at(program, &mut ctx, points, reduces, g)
-        });
+        out.reset(range.start);
+        self.drive(
+            bufs,
+            range,
+            &[],
+            &mut |points, reduces, g| eval_at(program, &mut ctx, points, reduces, g),
+            &mut |end, v| out.push_raw(end, v),
+        );
     }
 
     /// The compiled tier: per-tick register-bytecode evaluation. Point
-    /// accesses load through the typed [`SsCursor`] fast paths (no enum
-    /// clones for `F`/`I`/`B` slots), reduce results unbox straight into
-    /// their registers, and fused maps run as typed bytecode.
+    /// accesses load through the typed [`SsCursor`] fast paths (column
+    /// reads for `F`/`I`/`B` slots), reduce results unbox straight into
+    /// their registers, fused maps run as typed bytecode, and a typed root
+    /// register is appended to the output's typed column as is.
     fn run_typed(
         &self,
         tp: &TypedProgram,
@@ -287,82 +293,134 @@ impl Kernel {
         out: &mut SnapshotBuf<Value>,
     ) {
         let mut ctx = tp.new_ctx();
-        let modes = &self.reduce_modes;
-        self.drive(bufs, range, out, &tp.reduce_elem, &mut |points, reduces, g| {
-            ctx.t = g.ticks();
-            for (i, runner) in reduces.iter_mut().enumerate() {
-                let reg = tp.reduce_regs[i];
-                // Unboxed fold path: the typed map's `f64`/`i64` output
-                // feeds the monomorphized accumulator directly and the
-                // result lands in its register without a `Value` round
-                // trip — `fallback_ops` stays 0 for numeric plans.
-                if let Some((fold, res)) = modes[i] {
-                    if reg.is_none_or(|r| r.class == res) {
-                        slide_typed(runner, &mut ctx, &tp.typed_maps[i], fold, g);
-                        if let Some(reg) = reg {
-                            match res {
-                                Class::F => ctx.store_f64(reg, runner.result_f()),
-                                Class::I => ctx.store_i64(reg, runner.result_i()),
-                                _ => unreachable!("typed result class is F or I"),
-                            }
+        match tp.root.map(|r| r.class) {
+            Some(Class::F) => {
+                let mut w = out.f64_writer(range.start);
+                self.run_typed_as(tp, &mut ctx, bufs, range, &mut |end, v| w.push(end, v));
+            }
+            Some(Class::I) => {
+                let mut w = out.i64_writer(range.start);
+                self.run_typed_as(tp, &mut ctx, bufs, range, &mut |end, v| w.push(end, v));
+            }
+            Some(Class::B) => {
+                let mut w = out.bool_writer(range.start);
+                self.run_typed_as(tp, &mut ctx, bufs, range, &mut |end, v| w.push(end, v));
+            }
+            // A boxed root (or a provably-φ body): the class comes from
+            // the data, like any boxed write.
+            Some(Class::V) | None => {
+                out.reset(range.start);
+                self.drive(
+                    bufs,
+                    range,
+                    &tp.reduce_elem,
+                    &mut |points, reduces, g| {
+                        self.load_typed_slots(tp, &mut ctx, points, reduces, g);
+                        tp.run(&mut ctx)
+                    },
+                    &mut |end, v| out.push_raw(end, v),
+                );
+            }
+        }
+        self.count_ctx(&ctx);
+    }
+
+    /// [`Kernel::run_typed`] for a root register of unboxed class `T`.
+    fn run_typed_as<T: Lane>(
+        &self,
+        tp: &TypedProgram,
+        ctx: &mut TypedCtx,
+        bufs: &[Option<&SnapshotBuf<Value>>],
+        range: TimeRange,
+        push: &mut dyn FnMut(Time, Option<T>),
+    ) {
+        self.drive(
+            bufs,
+            range,
+            &tp.reduce_elem,
+            &mut |points, reduces, g| {
+                self.load_typed_slots(tp, ctx, points, reduces, g);
+                tp.run_as::<T>(ctx)
+            },
+            push,
+        );
+    }
+
+    /// Fills the typed program's reduce and point registers for tick `g`.
+    fn load_typed_slots(
+        &self,
+        tp: &TypedProgram,
+        ctx: &mut TypedCtx,
+        points: &mut [PointRunner<'_>],
+        reduces: &mut [ReduceRunner<'_>],
+        g: Time,
+    ) {
+        ctx.t = g.ticks();
+        for (i, runner) in reduces.iter_mut().enumerate() {
+            let reg = tp.reduce_regs[i];
+            // Unboxed fold path: the typed map's `f64`/`i64` output
+            // feeds the monomorphized accumulator directly and the
+            // result lands in its register without a `Value` round
+            // trip — `fallback_ops` stays 0 for numeric plans.
+            if let Some((fold, res)) = self.reduce_modes[i] {
+                if reg.is_none_or(|r| r.class == res) {
+                    let map = tp.typed_maps[i].as_ref();
+                    runner.slide_typed(g, fold, map.map(|map| MapRun { map, ctx, lanes: None }));
+                    if let Some(reg) = reg {
+                        match res {
+                            Class::F => ctx.store_f64(reg, runner.result_f()),
+                            Class::I => ctx.store_i64(reg, runner.result_i()),
+                            _ => unreachable!("typed result class is F or I"),
                         }
-                        continue;
                     }
-                }
-                let v = match &tp.typed_maps[i] {
-                    None => runner.eval_at_with(g, &mut |elem: &Value| elem.clone()),
-                    Some(map) => {
-                        let mut apply = |elem: &Value| map.run(&mut ctx, elem);
-                        runner.eval_at_with(g, &mut apply)
-                    }
-                };
-                if let Some(reg) = reg {
-                    if reg.class == Class::V {
-                        // Boxed reduce results (custom reducers, dynamic
-                        // elements) are fallback traffic.
-                        ctx.fallback_ops += 1;
-                    }
-                    ctx.store_value(reg, v);
+                    continue;
                 }
             }
-            for (i, runner) in points.iter_mut().enumerate() {
-                let t = g + runner.spec.offset;
-                match tp.point_regs[i] {
-                    Some(reg) => match reg.class {
-                        Class::F => {
-                            let (v, b) = runner.cursor.value_f64_and_boundary(t);
-                            ctx.store_f64(reg, v);
-                            runner.boundary = b;
-                        }
-                        Class::I => {
-                            let (v, b) = runner.cursor.value_i64_and_boundary(t);
-                            ctx.store_i64(reg, v);
-                            runner.boundary = b;
-                        }
-                        Class::B => {
-                            let (v, b) = runner.cursor.value_bool_and_boundary(t);
-                            ctx.store_bool(reg, v);
-                            runner.boundary = b;
-                        }
-                        Class::V => {
-                            let (v, b) = runner.cursor.value_ref_and_boundary(t);
-                            match v {
-                                Some(v) => ctx.load_value(reg, v),
-                                None => ctx.store_value(reg, Value::Null),
-                            }
-                            runner.boundary = b;
-                        }
-                    },
-                    // The value is never read, but the cursor must still
-                    // advance: `next_tick` steps on span boundaries.
-                    None => {
-                        let (_, b) = runner.cursor.value_ref_and_boundary(t);
+            let v = slide_boxed(runner, tp, ctx, i, g);
+            if let Some(reg) = reg {
+                if reg.class == Class::V {
+                    // Boxed reduce results (custom reducers, dynamic
+                    // elements) are fallback traffic.
+                    ctx.fallback_ops += 1;
+                }
+                ctx.store_value(reg, v);
+            }
+        }
+        for (i, runner) in points.iter_mut().enumerate() {
+            let t = g + runner.spec.offset;
+            match tp.point_regs[i] {
+                Some(reg) => match reg.class {
+                    Class::F => {
+                        let (v, b) = runner.cursor.value_f64_and_boundary(t);
+                        ctx.store_f64(reg, v);
                         runner.boundary = b;
                     }
-                }
+                    Class::I => {
+                        let (v, b) = runner.cursor.value_i64_and_boundary(t);
+                        ctx.store_i64(reg, v);
+                        runner.boundary = b;
+                    }
+                    Class::B => {
+                        let (v, b) = runner.cursor.value_bool_and_boundary(t);
+                        ctx.store_bool(reg, v);
+                        runner.boundary = b;
+                    }
+                    Class::V => {
+                        let (v, b) = runner.cursor.value_and_boundary(t);
+                        ctx.fallback_ops += 1;
+                        ctx.store_value(reg, v);
+                        runner.boundary = b;
+                    }
+                },
+                // The value is never read, but the cursor must still
+                // advance: `next_tick` steps on span boundaries.
+                None => runner.boundary = runner.cursor.boundary(t),
             }
-            tp.run(&mut ctx)
-        });
+        }
+    }
+
+    /// Folds a run's fallback and map counters into the kernel's.
+    fn count_ctx(&self, ctx: &TypedCtx) {
         if ctx.fallback_ops > 0 {
             self.fallback.fetch_add(ctx.fallback_ops, Ordering::Relaxed);
         }
@@ -371,16 +429,9 @@ impl Kernel {
         }
     }
 
-    /// The batched tier: the same change-point stepping as [`Kernel::drive`],
-    /// but lanes accumulate while stepping stays dense (`next == g + p`) and
-    /// the typed body then executes **once per run** over columnar registers
-    /// (see [`super::batch`]) — one instruction dispatch per run instead of
-    /// per tick, φ checks one branch per 64 lanes. Reduce slides and point
-    /// cursor reads stay per-lane: they are already O(1) per tick through
-    /// [`SsCursor`] (constant-span stretches never re-search the buffer) and
-    /// they carry the per-lane change-point state `next_tick` steps on, so
-    /// stepping — and therefore output — is byte-identical to the scalar
-    /// tiers.
+    /// The batched tier, dispatched once per run on the root register's
+    /// class: the result lanes of each batch are appended to the output's
+    /// typed column as they are.
     fn run_batched(
         &self,
         tp: &TypedProgram,
@@ -388,46 +439,49 @@ impl Kernel {
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
     ) {
+        let root = tp.root.expect("the batch gate requires a root");
+        match root.class {
+            Class::F => self.run_batched_as(tp, bufs, range, out.f64_writer(range.start)),
+            Class::I => self.run_batched_as(tp, bufs, range, out.i64_writer(range.start)),
+            Class::B => self.run_batched_as(tp, bufs, range, out.bool_writer(range.start)),
+            Class::V => unreachable!("batch gate admits only typed roots"),
+        }
+    }
+
+    /// The batched tier: the same change-point stepping as [`Kernel::drive`],
+    /// but lanes accumulate while stepping stays dense (`next == g + p`) and
+    /// the typed body then executes **once per run** over columnar registers
+    /// (see [`super::batch`]) — one instruction dispatch per run instead of
+    /// per tick, φ checks one branch per 64 lanes — and the root register's
+    /// lanes land in the output's typed column in one append, span ends
+    /// taken from the lane boundaries. Reduce windows slide once per lane
+    /// but fold their entering *run* of source spans in one loop, the fused
+    /// map over it as lanes too (see [`ReduceRunner`]); point reads index
+    /// the source column through [`SsCursor`] per lane, which carries the
+    /// per-lane change-point state `next_tick` steps on — so stepping, and
+    /// therefore output, is byte-identical to the scalar tiers.
+    fn run_batched_as<T: Lane>(
+        &self,
+        tp: &TypedProgram,
+        bufs: &[Option<&SnapshotBuf<Value>>],
+        range: TimeRange,
+        mut out: ColWriter<'_, T>,
+    ) {
         let p = self.precision;
-        out.reset(range.start);
         if range.is_empty() {
             return;
         }
         let g_first = Time::new(range.start.ticks() + 1).align_up(p);
         let g_last = range.end.align_down(p);
         if g_first > g_last {
-            out.push_raw(range.end, Value::Null);
+            out.push(range.end, None);
             return;
         }
+        let root = tp.root.expect("the batch gate requires a root");
+        let (mut points, mut reduces) = self.runners(bufs, &tp.reduce_elem);
 
-        let buf_for = |obj: TObjId| -> &SnapshotBuf<Value> {
-            bufs.get(obj.index())
-                .and_then(|b| *b)
-                .unwrap_or_else(|| panic!("kernel {}: missing buffer for {obj}", self.name))
-        };
-        let mut points: Vec<PointRunner<'_>> = self
-            .program
-            .points
-            .iter()
-            .map(|ps| PointRunner {
-                cursor: SsCursor::new(buf_for(ps.obj)),
-                spec: *ps,
-                boundary: None,
-            })
-            .collect();
-        let mut reduces: Vec<ReduceRunner<'_>> = self
-            .program
-            .reduces
-            .iter()
-            .enumerate()
-            .map(|(i, rs)| {
-                let class = tp.reduce_elem.get(i).copied().flatten();
-                ReduceRunner::with_elem_class(rs, buf_for(rs.obj), class)
-            })
-            .collect();
-
-        // The scalar file holds prelude constants and hosts typed map
-        // execution; columns are broadcast from it once per drive.
+        // The scalar file holds prelude constants and hosts per-element
+        // map execution; columns are broadcast from it once per drive.
         let mut ctx = tp.new_ctx();
         let mut bc = BatchCtx::new(tp);
         bc.broadcast(&ctx, tp);
@@ -444,20 +498,20 @@ impl Kernel {
                 let gk = g + (k as i64) * p;
                 ctx.t = gk.ticks();
                 for (i, runner) in reduces.iter_mut().enumerate() {
+                    let map = tp.typed_maps[i].as_ref();
                     match self.reduce_modes[i] {
                         Some((fold, _)) => {
-                            slide_typed(runner, &mut ctx, &tp.typed_maps[i], fold, gk)
+                            let run = map.map(|map| MapRun {
+                                map,
+                                ctx: &mut ctx,
+                                lanes: map.runs_on_lanes().then_some(&mut bc),
+                            });
+                            runner.slide_typed(gk, fold, run);
                         }
                         // Result provably φ (no register): the window still
                         // slides dynamically so `next_tick` sees its state.
                         None => {
-                            let _ = match &tp.typed_maps[i] {
-                                None => runner.eval_at_with(gk, &mut |e: &Value| e.clone()),
-                                Some(map) => {
-                                    let mut apply = |e: &Value| map.run(&mut ctx, e);
-                                    runner.eval_at_with(gk, &mut apply)
-                                }
-                            };
+                            slide_boxed(runner, tp, &mut ctx, i, gk);
                         }
                     }
                     if let Some(reg) = tp.reduce_regs[i] {
@@ -491,10 +545,7 @@ impl Kernel {
                                 unreachable!("batch gate admits only typed point registers")
                             }
                         },
-                        None => {
-                            let (_, b) = runner.cursor.value_ref_and_boundary(t);
-                            runner.boundary = b;
-                        }
+                        None => runner.boundary = runner.cursor.boundary(t),
                     }
                 }
                 k += 1;
@@ -517,68 +568,37 @@ impl Kernel {
                 }
             }
             bc.exec(&tp.instrs, g.ticks(), p, k);
-            for j in 0..k {
-                let v = match tp.root {
-                    Some(r) => bc.read_lane(r, j),
-                    None => Value::Null,
-                };
-                // Interior lanes are dense, so each value holds exactly at
-                // its own tick; the last lane holds until the successor
-                // (or `g_last`), same spans the scalar skeleton pushes.
-                let end = if j + 1 < k {
-                    g + (j as i64) * p
-                } else if stop {
-                    g_last
-                } else {
-                    succ.expect("a non-final batch has a successor tick") - p
-                };
-                out.push_raw(end, v);
-            }
+            // Interior lanes are dense, so each value holds exactly at its
+            // own tick; the last lane holds until the successor (or
+            // `g_last`), same spans the scalar skeleton pushes.
+            let last_end =
+                if stop { g_last } else { succ.expect("a non-final batch has a successor") - p };
+            let (vals, nulls) = T::lanes(&bc, root);
+            out.extend_lanes(g, p, last_end, &vals[..k], nulls);
             if stop {
                 break;
             }
-            g = succ.expect("a non-final batch has a successor tick");
+            g = succ.expect("a non-final batch has a successor");
         }
         if g_last < range.end {
-            out.push_raw(range.end, Value::Null);
+            out.push(range.end, None);
         }
-        if ctx.fallback_ops > 0 {
-            self.fallback.fetch_add(ctx.fallback_ops, Ordering::Relaxed);
-        }
-        if ctx.map_runs > 0 {
-            self.map_runs.fetch_add(ctx.map_runs, Ordering::Relaxed);
-        }
+        self.count_ctx(&ctx);
     }
 
-    /// The shared loop skeleton of both tiers: change-point-driven stepping
-    /// over the grid, one `eval_tick` call per visited tick.
-    #[allow(clippy::type_complexity)]
-    fn drive(
-        &self,
-        bufs: &[Option<&SnapshotBuf<Value>>],
-        range: TimeRange,
-        out: &mut SnapshotBuf<Value>,
+    /// One point runner and one reduce runner per slot of the program,
+    /// positioned at the start of their source buffers.
+    fn runners<'b>(
+        &'b self,
+        bufs: &[Option<&'b SnapshotBuf<Value>>],
         reduce_classes: &[Option<Class>],
-        eval_tick: &mut dyn FnMut(&mut [PointRunner<'_>], &mut [ReduceRunner<'_>], Time) -> Value,
-    ) {
-        let p = self.precision;
-        out.reset(range.start);
-        if range.is_empty() {
-            return;
-        }
-        let g_first = Time::new(range.start.ticks() + 1).align_up(p);
-        let g_last = range.end.align_down(p);
-        if g_first > g_last {
-            out.push_raw(range.end, Value::Null);
-            return;
-        }
-
-        let buf_for = |obj: TObjId| -> &SnapshotBuf<Value> {
+    ) -> (Vec<PointRunner<'b>>, Vec<ReduceRunner<'b>>) {
+        let buf_for = |obj: TObjId| -> &'b SnapshotBuf<Value> {
             bufs.get(obj.index())
                 .and_then(|b| *b)
                 .unwrap_or_else(|| panic!("kernel {}: missing buffer for {obj}", self.name))
         };
-        let mut points: Vec<PointRunner<'_>> = self
+        let points = self
             .program
             .points
             .iter()
@@ -588,7 +608,7 @@ impl Kernel {
                 boundary: None,
             })
             .collect();
-        let mut reduces: Vec<ReduceRunner<'_>> = self
+        let reduces = self
             .program
             .reduces
             .iter()
@@ -598,6 +618,33 @@ impl Kernel {
                 ReduceRunner::with_elem_class(rs, buf_for(rs.obj), class)
             })
             .collect();
+        (points, reduces)
+    }
+
+    /// The shared loop skeleton of the per-tick tiers: change-point-driven
+    /// stepping over the grid, one `eval_tick` call per visited tick, one
+    /// `push(end, value)` per output span (the caller has reset the output
+    /// to `range.start`; `V::default()` is φ).
+    #[allow(clippy::type_complexity)]
+    fn drive<V: Default>(
+        &self,
+        bufs: &[Option<&SnapshotBuf<Value>>],
+        range: TimeRange,
+        reduce_classes: &[Option<Class>],
+        eval_tick: &mut dyn FnMut(&mut [PointRunner<'_>], &mut [ReduceRunner<'_>], Time) -> V,
+        push: &mut dyn FnMut(Time, V),
+    ) {
+        let p = self.precision;
+        if range.is_empty() {
+            return;
+        }
+        let g_first = Time::new(range.start.ticks() + 1).align_up(p);
+        let g_last = range.end.align_down(p);
+        if g_first > g_last {
+            push(range.end, V::default());
+            return;
+        }
+        let (mut points, mut reduces) = self.runners(bufs, reduce_classes);
 
         let mut g = g_first;
         loop {
@@ -605,17 +652,17 @@ impl Kernel {
             match self.next_tick(g, g_last, &points, &reduces) {
                 Some(ng) => {
                     // `v` holds for every tick in [g, ng − p].
-                    out.push_raw(ng - p, v);
+                    push(ng - p, v);
                     g = ng;
                 }
                 None => {
-                    out.push_raw(g_last, v);
+                    push(g_last, v);
                     break;
                 }
             }
         }
         if g_last < range.end {
-            out.push_raw(range.end, Value::Null);
+            push(range.end, V::default());
         }
     }
 
@@ -729,29 +776,25 @@ impl KernelProfile {
 /// One point access during kernel execution: a cursor plus the cached end of
 /// the span last read (the access's next possible change point).
 struct PointRunner<'a> {
-    cursor: SsCursor<'a, Value>,
+    cursor: SsCursor<'a>,
     spec: PointSpec,
     boundary: Option<Time>,
 }
 
-/// Slides a reduce runner through the unboxed fold path: the fused window
-/// map (or a typed identity read) feeds `f64`/`i64` straight into the
-/// monomorphized accumulator — no `Value` boxing per element. `fold` is the
-/// statically proven fold class; callers only reach here when
-/// [`typed_fold_class`] returned it.
-fn slide_typed(
+/// Slides reduce slot `i` through the dynamic fold — boxed elements
+/// through the typed map, if the window has one — and returns the boxed
+/// result: the path of custom reducers, dynamic elements and provably-φ
+/// slots.
+fn slide_boxed(
     runner: &mut ReduceRunner<'_>,
+    tp: &TypedProgram,
     ctx: &mut TypedCtx,
-    map: &Option<TypedMap>,
-    fold: Class,
+    i: usize,
     g: Time,
-) {
-    match (fold, map) {
-        (Class::F, Some(map)) => runner.slide_f(g, &mut |e: &Value| map.run_f64(ctx, e)),
-        (Class::F, None) => runner.slide_f(g, &mut |e: &Value| e.as_f64()),
-        (Class::I, Some(map)) => runner.slide_i(g, &mut |e: &Value| map.run_i64(ctx, e)),
-        (Class::I, None) => runner.slide_i(g, &mut |e: &Value| e.as_i64()),
-        _ => unreachable!("typed fold classes are F and I"),
+) -> Value {
+    match &tp.typed_maps[i] {
+        None => runner.eval_at_with(g, None),
+        Some(map) => runner.eval_at_with(g, Some(&mut |elem: &Value| map.run(ctx, elem))),
     }
 }
 

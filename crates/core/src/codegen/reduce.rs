@@ -15,18 +15,25 @@
 //! * Custom with `deacc` — Subtract-on-Evict through the user's template;
 //! * Custom without `deacc` — full window recomputation per evaluation.
 //!
-//! Mapped windows fold the *mapped* value, and eviction must subtract the
-//! same value that entered. The runner caches each span's fold outcome
-//! ([`Folded`]) at accumulate time, so Subtract-on-Evict pops the cache
-//! instead of re-executing the fused map — each element is mapped exactly
-//! once over its lifetime in the window.
+//! The runner reads its source as columns (span ends, φ mask, typed value
+//! column) and works on *runs* of spans: the spans entering a slide are
+//! folded in one loop, φ skipped a mask word at a time, and the typed
+//! tier's fused map executes over the run as batched lanes. Mapped windows
+//! fold the *mapped* value, and eviction must subtract the same value that
+//! entered: the runner keeps mapped values in a flat typed ring, so
+//! Subtract-on-Evict pops the ring instead of re-executing the fused map —
+//! each element is mapped exactly once over its lifetime in the window.
+//! Unmapped windows keep nothing: eviction re-reads the source column.
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
-use tilt_data::{Payload, SnapshotBuf, Time, Value};
+use tilt_data::{ColumnRef, NullMask, Payload, SnapshotBuf, Time, Value};
 
-use super::compiled::Class;
+use super::batch::{BatchCtx, Lane, MAX_BATCH};
+use super::compiled::{Class, TypedCtx, TypedMap};
 use super::program::{EvalCtx, MapFn, ReduceSpec};
 use crate::ir::{CustomReduce, ReduceOp};
 
@@ -516,37 +523,288 @@ pub(crate) fn typed_result_class(op: &ReduceOp, class: Option<Class>) -> Option<
     }
 }
 
-/// One span's fold outcome, cached at accumulate time so eviction can
-/// subtract exactly what entered without re-executing the fused map.
-#[derive(Clone, Debug)]
-enum Folded {
-    /// φ source span or φ map output — never folded, count untouched.
-    Skip,
-    /// Dynamic fold: the mapped boxed value.
-    Boxed(Value),
-    /// Typed `f64` fold.
-    F(f64),
-    /// Typed `i64` fold.
-    I(i64),
+/// How one slide turns source spans into accumulator input: the element
+/// representation (boxed for dynamic runners, unboxed for typed ones) and
+/// the fused map, if any. The runner does the window bookkeeping; a fold
+/// handles one *run* of spans at a time.
+trait Fold {
+    /// Folds the non-φ spans of `run` in.
+    fn enter(&mut self, r: &mut ReduceRunner<'_>, run: Range<usize>);
+    /// Takes the non-φ spans of `run` — the oldest in the window — out.
+    fn evict(&mut self, r: &mut ReduceRunner<'_>, run: Range<usize>);
 }
 
-/// The element transform of one slide, in the representation the
-/// accumulator folds: boxed for dynamic runners, unboxed for typed ones.
-/// `None`/φ outputs drop the element.
-pub(crate) enum FoldKind<'m> {
-    Dyn(&'m mut dyn FnMut(&Value) -> Value),
-    F(&'m mut dyn FnMut(&Value) -> Option<f64>),
-    I(&'m mut dyn FnMut(&Value) -> Option<i64>),
+/// The dynamic fold: boxed elements, an optional boxed map. An unmapped
+/// window re-reads the source column at eviction; a mapped one keeps the
+/// mapped value of each live span in [`ReduceRunner::ring_v`] (φ = dropped
+/// by the map).
+struct DynFold<'m> {
+    map: Option<&'m mut dyn FnMut(&Value) -> Value>,
+}
+
+impl Fold for DynFold<'_> {
+    fn enter(&mut self, r: &mut ReduceRunner<'_>, run: Range<usize>) {
+        for i in r.nulls.live(run.start, run.end) {
+            let elem = r.col.value_at(i);
+            let v = match &mut self.map {
+                None => elem,
+                Some(map) => {
+                    let v = map(&elem);
+                    r.ring_v.push_back(v.clone());
+                    v
+                }
+            };
+            if !v.is_null() {
+                r.state.add(&v, r.ends[i]);
+                r.count += 1;
+            }
+        }
+    }
+
+    fn evict(&mut self, r: &mut ReduceRunner<'_>, run: Range<usize>) {
+        let deque = r.state.is_deque();
+        for i in r.nulls.live(run.start, run.end) {
+            let v = match &self.map {
+                None => r.col.value_at(i),
+                Some(_) => r.ring_v.pop_front().expect("one mapped value per live span"),
+            };
+            if !v.is_null() {
+                if !deque {
+                    r.state.remove(&v);
+                }
+                r.count -= 1;
+            }
+        }
+    }
+}
+
+/// The mapped values of the spans in a typed mapped window, oldest first:
+/// a flat value column with one slot per span and a mask flagging the
+/// slots that carry nothing (φ source span, or φ map output). Entering
+/// runs are appended as slices; eviction advances `head` and the dead
+/// prefix is compacted away once it outweighs the live part.
+#[derive(Default)]
+struct Ring<T> {
+    vals: Vec<T>,
+    dropped: NullMask,
+    head: usize,
+}
+
+impl<T: Copy + Default> Ring<T> {
+    fn push(&mut self, mapped: Option<T>) {
+        self.vals.push(mapped.unwrap_or_default());
+        self.dropped.push(mapped.is_none());
+    }
+
+    /// Appends one slot per element of `vals`; `dropped` flags them.
+    fn extend(&mut self, vals: &[T], dropped: &NullMask) {
+        self.vals.extend_from_slice(vals);
+        self.dropped.extend_from(dropped, 0, vals.len());
+    }
+
+    /// Removes the `n` oldest slots, handing each value they carry to
+    /// `take`; returns how many carried one.
+    fn pop_front(&mut self, n: usize, mut take: impl FnMut(T)) -> usize {
+        let (lo, hi) = (self.head, self.head + n);
+        for slot in self.dropped.live(lo, hi) {
+            take(self.vals[slot]);
+        }
+        let carried = n - self.dropped.count_null(lo, hi);
+        self.head = hi;
+        if self.head >= 64 && self.head * 2 >= self.vals.len() {
+            self.vals.drain(..self.head);
+            self.dropped.drain_front(self.head);
+            self.head = 0;
+        }
+        carried
+    }
+
+    fn clear(&mut self) {
+        self.vals.clear();
+        self.dropped.clear();
+        self.head = 0;
+    }
+}
+
+/// The unboxed element types of the typed fold path.
+trait Elem: Lane {
+    /// Slot `i` of a source column as this type (`None` = not foldable).
+    fn read(col: &ColumnRef<'_>, i: usize) -> Option<Self>;
+    fn add(state: &mut State, x: Self, expire: Time);
+    fn remove(state: &mut State, x: Self);
+    /// The runner's ring of mapped values of this type, and its
+    /// accumulator.
+    fn ring<'r>(r: &'r mut ReduceRunner<'_>) -> (&'r mut Ring<Self>, &'r mut State);
+}
+
+impl Elem for f64 {
+    #[inline]
+    fn read(col: &ColumnRef<'_>, i: usize) -> Option<f64> {
+        col.f64_at(i)
+    }
+    #[inline]
+    fn add(state: &mut State, x: f64, expire: Time) {
+        state.add_f(x, expire);
+    }
+    #[inline]
+    fn remove(state: &mut State, x: f64) {
+        state.remove_f(x);
+    }
+    #[inline]
+    fn ring<'r>(r: &'r mut ReduceRunner<'_>) -> (&'r mut Ring<f64>, &'r mut State) {
+        (&mut r.ring_f, &mut r.state)
+    }
+}
+
+impl Elem for i64 {
+    #[inline]
+    fn read(col: &ColumnRef<'_>, i: usize) -> Option<i64> {
+        col.i64_at(i)
+    }
+    #[inline]
+    fn add(state: &mut State, x: i64, expire: Time) {
+        state.add_i(x, expire);
+    }
+    #[inline]
+    fn remove(state: &mut State, x: i64) {
+        state.remove_i(x);
+    }
+    #[inline]
+    fn ring<'r>(r: &'r mut ReduceRunner<'_>) -> (&'r mut Ring<i64>, &'r mut State) {
+        (&mut r.ring_i, &mut r.state)
+    }
+}
+
+/// The typed fold of an unmapped window: elements are read straight off
+/// the source column, at entry and again at eviction — no cache at all.
+struct ColumnFold<T>(PhantomData<T>);
+
+impl<T: Elem> Fold for ColumnFold<T> {
+    fn enter(&mut self, r: &mut ReduceRunner<'_>, run: Range<usize>) {
+        for i in r.nulls.live(run.start, run.end) {
+            if let Some(x) = T::read(&r.col, i) {
+                T::add(&mut r.state, x, r.ends[i]);
+                r.count += 1;
+            }
+        }
+    }
+
+    fn evict(&mut self, r: &mut ReduceRunner<'_>, run: Range<usize>) {
+        let deque = r.state.is_deque();
+        for i in r.nulls.live(run.start, run.end) {
+            if let Some(x) = T::read(&r.col, i) {
+                if !deque {
+                    T::remove(&mut r.state, x);
+                }
+                r.count -= 1;
+            }
+        }
+    }
+}
+
+/// The typed fold of a mapped window: the compiled map runs over the
+/// entering run — as batched lanes when the kernel drives a [`BatchCtx`]
+/// and the map passed its gate, per element otherwise — and its outputs
+/// are kept in the runner's typed [`Ring`], so eviction subtracts exactly
+/// what entered without running the map again.
+struct MappedFold<'m, T> {
+    run: MapRun<'m>,
+    elem: PhantomData<T>,
+}
+
+/// A window's compiled map and what it executes on: the scalar register
+/// file always (it hosts per-element execution and the run counters), the
+/// kernel's batch context too when the map passed the lanes gate.
+pub(crate) struct MapRun<'m> {
+    pub(crate) map: &'m TypedMap,
+    pub(crate) ctx: &'m mut TypedCtx,
+    pub(crate) lanes: Option<&'m mut BatchCtx>,
+}
+
+impl<T: Elem> Fold for MappedFold<'_, T> {
+    fn enter(&mut self, r: &mut ReduceRunner<'_>, run: Range<usize>) {
+        let MapRun { map, ctx, lanes } = &mut self.run;
+        let (src_nulls, ends, col) = (r.nulls, r.ends, r.col);
+        let folds_values = !matches!(r.state, State::Count);
+        let Some(bc) = lanes.as_deref_mut() else {
+            for i in run {
+                let mapped: Option<T> =
+                    if src_nulls.get(i) { None } else { map.apply(ctx, &col, i) };
+                let (ring, state) = T::ring(r);
+                ring.push(mapped);
+                if let Some(x) = mapped {
+                    T::add(state, x, ends[i]);
+                    r.count += 1;
+                }
+            }
+            return;
+        };
+        // The map runs over the whole run, a batch of lanes at a time; φ
+        // source spans ride along as φ lanes.
+        let mut lo = run.start;
+        while lo < run.end {
+            let hi = (lo + MAX_BATCH).min(run.end);
+            let (vals, dropped) = map.apply_lanes::<T>(bc, ctx.t, &col, src_nulls, lo..hi);
+            let vals = &vals[..hi - lo];
+            ctx.map_runs += (hi - lo - src_nulls.count_null(lo, hi)) as u64;
+            let (ring, state) = T::ring(r);
+            ring.extend(vals, dropped);
+            if folds_values {
+                for lane in dropped.live(0, vals.len()) {
+                    T::add(state, vals[lane], ends[lo + lane]);
+                }
+            }
+            r.count += (vals.len() - dropped.count_null(0, vals.len())) as i64;
+            lo = hi;
+        }
+    }
+
+    fn evict(&mut self, r: &mut ReduceRunner<'_>, run: Range<usize>) {
+        let deque = r.state.is_deque();
+        let (ring, state) = T::ring(r);
+        let carried = ring.pop_front(run.len(), |x| {
+            if !deque {
+                T::remove(state, x);
+            }
+        });
+        r.count -= carried as i64;
+    }
+}
+
+/// The first index `i ≥ from` at which `pred(ends[i])` stops holding
+/// (`ends.len()` when it never does); `pred` is monotone over the sorted
+/// ends. A few linear probes first — the hop of a sliding window is a span
+/// or two — then a binary search for the long jumps.
+#[inline]
+fn skip_while(ends: &[Time], from: usize, pred: impl Fn(Time) -> bool) -> usize {
+    const PROBES: usize = 4;
+    let from = from.min(ends.len());
+    match ends[from..].iter().take(PROBES).position(|&e| !pred(e)) {
+        Some(k) => from + k,
+        None => {
+            let base = (from + PROBES).min(ends.len());
+            base + ends[base..].partition_point(|&e| pred(e))
+        }
+    }
 }
 
 /// Incremental evaluation of one window reduction over one source buffer.
 ///
-/// The runner tracks which source spans currently overlap the window
+/// The runner reads the source as columns — span ends, φ mask, value
+/// column — and tracks which spans currently overlap the window
 /// `(t+lo, t+hi]`: a span `(s, e]` overlaps iff `s < t+hi && e > t+lo`.
-/// `advance_to` must be called with non-decreasing `t`.
+/// Slides must be called with non-decreasing `t`. Each slide first takes
+/// out the spans that left (`[evict_idx, k)`), then folds in the run that
+/// entered (`[enter_idx, j)`), φ skipped a mask word at a time. When
+/// *everything* that was folded leaves — every tumbling window, and any
+/// sliding window after a gap — the accumulator is reset rather than
+/// subtracted from, so no float residue survives an empty window.
 pub struct ReduceRunner<'a> {
     spec: &'a ReduceSpec,
-    src: &'a SnapshotBuf<Value>,
+    start: Time,
+    ends: &'a [Time],
+    nulls: &'a NullMask,
+    col: ColumnRef<'a>,
     state: State,
     /// The statically known element class, when the typed kernel tier
     /// picked an unboxed accumulator.
@@ -557,10 +815,14 @@ pub struct ReduceRunner<'a> {
     enter_idx: usize,
     /// Index of the next span to *evict* (first span with `end > cur_lo`).
     evict_idx: usize,
-    /// Fold outcomes of the spans in `[evict_idx, enter_idx)`, front =
-    /// oldest. Pushed once per span at entry, popped at eviction — the
-    /// fused map runs exactly once per element.
-    cache: VecDeque<Folded>,
+    /// Mapped values of the spans in `[evict_idx, enter_idx)`, oldest
+    /// first, in the representation the slide folds (at most one ring is
+    /// ever used by a runner; unmapped windows use none). Written once per
+    /// element at entry, dropped at eviction — the fused map runs exactly
+    /// once per element.
+    ring_v: VecDeque<Value>,
+    ring_f: Ring<f64>,
+    ring_i: Ring<i64>,
     /// Current window end edge.
     cur_hi: Time,
     initialized: bool,
@@ -584,21 +846,26 @@ impl<'a> ReduceRunner<'a> {
     ) -> Self {
         ReduceRunner {
             spec,
-            src,
+            start: src.start(),
+            ends: src.ends(),
+            nulls: src.nulls(),
+            col: src.column(),
             state: State::with_class(&spec.op, class),
             class,
             count: 0,
             enter_idx: 0,
             evict_idx: 0,
-            cache: VecDeque::new(),
+            ring_v: VecDeque::new(),
+            ring_f: Ring::default(),
+            ring_i: Ring::default(),
             cur_hi: Time::MIN,
             initialized: false,
         }
     }
 
     /// The unboxed class this runner's typed slide folds elements as
-    /// ([`ReduceRunner::slide_f`]/[`ReduceRunner::slide_i`]), or `None`
-    /// when only the dynamic path applies.
+    /// ([`ReduceRunner::slide_typed`]), or `None` when only the dynamic
+    /// path applies.
     #[cfg(test)]
     pub(crate) fn fold_class(&self) -> Option<Class> {
         typed_fold_class(&self.spec.op, self.class)
@@ -612,39 +879,28 @@ impl<'a> ReduceRunner<'a> {
 
     /// The time `t` at which the *next* source span would enter the window,
     /// or `None` when no further span exists. Used by the kernel to skip
-    /// over φ gaps.
+    /// over φ gaps (φ spans never produce content; the mask skips 64 of
+    /// them per compare).
     pub fn next_enter_time(&self) -> Option<Time> {
-        let spans = self.src.spans();
-        let mut i = self.enter_idx;
-        while i < spans.len() {
-            let start = self.src.span_start(i);
-            if start >= self.cur_hi {
-                // First span not yet entered; skip φ spans (they never
-                // produce content).
-                if !spans[i].value.is_null() {
-                    return Some(Time::new(start.ticks() - self.spec.hi + 1));
-                }
-                i += 1;
-            } else {
-                i += 1;
-            }
-        }
-        None
+        let i = self.nulls.next_non_null(self.enter_idx)?;
+        Some(Time::new(self.span_start(i).ticks() - self.spec.hi + 1))
     }
 
     /// The time `t` at which the oldest in-window *non-φ* span will be
     /// evicted, or `None` if no folded span remains (φ evictions cannot
     /// change the result and are skipped).
     pub fn next_evict_time(&self) -> Option<Time> {
-        let spans = self.src.spans();
-        let mut i = self.evict_idx;
-        while i < self.enter_idx.min(spans.len()) {
-            if !spans[i].value.is_null() {
-                return Some(Time::new(spans[i].t_end.ticks() - self.spec.lo));
-            }
-            i += 1;
+        let i = self.nulls.next_non_null(self.evict_idx).filter(|&i| i < self.enter_idx)?;
+        Some(Time::new(self.ends[i].ticks() - self.spec.lo))
+    }
+
+    #[inline]
+    fn span_start(&self, i: usize) -> Time {
+        if i == 0 {
+            self.start
+        } else {
+            self.ends[i - 1]
         }
-        None
     }
 
     /// Slides the window to `(t+lo, t+hi]` and returns the reduction
@@ -655,40 +911,50 @@ impl<'a> ReduceRunner<'a> {
         // can borrow `ctx` while `eval_at_with` holds `&mut self`.
         let spec = self.spec;
         match &spec.map {
-            None => self.eval_at_with(t, &mut |v| v.clone()),
+            None => self.eval_at_with(t, None),
             Some(MapFn { var_slot, eval }) => {
                 let slot = *var_slot;
-                self.eval_at_with(t, &mut |v| {
-                    ctx.vars[slot] = v.clone();
-                    eval(ctx)
-                })
+                self.eval_at_with(
+                    t,
+                    Some(&mut |v| {
+                        ctx.vars[slot] = v.clone();
+                        eval(ctx)
+                    }),
+                )
             }
         }
     }
 
     /// Slides the window to `(t+lo, t+hi]` and returns the reduction
     /// result, with the fused element transform supplied as a closure —
-    /// identity for unmapped windows, the interpreted [`MapFn`] via
-    /// [`ReduceRunner::eval_at`], or the typed tier's compiled map. A φ
-    /// result from `map` drops the element, exactly like a φ source span.
-    pub fn eval_at_with(&mut self, t: Time, map: &mut dyn FnMut(&Value) -> Value) -> Value {
-        self.slide(t, &mut FoldKind::Dyn(map));
+    /// `None` for unmapped windows, the interpreted [`MapFn`] via
+    /// [`ReduceRunner::eval_at`], or the typed tier's compiled map over a
+    /// boxed element. A φ result from `map` drops the element, exactly like
+    /// a φ source span. A runner must be slid with the same kind of map
+    /// (or none) throughout.
+    pub fn eval_at_with(&mut self, t: Time, map: Option<&mut dyn FnMut(&Value) -> Value>) -> Value {
+        self.slide(t, &mut DynFold { map });
         self.state.result(self.count)
     }
 
-    /// Typed slide with an unboxed `f64` element transform — the batched
-    /// and per-tick typed tiers' path when [`ReduceRunner::fold_class`] is
-    /// `Some(Class::F)`. Read the result afterwards with
-    /// [`ReduceRunner::result_f`] or [`ReduceRunner::result_i`] per the
-    /// operation's result class.
-    pub(crate) fn slide_f(&mut self, t: Time, map: &mut dyn FnMut(&Value) -> Option<f64>) {
-        self.slide(t, &mut FoldKind::F(map));
-    }
-
-    /// Typed slide with an unboxed `i64` element transform
-    /// ([`ReduceRunner::fold_class`] `== Some(Class::I)`).
-    pub(crate) fn slide_i(&mut self, t: Time, map: &mut dyn FnMut(&Value) -> Option<i64>) {
-        self.slide(t, &mut FoldKind::I(map));
+    /// Typed slide — the batched and per-tick typed tiers' path when
+    /// [`typed_fold_class`] is `Some(fold)`: elements reach the
+    /// monomorphized accumulator unboxed, read off the source column (no
+    /// map) or out of the compiled map's registers. Read the result
+    /// afterwards with [`ReduceRunner::result_f`] or
+    /// [`ReduceRunner::result_i`] per the operation's result class.
+    pub(crate) fn slide_typed(&mut self, t: Time, fold: Class, map: Option<MapRun<'_>>) {
+        match (fold, map) {
+            (Class::F, None) => self.slide(t, &mut ColumnFold::<f64>(PhantomData)),
+            (Class::I, None) => self.slide(t, &mut ColumnFold::<i64>(PhantomData)),
+            (Class::F, Some(run)) => {
+                self.slide(t, &mut MappedFold::<f64> { run, elem: PhantomData })
+            }
+            (Class::I, Some(run)) => {
+                self.slide(t, &mut MappedFold::<i64> { run, elem: PhantomData })
+            }
+            _ => unreachable!("typed fold classes are F and I"),
+        }
     }
 
     /// The unboxed `f64` result after a typed slide (`None` = φ).
@@ -703,143 +969,62 @@ impl<'a> ReduceRunner<'a> {
         self.state.result_i(self.count)
     }
 
-    fn slide(&mut self, t: Time, fold: &mut FoldKind) {
+    fn slide(&mut self, t: Time, fold: &mut impl Fold) {
         let new_lo = t + self.spec.lo;
         let new_hi = t + self.spec.hi;
+        let ends = self.ends;
         if !self.initialized {
             self.initialized = true;
             // Position the indices at the first span that could overlap.
-            let spans = self.src.spans();
-            self.evict_idx = spans.partition_point(|s| s.t_end <= new_lo);
+            self.evict_idx = ends.partition_point(|&e| e <= new_lo);
             self.enter_idx = self.evict_idx;
             self.cur_hi = new_lo;
         }
         debug_assert!(new_hi >= self.cur_hi, "reduce window must advance monotonically");
+        self.cur_hi = new_hi;
 
-        if self.state.invertible() {
-            debug_assert_eq!(
-                self.cache.len(),
-                self.enter_idx - self.evict_idx,
-                "fold cache must mirror the in-window span range"
-            );
-            self.enter_until(new_hi, fold);
-            self.evict_until(new_lo);
+        // Spans `[k, ..)` end inside or after the new window.
+        let k = skip_while(ends, self.evict_idx, |e| e <= new_lo);
+        let live_stays = self.nulls.next_non_null(k).is_some_and(|i| i < self.enter_idx);
+        if !live_stays || !self.state.invertible() {
+            // Nothing that was folded stays in the window (or the
+            // accumulator cannot subtract): reset instead of subtracting,
+            // and start over from the spans ahead — past any φ spans that
+            // linger across the edge, or from `k` to recompute.
+            self.clear();
+            let restart = if self.state.invertible() { self.enter_idx.max(k) } else { k };
+            self.evict_idx = restart;
+            self.enter_idx = restart;
         } else {
-            // Recompute the window from scratch. (The cache is unused on
-            // this path: map re-execution is inherent to recomputation.)
+            fold.evict(self, self.evict_idx..k);
+            self.evict_idx = k;
+            if self.state.is_deque() {
+                self.state.evict_expired(new_lo);
+            }
+        }
+
+        // Spans `[.., j)` start before the new window's end: span `i`
+        // starts at `ends[i - 1]`, the first one at the buffer start.
+        let j = if self.enter_idx == 0 && self.start >= new_hi {
+            0
+        } else {
+            let from = self.enter_idx.max(1) - 1;
+            (skip_while(ends, from, |e| e < new_hi) + 1).min(ends.len())
+        };
+        if j > self.enter_idx {
+            fold.enter(self, self.enter_idx..j);
+            self.enter_idx = j;
+        }
+    }
+
+    /// Empties the accumulator and the rings.
+    fn clear(&mut self) {
+        if self.enter_idx > self.evict_idx {
             self.state.reset(&self.spec.op, self.class);
             self.count = 0;
-            let spans = self.src.spans();
-            let first = spans.partition_point(|s| s.t_end <= new_lo);
-            let mut i = first;
-            while i < spans.len() && self.src.span_start(i) < new_hi {
-                self.fold(&spans[i].value, spans[i].t_end, fold);
-                i += 1;
-            }
-            // Keep indices roughly in sync for next_enter/evict queries.
-            self.evict_idx = first;
-            self.enter_idx = i;
-        }
-        self.cur_hi = new_hi;
-    }
-
-    fn enter_until(&mut self, new_hi: Time, fold: &mut FoldKind) {
-        let spans = self.src.spans();
-        while self.enter_idx < spans.len() && self.src.span_start(self.enter_idx) < new_hi {
-            let span = &spans[self.enter_idx];
-            let folded = self.fold(&span.value, span.t_end, fold);
-            self.cache.push_back(folded);
-            self.enter_idx += 1;
-        }
-    }
-
-    /// Eviction never consults the map: each span's fold outcome was
-    /// cached when it entered.
-    fn evict_until(&mut self, new_lo: Time) {
-        if self.state.is_deque() {
-            self.state.evict_expired(new_lo);
-            // Recount: expired entries were counted on entry; maintain count
-            // by advancing evict_idx over fully expired spans.
-            let spans = self.src.spans();
-            while self.evict_idx < spans.len() && spans[self.evict_idx].t_end <= new_lo {
-                if self.pop_folded() {
-                    self.count -= 1;
-                }
-                self.evict_idx += 1;
-            }
-            return;
-        }
-        let spans = self.src.spans();
-        while self.evict_idx < spans.len() && spans[self.evict_idx].t_end <= new_lo {
-            if self.pop_folded() {
-                self.count -= 1;
-            }
-            self.evict_idx += 1;
-        }
-    }
-
-    /// Pops the oldest cached fold outcome, subtracting it from
-    /// non-deque accumulators. Returns whether the span had been counted.
-    fn pop_folded(&mut self) -> bool {
-        // Only spans that actually entered have cache entries; spans the
-        // initial partition_point skipped never did.
-        if self.evict_idx >= self.enter_idx {
-            return false;
-        }
-        match self.cache.pop_front().expect("cache aligned with [evict_idx, enter_idx)") {
-            Folded::Skip => false,
-            Folded::Boxed(v) => {
-                if !self.state.is_deque() {
-                    self.state.remove(&v);
-                }
-                true
-            }
-            Folded::F(x) => {
-                if !self.state.is_deque() {
-                    self.state.remove_f(x);
-                }
-                true
-            }
-            Folded::I(x) => {
-                if !self.state.is_deque() {
-                    self.state.remove_i(x);
-                }
-                true
-            }
-        }
-    }
-
-    fn fold(&mut self, value: &Value, expire: Time, fold: &mut FoldKind) -> Folded {
-        if value.is_null() {
-            return Folded::Skip;
-        }
-        match fold {
-            FoldKind::Dyn(map) => {
-                let mv = map(value);
-                if mv.is_null() {
-                    Folded::Skip
-                } else {
-                    self.state.add(&mv, expire);
-                    self.count += 1;
-                    Folded::Boxed(mv)
-                }
-            }
-            FoldKind::F(map) => match map(value) {
-                None => Folded::Skip,
-                Some(x) => {
-                    self.state.add_f(x, expire);
-                    self.count += 1;
-                    Folded::F(x)
-                }
-            },
-            FoldKind::I(map) => match map(value) {
-                None => Folded::Skip,
-                Some(x) => {
-                    self.state.add_i(x, expire);
-                    self.count += 1;
-                    Folded::I(x)
-                }
-            },
+            self.ring_v.clear();
+            self.ring_f.clear();
+            self.ring_i.clear();
         }
     }
 }
@@ -1006,10 +1191,13 @@ mod tests {
         let mut runs = 0u64;
         let mut out = Vec::new();
         for t in 1..=13 {
-            out.push(runner.eval_at_with(Time::new(t), &mut |v| {
-                runs += 1;
-                v.clone()
-            }));
+            out.push(runner.eval_at_with(
+                Time::new(t),
+                Some(&mut |v: &Value| {
+                    runs += 1;
+                    v.clone()
+                }),
+            ));
         }
         assert_eq!(runs, 10, "fused map must run once per element, not once per evict too");
         // And the results are still the correct sliding sums.
@@ -1027,10 +1215,13 @@ mod tests {
         let mut runner = ReduceRunner::new(&s, &src);
         let mut runs = 0u64;
         for t in 1..=12 {
-            runner.eval_at_with(Time::new(t), &mut |v| {
-                runs += 1;
-                v.clone()
-            });
+            runner.eval_at_with(
+                Time::new(t),
+                Some(&mut |v: &Value| {
+                    runs += 1;
+                    v.clone()
+                }),
+            );
         }
         assert_eq!(runs, 10);
     }
@@ -1045,8 +1236,8 @@ mod tests {
             let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F));
             assert_eq!(typr.fold_class(), Some(Class::F));
             for t in 1..=25 {
-                let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
-                typr.slide_f(Time::new(t), &mut |v| v.as_f64());
+                let d = dynr.eval_at_with(Time::new(t), None);
+                typr.slide_typed(Time::new(t), Class::F, None);
                 let ty = typr.result_f().map(Value::Float).unwrap_or(Value::Null);
                 assert_eq!(d, ty, "op {} t={t}", s.op.name());
             }
@@ -1056,8 +1247,8 @@ mod tests {
         let mut dynr = ReduceRunner::new(&s, &src);
         let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F));
         for t in 1..=25 {
-            let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
-            typr.slide_f(Time::new(t), &mut |v| v.as_f64());
+            let d = dynr.eval_at_with(Time::new(t), None);
+            typr.slide_typed(Time::new(t), Class::F, None);
             let ty = typr.result_i().map(Value::Int).unwrap_or(Value::Null);
             assert_eq!(d, ty, "count t={t}");
         }
@@ -1067,8 +1258,8 @@ mod tests {
             let mut dynr = ReduceRunner::new(&s, &src);
             let mut typr = ReduceRunner::with_elem_class(&s, &src, Some(Class::F));
             for t in 1..=25 {
-                let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
-                typr.slide_f(Time::new(t), &mut |v| v.as_f64());
+                let d = dynr.eval_at_with(Time::new(t), None);
+                typr.slide_typed(Time::new(t), Class::F, None);
                 let ty = typr.result_f().map(Value::Float).unwrap_or(Value::Null);
                 assert_eq!(d, ty, "op {} t={t}", s.op.name());
             }
@@ -1087,8 +1278,8 @@ mod tests {
             assert_eq!(typr.fold_class(), Some(Class::I));
             let res_class = typed_result_class(&s.op, Some(Class::I)).unwrap();
             for t in 1..=20 {
-                let d = dynr.eval_at_with(Time::new(t), &mut |v| v.clone());
-                typr.slide_i(Time::new(t), &mut |v| v.as_i64());
+                let d = dynr.eval_at_with(Time::new(t), None);
+                typr.slide_typed(Time::new(t), Class::I, None);
                 let ty = match res_class {
                     Class::F => typr.result_f().map(Value::Float).unwrap_or(Value::Null),
                     Class::I => typr.result_i().map(Value::Int).unwrap_or(Value::Null),

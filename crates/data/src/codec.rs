@@ -211,9 +211,9 @@ impl Enc {
     pub fn ssbuf(&mut self, buf: &SnapshotBuf<Value>) {
         self.time(buf.start());
         self.u32(buf.len() as u32);
-        for span in buf.spans() {
-            self.time(span.t_end);
-            self.value(&span.value);
+        for (iv, value) in buf.iter() {
+            self.time(iv.end);
+            self.value(&value);
         }
     }
 }

@@ -8,8 +8,9 @@
 //! * [`Value`] — dynamically typed payloads with the paper's φ (null)
 //!   propagation semantics;
 //! * [`Event`] — payload + validity interval, the event-centric view;
-//! * [`SnapshotBuf`] — change-point encoded temporal objects (paper §6.1.1),
-//!   the time-centric view, plus the [`SsCursor`] used by generated kernels;
+//! * [`SnapshotBuf`] — change-point encoded temporal objects (paper §6.1.1)
+//!   in typed columns, the time-centric view, plus the [`SsCursor`] used by
+//!   generated kernels;
 //! * [`codec`] — the one byte layout of all of the above, shared by
 //!   snapshot files and wire frames.
 //!
@@ -40,8 +41,8 @@ pub use event::{
     coalesce, count_in_range, sort_stream, stream_extent, streams_close, streams_equivalent,
     validate_stream, values_close, Event,
 };
-pub use mask::NullMask;
-pub use ssbuf::{BufPool, SnapshotBuf, Span, SsCursor};
+pub use mask::{Live, NullMask};
+pub use ssbuf::{BufPool, ColWriter, ColumnRef, SnapshotBuf, Span, SsCursor};
 pub use time::{Time, TimeRange};
 pub use value::Value;
 

@@ -1,22 +1,29 @@
-//! Null masks for typed register files and batched lane columns.
+//! Null masks: φ flags for typed register files, batched lane columns and
+//! snapshot-buffer value columns.
 //!
 //! The typed kernel tier in `tilt-core` executes numeric expressions over
-//! unboxed `f64`/`i64`/`bool` registers; φ ("no value") then lives out of
-//! band in a [`NullMask`] — one flag per slot — instead of inside a
-//! tagged [`crate::Value`], so the hot loop never touches the payload enum
-//! to test for φ.
+//! unboxed `f64`/`i64`/`bool` registers, and [`crate::SnapshotBuf`] stores
+//! its values in unboxed columns; φ ("no value") then lives out of band in
+//! a [`NullMask`] — one flag per slot — instead of inside a tagged
+//! [`crate::Value`], so hot loops never touch the payload enum to test
+//! for φ.
 //!
 //! Flags are bit-packed into `u64` words. The per-tick tier pays one
 //! read-modify-write per flag store (measured in the noise next to the
-//! dispatch loop around it), and in exchange the *batched* tier gets what
-//! byte-backed flags cannot give: word-level φ algebra. A mask over a run
-//! of ticks answers [`NullMask::none_null`] / [`NullMask::all_null`] with
-//! one branch per 64 slots, combines operand masks with
-//! [`NullMask::set_or`] a word at a time, and fills span-shaped runs with
-//! [`NullMask::set_range`] — so φ propagation over a batch of lanes costs
-//! O(lanes / 64) instead of one flag per lane per operation.
+//! dispatch loop around it), and in exchange everything that works on
+//! *runs* gets what byte-backed flags cannot give: word-level φ algebra. A
+//! mask over a run of ticks answers [`NullMask::none_null`] /
+//! [`NullMask::all_null`] with one branch per 64 slots, combines operand
+//! masks with [`NullMask::set_or`] a word at a time, fills span-shaped runs
+//! with [`NullMask::set_range`], and finds the next live slot of a φ-heavy
+//! column with [`NullMask::next_non_null`] — so φ handling over a batch
+//! costs O(slots / 64) instead of one flag per slot per operation.
+//!
+//! A mask also grows: [`NullMask::push`] and [`NullMask::extend_from`]
+//! append flags, which is how snapshot buffers keep theirs beside the
+//! value column.
 
-/// A fixed-capacity null mask with one flag per slot (`true` = φ).
+/// A null mask with one flag per slot (`true` = φ).
 ///
 /// # Examples
 ///
@@ -173,6 +180,166 @@ impl NullMask {
         }
     }
 
+    /// Appends one slot.
+    #[inline]
+    pub fn push(&mut self, null: bool) {
+        let bit = self.len % W;
+        if bit == 0 {
+            self.words.push(null as u64);
+        } else if null {
+            *self.words.last_mut().expect("a partial word exists") |= 1u64 << bit;
+        }
+        self.len += 1;
+    }
+
+    /// Appends `n ≤ 64` slots at once: the low `n` bits of `bits`, lowest
+    /// first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds 64.
+    #[inline]
+    pub fn push_bits(&mut self, bits: u64, n: usize) {
+        assert!(n <= W, "push_bits: {n} slots do not fit one word");
+        if n == 0 {
+            return;
+        }
+        let bits = if n == W { bits } else { bits & ((1u64 << n) - 1) };
+        let off = self.len % W;
+        if off == 0 {
+            self.words.push(bits);
+        } else {
+            *self.words.last_mut().expect("a partial word exists") |= bits << off;
+            if off + n > W {
+                self.words.push(bits >> (W - off));
+            }
+        }
+        self.len += n;
+    }
+
+    /// Slots `pos..pos + n` (`n ≤ 64`) as the low bits of one word.
+    #[inline]
+    fn bits_at(&self, pos: usize, n: usize) -> u64 {
+        debug_assert!(n <= W && pos + n <= self.len);
+        if n == 0 {
+            return 0;
+        }
+        let (w, off) = (pos / W, pos % W);
+        let mut bits = self.words[w] >> off;
+        if off + n > W {
+            bits |= self.words[w + 1] << (W - off);
+        }
+        if n == W {
+            bits
+        } else {
+            bits & ((1u64 << n) - 1)
+        }
+    }
+
+    /// Appends `n` slots, all `null`.
+    pub fn extend_fill(&mut self, n: usize, null: bool) {
+        let fill = if null { !0u64 } else { 0 };
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(W);
+            self.push_bits(fill, take);
+            left -= take;
+        }
+    }
+
+    /// Appends slots `lo..hi` of `src`, a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi` exceeds `src`'s length or `lo > hi`.
+    pub fn extend_from(&mut self, src: &NullMask, lo: usize, hi: usize) {
+        assert!(lo <= hi && hi <= src.len, "range {lo}..{hi} out of bounds (len {})", src.len);
+        self.words.reserve((hi - lo).div_ceil(W));
+        let mut pos = lo;
+        while pos < hi {
+            let take = (hi - pos).min(W);
+            self.push_bits(src.bits_at(pos, take), take);
+            pos += take;
+        }
+    }
+
+    /// Removes every slot, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
+    }
+
+    /// Reserves room for `additional` more slots.
+    pub fn reserve(&mut self, additional: usize) {
+        self.words.reserve((self.len + additional).div_ceil(W).saturating_sub(self.words.len()));
+    }
+
+    /// The first non-null slot at or after `from`, if any — the φ-skipping
+    /// scan: a run of 64 null slots costs one compare.
+    #[inline]
+    pub fn next_non_null(&self, from: usize) -> Option<usize> {
+        self.next_flag(from, false)
+    }
+
+    /// The first null slot at or after `from`, if any.
+    #[inline]
+    pub fn next_null(&self, from: usize) -> Option<usize> {
+        self.next_flag(from, true)
+    }
+
+    #[inline]
+    fn next_flag(&self, from: usize, null: bool) -> Option<usize> {
+        if from >= self.len {
+            return None;
+        }
+        let flip = if null { 0 } else { !0u64 };
+        let mut w = from / W;
+        // Bits below `from` in the first word are not candidates.
+        let mut word = (self.words[w] ^ flip) & (!0u64 << (from % W));
+        loop {
+            if word != 0 {
+                let i = w * W + word.trailing_zeros() as usize;
+                // Unused high bits of the last word read as non-null.
+                return (i < self.len).then_some(i);
+            }
+            w += 1;
+            if w == self.words.len() {
+                return None;
+            }
+            word = self.words[w] ^ flip;
+        }
+    }
+
+    /// Iterates the non-null slots of `lo..hi` in order, a word at a time:
+    /// 64 null slots cost one compare, each live slot one
+    /// count-trailing-zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi` exceeds the mask length or `lo > hi`.
+    pub fn live(&self, lo: usize, hi: usize) -> Live<'_> {
+        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds (len {})", self.len);
+        let bits = if lo < hi { !self.words[lo / W] & (!0u64 << (lo % W)) } else { 0 };
+        Live { words: &self.words, word: lo / W, bits, hi }
+    }
+
+    /// Number of null slots in `lo..hi`, by word popcount.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi` exceeds the mask length or `lo > hi`.
+    pub fn count_null(&self, lo: usize, hi: usize) -> usize {
+        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds (len {})", self.len);
+        let mut n = 0;
+        let mut pos = lo;
+        while pos < hi {
+            let take = (hi - pos).min(W);
+            n += self.bits_at(pos, take).count_ones() as usize;
+            pos += take;
+        }
+        n
+    }
+
     /// Overwrites the first `n` slots with `a[i] | b[i]` — the φ
     /// propagation rule of binary typed operations, one word at a time.
     ///
@@ -196,6 +363,81 @@ impl NullMask {
         self.words[..n.div_ceil(W)].copy_from_slice(&src.words[..n.div_ceil(W)]);
     }
 
+    /// Overwrites the first `n` slots with slots `lo..lo + n` of `src`, a
+    /// word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds this mask or `lo + n` exceeds `src`.
+    pub fn copy_range(&mut self, src: &NullMask, lo: usize, n: usize) {
+        assert!(n <= self.len && lo + n <= src.len, "copy_range: {lo}+{n} out of bounds");
+        let mut pos = 0;
+        while pos < n {
+            let take = (n - pos).min(W);
+            let bits = src.bits_at(lo + pos, take);
+            let w = &mut self.words[pos / W];
+            *w = if take == W { bits } else { (*w & (!0u64 << take)) | bits };
+            pos += take;
+        }
+    }
+
+    /// Merges slots `lo..lo + n` of `src` into the first `n` slots
+    /// (`self[i] |= src[lo + i]`), a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds this mask or `lo + n` exceeds `src`.
+    pub fn or_range(&mut self, src: &NullMask, lo: usize, n: usize) {
+        assert!(n <= self.len && lo + n <= src.len, "or_range: {lo}+{n} out of bounds");
+        let mut pos = 0;
+        while pos < n {
+            let take = (n - pos).min(W);
+            self.words[pos / W] |= src.bits_at(lo + pos, take);
+            pos += take;
+        }
+    }
+
+    /// Removes the first `n` slots, shifting the rest down.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the mask length.
+    pub fn drain_front(&mut self, n: usize) {
+        assert!(n <= self.len, "drain_front: {n} out of bounds (len {})", self.len);
+        let len = self.len - n;
+        // Word `w` is read at or ahead of where it is written.
+        for w in 0..len.div_ceil(W) {
+            self.words[w] = self.bits_at(n + w * W, (len - w * W).min(W));
+        }
+        self.words.truncate(len.div_ceil(W));
+        self.len = len;
+    }
+
+    /// Storage word `w`: the flags of slots `64·w .. 64·w + 64`, lowest
+    /// slot in the lowest bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is out of bounds.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// Overwrites storage word `w` (flags past the mask's length are
+    /// dropped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is out of bounds.
+    #[inline]
+    pub fn set_word(&mut self, w: usize, bits: u64) {
+        self.words[w] = bits;
+        if w + 1 == self.words.len() {
+            self.trim_tail();
+        }
+    }
+
     /// Merges `src`'s first `n` nulls into this mask (`self |= src`).
     ///
     /// # Panics
@@ -206,6 +448,41 @@ impl NullMask {
         for w in 0..n.div_ceil(W) {
             self.words[w] |= src.words[w];
         }
+    }
+}
+
+/// Iterator over the non-null slots of a range; see [`NullMask::live`].
+#[derive(Clone, Debug)]
+pub struct Live<'a> {
+    words: &'a [u64],
+    /// Index of the word `bits` was taken from.
+    word: usize,
+    /// Unvisited live slots of the current word, as set bits.
+    bits: u64,
+    hi: usize,
+}
+
+impl Iterator for Live<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            if self.word * W >= self.hi {
+                return None;
+            }
+            self.bits = !self.words[self.word];
+        }
+        let i = self.word * W + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        // The last word may reach past `hi`.
+        if i >= self.hi {
+            self.bits = 0;
+            self.word = self.hi.div_ceil(W);
+            return None;
+        }
+        Some(i)
     }
 }
 

@@ -1,17 +1,30 @@
 //! Snapshot buffers: the physical encoding of temporal objects (paper §6.1.1).
 //!
 //! A temporal object is a piecewise-constant function of time. A
-//! [`SnapshotBuf`] stores only the *changes* of that function: an ordered
-//! sequence of spans `(t_end, value)` where span *i* carries `value` over
-//! `(t_end[i-1], t_end[i]]` (the first span starts at the buffer's start
-//! time). Gaps — times with no active event — are explicit φ spans, exactly
-//! as in Fig. 5 of the paper.
+//! [`SnapshotBuf`] stores only the *changes* of that function, as flat
+//! parallel columns: `ends[i]` is the inclusive end of span *i*, which
+//! carries its value over `(ends[i-1], ends[i]]` (the first span starts at
+//! the buffer's start time). Gaps — times with no active event — are
+//! explicit φ spans, exactly as in Fig. 5 of the paper.
+//!
+//! Values live in **one typed column chosen by the data**: the first non-φ
+//! payload fixes the class — `i64`, `f64` or `bool`, stored unboxed — and φ
+//! lives out of band in a word-level [`NullMask`] beside it, so a kernel
+//! reads a buffer as plain slices ([`SnapshotBuf::ends`],
+//! [`SnapshotBuf::column`], [`SnapshotBuf::nulls`]) and skips φ a mask word
+//! at a time. `Str`/`Tuple` payloads, and streams that mix classes, use a
+//! boxed [`Value`] column instead; a typed buffer that meets a payload of
+//! another class is *demoted* to it (one copy, every span preserved). The
+//! representation is not observable through equality or the byte codec: an
+//! `i64` column equals a boxed column holding the same `Int`s.
 
 use std::fmt;
 
-use crate::{coalesce, Event, Payload, Time, TimeRange};
+use crate::{Event, NullMask, Time, TimeRange, Value};
 
-/// One entry of a snapshot buffer: `value` holds until `t_end` (inclusive).
+/// One entry of a snapshot buffer, materialized: `value` holds until
+/// `t_end` (inclusive). Buffers store columns, not spans; see
+/// [`SnapshotBuf::spans`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Span<P> {
     /// Inclusive end of the span.
@@ -20,12 +33,90 @@ pub struct Span<P> {
     pub value: P,
 }
 
+/// The value column of a snapshot buffer. Slots of φ spans hold a
+/// placeholder (`0`, `0.0`, `false`, `Value::Null`) or, in kernel outputs,
+/// whatever the lane computed; the buffer's [`NullMask`] is the authority.
+#[derive(Clone, Debug)]
+enum Vals<P> {
+    /// No payload has fixed the class: every span so far is φ. Allocates
+    /// nothing.
+    None,
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+    Bool(Vec<bool>),
+    /// `Str`/`Tuple` payloads and mixed-class streams.
+    Boxed(Vec<P>),
+}
+
+/// A borrowed view of a buffer's value column, one slice per class. Slot
+/// `i` is meaningful only where [`SnapshotBuf::nulls`] is clear.
+#[derive(Clone, Copy, Debug)]
+pub enum ColumnRef<'a> {
+    /// Every span is φ.
+    Null,
+    /// Unboxed integers.
+    I64(&'a [i64]),
+    /// Unboxed floats.
+    F64(&'a [f64]),
+    /// Unboxed booleans.
+    Bool(&'a [bool]),
+    /// Boxed payloads (φ slots hold [`Value::Null`]).
+    Boxed(&'a [Value]),
+}
+
+impl ColumnRef<'_> {
+    /// Slot `i` as a float, coercing integers exactly as [`Value::as_f64`]
+    /// does; `None` for any other class. The caller has checked the mask.
+    #[inline]
+    pub fn f64_at(&self, i: usize) -> Option<f64> {
+        match self {
+            ColumnRef::F64(v) => Some(v[i]),
+            ColumnRef::I64(v) => Some(v[i] as f64),
+            ColumnRef::Boxed(v) => v[i].as_f64(),
+            ColumnRef::Bool(_) | ColumnRef::Null => None,
+        }
+    }
+
+    /// Slot `i` as an integer; `None` for any other class.
+    #[inline]
+    pub fn i64_at(&self, i: usize) -> Option<i64> {
+        match self {
+            ColumnRef::I64(v) => Some(v[i]),
+            ColumnRef::Boxed(v) => v[i].as_i64(),
+            _ => None,
+        }
+    }
+
+    /// Slot `i` as a boolean; `None` for any other class.
+    #[inline]
+    pub fn bool_at(&self, i: usize) -> Option<bool> {
+        match self {
+            ColumnRef::Bool(v) => Some(v[i]),
+            ColumnRef::Boxed(v) => v[i].as_bool(),
+            _ => None,
+        }
+    }
+
+    /// Slot `i` boxed (a register move for the unboxed classes).
+    #[inline]
+    pub fn value_at(&self, i: usize) -> Value {
+        match self {
+            ColumnRef::Null => Value::Null,
+            ColumnRef::I64(v) => Value::Int(v[i]),
+            ColumnRef::F64(v) => Value::Float(v[i]),
+            ColumnRef::Bool(v) => Value::Bool(v[i]),
+            ColumnRef::Boxed(v) => v[i].clone(),
+        }
+    }
+}
+
 /// A snapshot buffer: the change-point encoding of a temporal object.
 ///
 /// Invariants (checked in debug builds, preserved by all constructors):
 ///
 /// * span end times are strictly increasing and all greater than `start`;
-/// * outside `(start, end]` the object is φ.
+/// * outside `(start, end]` the object is φ;
+/// * the end, mask and value columns have one slot per span.
 ///
 /// Adjacent spans *may* carry equal values: the paper's reduction functions
 /// fold each snapshot once (eq. 3 folds the *values* the object assumes, one
@@ -44,21 +135,115 @@ pub struct Span<P> {
 /// assert_eq!(buf.value_at(Time::new(7)), Value::Float(1.0));
 /// assert_eq!(buf.value_at(Time::new(11)), Value::Null);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct SnapshotBuf<P> {
     start: Time,
-    spans: Vec<Span<P>>,
+    ends: Vec<Time>,
+    nulls: NullMask,
+    vals: Vals<P>,
 }
 
-impl<P: Payload> SnapshotBuf<P> {
+/// Body of the typed-writer constructors: reset, make the value column the
+/// named class (keeping its allocation when it already is), borrow it.
+macro_rules! typed_writer {
+    ($buf:ident, $start:ident, $variant:ident) => {{
+        $buf.reset($start);
+        if !matches!($buf.vals, Vals::$variant(_)) {
+            $buf.vals = Vals::$variant(Vec::with_capacity($buf.ends.capacity()));
+        }
+        let Vals::$variant(vals) = &mut $buf.vals else { unreachable!("class set above") };
+        ColWriter { start: $start, ends: &mut $buf.ends, nulls: &mut $buf.nulls, vals }
+    }};
+}
+
+/// An event's interval, restricted to `clip` when there is one.
+#[inline]
+fn clipped(e: &Event<Value>, clip: Option<TimeRange>) -> TimeRange {
+    match clip {
+        Some(range) => e.interval().intersect(&range),
+        None => e.interval(),
+    }
+}
+
+/// Appends the longest prefix of `events` whose payloads `unbox` to the
+/// `T`-typed column, φ-filling gaps; returns how many events that was.
+/// Spans are staged 64 at a time — one mask word — so the columns grow by
+/// slice appends, not by three capacity checks per span.
+fn extend_run<T: Copy + Default>(
+    start: Time,
+    ends: &mut Vec<Time>,
+    nulls: &mut NullMask,
+    vals: &mut Vec<T>,
+    events: &[Event<Value>],
+    clip: Option<TimeRange>,
+    unbox: impl Fn(&Value) -> Option<T>,
+) -> usize {
+    const STAGE: usize = 64;
+    let mut staged_ends = [Time::ZERO; STAGE];
+    let mut staged_vals = [T::default(); STAGE];
+    let (mut staged_nulls, mut n) = (0u64, 0usize);
+    let mut end = ends.last().copied().unwrap_or(start);
+    let mut flush = |staged_ends: &[Time], staged_vals: &[T], staged_nulls: u64| {
+        ends.extend_from_slice(staged_ends);
+        vals.extend_from_slice(staged_vals);
+        nulls.push_bits(staged_nulls, staged_ends.len());
+    };
+    let mut taken = events.len();
+    for (i, e) in events.iter().enumerate() {
+        let Some(x) = unbox(&e.payload) else {
+            taken = i;
+            break;
+        };
+        let iv = clipped(e, clip);
+        if iv.is_empty() {
+            continue;
+        }
+        // An event stages at most two spans.
+        if n + 2 > STAGE {
+            flush(&staged_ends[..n], &staged_vals[..n], staged_nulls);
+            (staged_nulls, n) = (0, 0);
+        }
+        if iv.start > end {
+            staged_ends[n] = iv.start;
+            staged_vals[n] = T::default();
+            staged_nulls |= 1 << n;
+            n += 1;
+        }
+        assert!(iv.end > end, "span end {:?} must advance past {end:?}", iv.end);
+        staged_ends[n] = iv.end;
+        staged_vals[n] = x;
+        n += 1;
+        end = iv.end;
+    }
+    flush(&staged_ends[..n], &staged_vals[..n], staged_nulls);
+    taken
+}
+
+impl SnapshotBuf<Value> {
     /// Creates an empty buffer whose first span will begin at `start`.
+    /// Allocates nothing.
     pub fn new(start: Time) -> Self {
-        SnapshotBuf { start, spans: Vec::new() }
+        SnapshotBuf { start, ends: Vec::new(), nulls: NullMask::default(), vals: Vals::None }
     }
 
-    /// Creates an empty buffer with span capacity pre-allocated.
+    /// Creates an empty buffer with span capacity pre-allocated (the value
+    /// column is sized to match once a payload fixes its class).
     pub fn with_capacity(start: Time, capacity: usize) -> Self {
-        SnapshotBuf { start, spans: Vec::with_capacity(capacity) }
+        let mut buf = SnapshotBuf::new(start);
+        buf.reserve(capacity);
+        buf
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.ends.reserve(additional);
+        self.nulls.reserve(additional);
+        match &mut self.vals {
+            Vals::None => {}
+            Vals::I64(v) => v.reserve(additional),
+            Vals::F64(v) => v.reserve(additional),
+            Vals::Bool(v) => v.reserve(additional),
+            Vals::Boxed(v) => v.reserve(additional),
+        }
     }
 
     /// Builds a buffer covering `range` from a sorted, non-overlapping event
@@ -67,37 +252,96 @@ impl<P: Payload> SnapshotBuf<P> {
     /// # Panics
     ///
     /// Panics (debug) if events are unsorted or overlapping.
-    pub fn from_events(events: &[Event<P>], range: TimeRange) -> Self {
+    pub fn from_events(events: &[Event<Value>], range: TimeRange) -> Self {
         debug_assert!(crate::validate_stream(events).is_ok(), "events must be sorted and disjoint");
-        let mut buf = SnapshotBuf::with_capacity(range.start, events.len() * 2 + 1);
-        for e in events {
-            let iv = e.interval().intersect(&range);
-            if iv.is_empty() {
-                continue;
-            }
-            if iv.start > buf.end() {
-                buf.push_raw(iv.start, P::null());
-            }
-            buf.push_raw(iv.end, e.payload.clone());
-        }
+        let mut buf = SnapshotBuf::new(range.start);
+        buf.extend_from_events(events, Some(range));
         if buf.end() < range.end {
-            buf.push_raw(range.end, P::null());
+            buf.push_raw(range.end, Value::Null);
         }
         buf
     }
 
-    /// Extracts the non-φ spans as events (the inverse of
-    /// [`SnapshotBuf::from_events`] up to coalescing).
-    pub fn to_events(&self) -> Vec<Event<P>> {
-        let mut out = Vec::new();
-        let mut prev = self.start;
-        for s in &self.spans {
-            if !s.value.is_null() {
-                out.push(Event::new(prev, s.t_end, s.value.clone()));
+    /// Appends in-order events, φ-filling the gap before each one that
+    /// starts past the current end. With `clip`, events are first
+    /// restricted to that range (and dropped when nothing remains).
+    /// Reserves one span per event up front (plus one, for the closing φ
+    /// span [`SnapshotBuf::from_events`] adds) — all a gap-free stream uses,
+    /// so it carries no spare capacity — and grows only if gaps turn up;
+    /// counting them first would cost a second pass over the events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event does not end past the current end of the buffer.
+    pub fn extend_from_events(&mut self, events: &[Event<Value>], clip: Option<TimeRange>) {
+        self.reserve(events.len() + 1);
+
+        let mut rest = events;
+        while !rest.is_empty() {
+            // As many events as the typed column takes, in one tight loop.
+            let (start, ends, nulls) = (self.start, &mut self.ends, &mut self.nulls);
+            let taken = match &mut self.vals {
+                Vals::I64(v) => extend_run(start, ends, nulls, v, rest, clip, Value::as_i64),
+                Vals::F64(v) => extend_run(start, ends, nulls, v, rest, clip, |p| match p {
+                    // Not `as_f64`: an `Int` must not be stored as a float.
+                    Value::Float(x) => Some(*x),
+                    _ => None,
+                }),
+                Vals::Bool(v) => extend_run(start, ends, nulls, v, rest, clip, Value::as_bool),
+                Vals::None | Vals::Boxed(_) => 0,
+            };
+            rest = &rest[taken..];
+            // The next event is one the typed loop cannot take (φ payload,
+            // another class, no class yet): the general path stores it,
+            // fixing or demoting the class as needed.
+            if let Some((e, tail)) = rest.split_first() {
+                let iv = clipped(e, clip);
+                if !iv.is_empty() {
+                    if iv.start > self.end() {
+                        self.push_span(iv.start, &Value::Null);
+                    }
+                    self.push_span(iv.end, &e.payload);
+                }
+                rest = tail;
             }
-            prev = s.t_end;
         }
-        coalesce(&out)
+    }
+
+    /// Extracts the non-φ spans as events, merging adjacent spans that
+    /// carry identical values (the inverse of [`SnapshotBuf::from_events`]
+    /// up to coalescing). One pass over the columns.
+    pub fn to_events(&self) -> Vec<Event<Value>> {
+        fn emit(
+            buf: &SnapshotBuf<Value>,
+            same: impl Fn(usize, usize) -> bool,
+            boxed: impl Fn(usize) -> Value,
+        ) -> Vec<Event<Value>> {
+            let mut out: Vec<Event<Value>> = Vec::new();
+            // The span behind the last emitted event, while the next span
+            // can still extend it.
+            let mut open: Option<usize> = None;
+            let mut next = buf.nulls.next_non_null(0);
+            while let Some(i) = next {
+                match open {
+                    Some(j) if j + 1 == i && same(j, i) => {
+                        out.last_mut().expect("an open event was emitted").end = buf.ends[i];
+                    }
+                    _ => out.push(Event::new(buf.span_start(i), buf.ends[i], boxed(i))),
+                }
+                open = Some(i);
+                next = buf.nulls.next_non_null(i + 1);
+            }
+            out
+        }
+        match &self.vals {
+            Vals::None => Vec::new(),
+            Vals::I64(v) => emit(self, |a, b| v[a] == v[b], |i| Value::Int(v[i])),
+            Vals::F64(v) => {
+                emit(self, |a, b| v[a].to_bits() == v[b].to_bits(), |i| Value::Float(v[i]))
+            }
+            Vals::Bool(v) => emit(self, |a, b| v[a] == v[b], |i| Value::Bool(v[i])),
+            Vals::Boxed(v) => emit(self, |a, b| v[a].same(&v[b]), |i| v[i].clone()),
+        }
     }
 
     /// Appends a span ending at `t_end`, coalescing with the last span when
@@ -106,11 +350,17 @@ impl<P: Payload> SnapshotBuf<P> {
     /// # Panics
     ///
     /// Panics if `t_end` does not advance past the current end.
-    pub fn push(&mut self, t_end: Time, value: P) {
-        assert!(t_end > self.end(), "span end {t_end:?} must advance past {:?}", self.end());
-        match self.spans.last_mut() {
-            Some(last) if last.value.same(&value) => last.t_end = t_end,
-            _ => self.spans.push(Span { t_end, value }),
+    pub fn push(&mut self, t_end: Time, value: Value) {
+        match self.ends.len().checked_sub(1) {
+            Some(last) if self.slot_is(last, &value) => {
+                assert!(
+                    t_end > self.end(),
+                    "span end {t_end:?} must advance past {:?}",
+                    self.end()
+                );
+                self.ends[last] = t_end;
+            }
+            _ => self.push_span(t_end, &value),
         }
     }
 
@@ -120,17 +370,93 @@ impl<P: Payload> SnapshotBuf<P> {
     /// # Panics
     ///
     /// Panics if `t_end` does not advance past the current end.
-    pub fn push_raw(&mut self, t_end: Time, value: P) {
+    pub fn push_raw(&mut self, t_end: Time, value: Value) {
+        self.push_span(t_end, &value);
+    }
+
+    fn push_span(&mut self, t_end: Time, value: &Value) {
         assert!(t_end > self.end(), "span end {t_end:?} must advance past {:?}", self.end());
-        self.spans.push(Span { t_end, value });
+        self.ends.push(t_end);
+        self.push_slot(value);
+    }
+
+    /// Appends one slot to the mask and value columns.
+    #[inline]
+    fn push_slot(&mut self, value: &Value) {
+        match (&mut self.vals, value) {
+            (Vals::None, Value::Null) => {}
+            (Vals::I64(v), Value::Null) => v.push(0),
+            (Vals::F64(v), Value::Null) => v.push(0.0),
+            (Vals::Bool(v), Value::Null) => v.push(false),
+            (Vals::I64(v), Value::Int(x)) => v.push(*x),
+            (Vals::F64(v), Value::Float(x)) => v.push(*x),
+            (Vals::Bool(v), Value::Bool(x)) => v.push(*x),
+            (Vals::Boxed(v), x) => v.push(x.clone()),
+            (_, x) => return self.push_other_class(x),
+        }
+        self.nulls.push(matches!(value, Value::Null));
+    }
+
+    /// A non-φ payload the column cannot hold: it fixes the class when no
+    /// payload has yet (an all-φ prefix, or a recycled buffer), and demotes
+    /// the column to boxed otherwise.
+    #[cold]
+    fn push_other_class(&mut self, value: &Value) {
+        let n = self.nulls.len();
+        let cap = self.ends.capacity().max(n + 1);
+        fn filled<T: Clone>(fill: T, n: usize, cap: usize) -> Vec<T> {
+            let mut v = Vec::with_capacity(cap);
+            v.resize(n, fill);
+            v
+        }
+        if self.nulls.all_null(n) {
+            self.vals = match value {
+                Value::Int(_) => Vals::I64(filled(0, n, cap)),
+                Value::Float(_) => Vals::F64(filled(0.0, n, cap)),
+                Value::Bool(_) => Vals::Bool(filled(false, n, cap)),
+                _ => Vals::Boxed(filled(Value::Null, n, cap)),
+            };
+        } else {
+            let mut boxed = Vec::with_capacity(cap);
+            boxed.extend((0..n).map(|i| self.slot(i)));
+            self.vals = Vals::Boxed(boxed);
+        }
+        self.push_slot(value);
     }
 
     /// Resets the buffer to an empty state rooted at `start`, retaining the
-    /// span allocation. This is what lets hot emission paths recycle
-    /// buffers through a [`BufPool`] instead of reallocating every cycle.
+    /// column allocations. This is what lets hot emission paths recycle
+    /// buffers through a [`BufPool`] instead of reallocating every cycle. A
+    /// recycled buffer carries nothing over: its class is fixed afresh by
+    /// the next payload (or a typed writer).
     pub fn reset(&mut self, start: Time) {
         self.start = start;
-        self.spans.clear();
+        self.ends.clear();
+        self.nulls.clear();
+        match &mut self.vals {
+            Vals::None => {}
+            Vals::I64(v) => v.clear(),
+            Vals::F64(v) => v.clear(),
+            Vals::Bool(v) => v.clear(),
+            Vals::Boxed(v) => v.clear(),
+        }
+    }
+
+    /// Resets the buffer to `start` and hands out an append handle on an
+    /// `f64` value column: how typed kernels write their result column
+    /// directly, whatever class the buffer held before.
+    pub fn f64_writer(&mut self, start: Time) -> ColWriter<'_, f64> {
+        typed_writer!(self, start, F64)
+    }
+
+    /// Like [`SnapshotBuf::f64_writer`], for an `i64` value column.
+    pub fn i64_writer(&mut self, start: Time) -> ColWriter<'_, i64> {
+        typed_writer!(self, start, I64)
+    }
+
+    /// Like [`SnapshotBuf::f64_writer`], for a `bool` value column.
+    pub fn bool_writer(&mut self, start: Time) -> ColWriter<'_, bool> {
+        typed_writer!(self, start, Bool)
     }
 
     /// Exclusive start of the buffer's coverage.
@@ -142,7 +468,7 @@ impl<P: Payload> SnapshotBuf<P> {
     /// Inclusive end of the buffer's coverage (equals `start` when empty).
     #[inline]
     pub fn end(&self) -> Time {
-        self.spans.last().map_or(self.start, |s| s.t_end)
+        self.ends.last().copied().unwrap_or(self.start)
     }
 
     /// The covered range `(start, end]`.
@@ -154,38 +480,79 @@ impl<P: Payload> SnapshotBuf<P> {
     /// Number of spans (change points).
     #[inline]
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.ends.len()
     }
 
     /// Whether the buffer covers no time at all.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.ends.is_empty()
     }
 
-    /// The raw spans, ordered by end time.
+    /// The span end times, strictly increasing.
     #[inline]
-    pub fn spans(&self) -> &[Span<P>] {
-        &self.spans
+    pub fn ends(&self) -> &[Time] {
+        &self.ends
+    }
+
+    /// The φ flags, one per span.
+    #[inline]
+    pub fn nulls(&self) -> &NullMask {
+        &self.nulls
+    }
+
+    /// The value column.
+    #[inline]
+    pub fn column(&self) -> ColumnRef<'_> {
+        match &self.vals {
+            Vals::None => ColumnRef::Null,
+            Vals::I64(v) => ColumnRef::I64(v),
+            Vals::F64(v) => ColumnRef::F64(v),
+            Vals::Bool(v) => ColumnRef::Bool(v),
+            Vals::Boxed(v) => ColumnRef::Boxed(v),
+        }
+    }
+
+    /// The value of span `i`, boxed.
+    #[inline]
+    fn slot(&self, i: usize) -> Value {
+        if self.nulls.get(i) {
+            Value::Null
+        } else {
+            self.column().value_at(i)
+        }
+    }
+
+    /// Whether span `i` carries exactly `value` ([`Value::same`]).
+    fn slot_is(&self, i: usize, value: &Value) -> bool {
+        if self.nulls.get(i) {
+            return matches!(value, Value::Null);
+        }
+        match (&self.vals, value) {
+            (Vals::I64(v), Value::Int(x)) => v[i] == *x,
+            (Vals::F64(v), Value::Float(x)) => v[i].to_bits() == x.to_bits(),
+            (Vals::Bool(v), Value::Bool(x)) => v[i] == *x,
+            (Vals::Boxed(v), x) => v[i].same(x),
+            _ => false,
+        }
+    }
+
+    /// The spans materialized as `(t_end, value)` pairs, ordered by end
+    /// time — a copy for consumers at the API edge; kernels read
+    /// [`SnapshotBuf::ends`] and [`SnapshotBuf::column`] instead.
+    pub fn spans(&self) -> Vec<Span<Value>> {
+        (0..self.len()).map(|i| Span { t_end: self.ends[i], value: self.slot(i) }).collect()
     }
 
     /// Iterates `(interval, value)` pairs in time order.
-    pub fn iter(&self) -> impl Iterator<Item = (TimeRange, &P)> + '_ {
-        let mut prev = self.start;
-        self.spans.iter().map(move |s| {
-            let iv = TimeRange { start: prev, end: s.t_end };
-            prev = s.t_end;
-            (iv, &s.value)
-        })
+    pub fn iter(&self) -> impl Iterator<Item = (TimeRange, Value)> + '_ {
+        (0..self.len())
+            .map(|i| (TimeRange { start: self.span_start(i), end: self.ends[i] }, self.slot(i)))
     }
 
     /// The value of the temporal object at time `t` (φ outside coverage).
-    pub fn value_at(&self, t: Time) -> P {
-        if t <= self.start || t > self.end() {
-            return P::null();
-        }
-        let i = self.spans.partition_point(|s| s.t_end < t);
-        self.spans[i].value.clone()
+    pub fn value_at(&self, t: Time) -> Value {
+        self.span_index_at(t).map_or(Value::Null, |i| self.slot(i))
     }
 
     /// Index of the span containing `t`, if within coverage.
@@ -194,7 +561,7 @@ impl<P: Payload> SnapshotBuf<P> {
         if t <= self.start || t > self.end() {
             return None;
         }
-        Some(self.spans.partition_point(|s| s.t_end < t))
+        Some(self.ends.partition_point(|&e| e < t))
     }
 
     /// Exclusive start time of span `i`.
@@ -203,36 +570,50 @@ impl<P: Payload> SnapshotBuf<P> {
         if i == 0 {
             self.start
         } else {
-            self.spans[i - 1].t_end
+            self.ends[i - 1]
         }
     }
 
     /// Copies the restriction of the object to `range` into a fresh buffer
     /// (used by the batched/latency execution mode; the parallel executor
     /// reads the shared buffer in place instead).
-    pub fn slice(&self, range: TimeRange) -> SnapshotBuf<P> {
+    pub fn slice(&self, range: TimeRange) -> SnapshotBuf<Value> {
         let mut out = SnapshotBuf::new(range.start);
         self.slice_into(range, &mut out);
         out
     }
 
     /// Like [`SnapshotBuf::slice`], but writes into `out` (reset first),
-    /// reusing its span allocation. Hot emission paths recycle per-advance
-    /// output slices through a [`BufPool`] this way instead of allocating a
-    /// fresh buffer per advance.
-    pub fn slice_into(&self, range: TimeRange, out: &mut SnapshotBuf<P>) {
+    /// reusing its column allocations where the class matches. Hot emission
+    /// paths recycle per-advance output slices through a [`BufPool`] this
+    /// way instead of allocating a fresh buffer per advance.
+    pub fn slice_into(&self, range: TimeRange, out: &mut SnapshotBuf<Value>) {
         let range = range.intersect(&self.range().intersect(&TimeRange::ALL));
         out.reset(range.start);
         if range.is_empty() {
             return;
         }
-        let first = self.spans.partition_point(|s| s.t_end <= range.start);
-        for s in &self.spans[first..] {
-            let end = s.t_end.min(range.end);
-            out.push_raw(end, s.value.clone());
-            if end == range.end {
-                break;
-            }
+        let lo = self.ends.partition_point(|&e| e <= range.start);
+        // The span containing `range.end` is the last one copied.
+        let hi = lo + self.ends[lo..].partition_point(|&e| e < range.end) + 1;
+        out.ends.extend_from_slice(&self.ends[lo..hi]);
+        *out.ends.last_mut().expect("a non-empty range overlaps a span") = range.end;
+        out.nulls.extend_from(&self.nulls, lo, hi);
+        match (&mut out.vals, &self.vals) {
+            (Vals::I64(o), Vals::I64(v)) => o.extend_from_slice(&v[lo..hi]),
+            (Vals::F64(o), Vals::F64(v)) => o.extend_from_slice(&v[lo..hi]),
+            (Vals::Bool(o), Vals::Bool(v)) => o.extend_from_slice(&v[lo..hi]),
+            (Vals::Boxed(o), Vals::Boxed(v)) => o.extend_from_slice(&v[lo..hi]),
+            // An all-φ source: placeholders in whatever column `out` has.
+            (Vals::None, Vals::None) => {}
+            (Vals::I64(o), Vals::None) => o.resize(hi - lo, 0),
+            (Vals::F64(o), Vals::None) => o.resize(hi - lo, 0.0),
+            (Vals::Bool(o), Vals::None) => o.resize(hi - lo, false),
+            (Vals::Boxed(o), Vals::None) => o.resize(hi - lo, Value::Null),
+            (o, Vals::I64(v)) => *o = Vals::I64(v[lo..hi].to_vec()),
+            (o, Vals::F64(v)) => *o = Vals::F64(v[lo..hi].to_vec()),
+            (o, Vals::Bool(v)) => *o = Vals::Bool(v[lo..hi].to_vec()),
+            (o, Vals::Boxed(v)) => *o = Vals::Boxed(v[lo..hi].to_vec()),
         }
     }
 
@@ -240,14 +621,13 @@ impl<P: Payload> SnapshotBuf<P> {
     /// identity) changes: the buffer start if `t` precedes coverage, the end
     /// of the span containing/following `t` otherwise; `None` past the end.
     pub fn next_boundary_after(&self, t: Time) -> Option<Time> {
-        if self.spans.is_empty() || t >= self.end() {
+        if self.ends.is_empty() || t >= self.end() {
             return None;
         }
         if t < self.start {
             return Some(self.start);
         }
-        let i = self.spans.partition_point(|s| s.t_end <= t);
-        Some(self.spans[i].t_end)
+        Some(self.ends[self.ends.partition_point(|&e| e <= t)])
     }
 
     /// Concatenates partition outputs that tile `(start, end]` back into one
@@ -256,16 +636,18 @@ impl<P: Payload> SnapshotBuf<P> {
     /// # Panics
     ///
     /// Panics if the parts do not tile contiguously.
-    pub fn concat(parts: Vec<SnapshotBuf<P>>) -> SnapshotBuf<P> {
+    pub fn concat(parts: Vec<SnapshotBuf<Value>>) -> SnapshotBuf<Value> {
         let mut iter = parts.into_iter();
         let mut out = match iter.next() {
             Some(first) => first,
             None => return SnapshotBuf::new(Time::ZERO),
         };
-        for part in iter {
+        let rest: Vec<SnapshotBuf<Value>> = iter.collect();
+        out.reserve(rest.iter().map(SnapshotBuf::len).sum());
+        for part in rest {
             assert_eq!(part.start, out.end(), "partition outputs must tile contiguously");
-            for s in part.spans {
-                out.push(s.t_end, s.value);
+            for i in 0..part.len() {
+                out.push(part.ends[i], part.slot(i));
             }
         }
         out
@@ -274,18 +656,125 @@ impl<P: Payload> SnapshotBuf<P> {
     /// Checks the structural invariants; used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut prev = self.start;
-        for (i, s) in self.spans.iter().enumerate() {
-            if s.t_end <= prev {
-                return Err(format!("span {i} end {:?} does not advance past {prev:?}", s.t_end));
+        for (i, &end) in self.ends.iter().enumerate() {
+            if end <= prev {
+                return Err(format!("span {i} end {end:?} does not advance past {prev:?}"));
             }
-            prev = s.t_end;
+            prev = end;
+        }
+        let n = self.ends.len();
+        let col = match &self.vals {
+            Vals::None if self.nulls.all_null(self.nulls.len()) => n,
+            Vals::None => return Err("a non-φ span without a value column".into()),
+            Vals::I64(v) => v.len(),
+            Vals::F64(v) => v.len(),
+            Vals::Bool(v) => v.len(),
+            Vals::Boxed(v) => v.len(),
+        };
+        if self.nulls.len() != n || col != n {
+            return Err(format!("{n} spans, {} mask slots, {col} values", self.nulls.len()));
         }
         Ok(())
     }
 
     /// Whether no two adjacent spans carry equal values (fully coalesced).
     pub fn is_coalesced(&self) -> bool {
-        self.spans.windows(2).all(|w| !w[0].value.same(&w[1].value))
+        (1..self.len()).all(|i| !self.slot_is(i - 1, &self.slot(i)))
+    }
+}
+
+/// Content equality: same start, same span ends, same value per span
+/// ([`Value::same`], so floats compare bitwise) — whatever column each side
+/// stores them in.
+impl PartialEq for SnapshotBuf<Value> {
+    fn eq(&self, other: &Self) -> bool {
+        fn live_eq<T: Copy>(
+            nulls: &NullMask,
+            a: &[T],
+            b: &[T],
+            same: impl Fn(T, T) -> bool,
+        ) -> bool {
+            let mut next = nulls.next_non_null(0);
+            while let Some(i) = next {
+                if !same(a[i], b[i]) {
+                    return false;
+                }
+                next = nulls.next_non_null(i + 1);
+            }
+            true
+        }
+        if self.start != other.start || self.ends != other.ends || self.nulls != other.nulls {
+            return false;
+        }
+        match (&self.vals, &other.vals) {
+            (Vals::I64(a), Vals::I64(b)) => live_eq(&self.nulls, a, b, |x, y| x == y),
+            (Vals::F64(a), Vals::F64(b)) => {
+                live_eq(&self.nulls, a, b, |x, y| x.to_bits() == y.to_bits())
+            }
+            (Vals::Bool(a), Vals::Bool(b)) => live_eq(&self.nulls, a, b, |x, y| x == y),
+            _ => (0..self.len()).all(|i| other.slot_is(i, &self.slot(i))),
+        }
+    }
+}
+
+/// An append handle on a buffer whose value column holds `T`s, obtained
+/// from [`SnapshotBuf::f64_writer`] and its siblings: the class was decided once, so each append
+/// is three plain vector pushes.
+pub struct ColWriter<'a, T> {
+    start: Time,
+    ends: &'a mut Vec<Time>,
+    nulls: &'a mut NullMask,
+    vals: &'a mut Vec<T>,
+}
+
+impl<T: Copy + Default> ColWriter<'_, T> {
+    /// Inclusive end of what has been written (the start when nothing has).
+    #[inline]
+    pub fn end(&self) -> Time {
+        self.ends.last().copied().unwrap_or(self.start)
+    }
+
+    /// Appends a span ending at `t_end` (`None` = φ), preserving the
+    /// boundary like [`SnapshotBuf::push_raw`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_end` does not advance past the current end.
+    #[inline]
+    pub fn push(&mut self, t_end: Time, value: Option<T>) {
+        assert!(t_end > self.end(), "span end {t_end:?} must advance past {:?}", self.end());
+        self.ends.push(t_end);
+        self.nulls.push(value.is_none());
+        self.vals.push(value.unwrap_or_default());
+    }
+
+    /// Appends `vals.len()` spans in one go — a run of batched lanes: span
+    /// `j` ends at `first_end + j·step`, except the last, which ends at
+    /// `last_end`; `nulls` flags the lanes (slot `j` for span `j`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ends do not advance strictly or `nulls` is shorter
+    /// than `vals`.
+    pub fn extend_lanes(
+        &mut self,
+        first_end: Time,
+        step: i64,
+        last_end: Time,
+        vals: &[T],
+        nulls: &NullMask,
+    ) {
+        let Some(interior) = vals.len().checked_sub(1) else { return };
+        let head = if interior == 0 { last_end } else { first_end };
+        assert!(head > self.end(), "span end {head:?} must advance past {:?}", self.end());
+        assert!(
+            interior == 0 || (step > 0 && last_end > first_end + (interior as i64 - 1) * step),
+            "lane ends must advance"
+        );
+        self.ends.extend((0..interior as i64).map(|j| first_end + j * step));
+        self.ends.push(last_end);
+        self.nulls.extend_from(nulls, 0, vals.len());
+        self.vals.extend_from_slice(vals);
     }
 }
 
@@ -295,16 +784,20 @@ impl<P: Payload> SnapshotBuf<P> {
 /// cycle (one per distinct kernel); under millions of advances per second
 /// that allocation churn dominates small-batch costs. A pool owned by the
 /// *worker* (one per shard thread, not per key session) lets every advance
-/// reuse the span vectors of the previous one without holding per-key
-/// memory: [`BufPool::take`] hands out a reset buffer, [`BufPool::put`]
-/// returns it once its contents have been consumed.
+/// reuse the columns of the previous one without holding per-key memory:
+/// [`BufPool::take`] hands out a reset buffer, [`BufPool::put`] returns it
+/// once its contents have been consumed. The pool also keeps the slot
+/// table an execution fills with its intermediates
+/// ([`BufPool::take_slots`]), so an advance allocates nothing but its
+/// output.
 pub struct BufPool<P> {
     free: Vec<SnapshotBuf<P>>,
+    slots: Vec<Option<SnapshotBuf<P>>>,
 }
 
 impl<P> Default for BufPool<P> {
     fn default() -> Self {
-        BufPool { free: Vec::new() }
+        BufPool { free: Vec::new(), slots: Vec::new() }
     }
 }
 
@@ -314,15 +807,15 @@ impl<P> fmt::Debug for BufPool<P> {
     }
 }
 
-impl<P: Payload> BufPool<P> {
+impl BufPool<Value> {
     /// An empty pool.
     pub fn new() -> Self {
-        BufPool { free: Vec::new() }
+        BufPool::default()
     }
 
     /// Takes a buffer rooted at `start`: a recycled allocation when one is
     /// available, a fresh one otherwise.
-    pub fn take(&mut self, start: Time) -> SnapshotBuf<P> {
+    pub fn take(&mut self, start: Time) -> SnapshotBuf<Value> {
         match self.free.pop() {
             Some(mut buf) => {
                 buf.reset(start);
@@ -333,8 +826,23 @@ impl<P: Payload> BufPool<P> {
     }
 
     /// Returns a consumed buffer's allocation to the pool.
-    pub fn put(&mut self, buf: SnapshotBuf<P>) {
+    pub fn put(&mut self, buf: SnapshotBuf<Value>) {
         self.free.push(buf);
+    }
+
+    /// Takes the pool's slot table, sized to `n` empty slots — the scratch
+    /// an execution parks its intermediate buffers in. Hand it back with
+    /// [`BufPool::put_slots`].
+    pub fn take_slots(&mut self, n: usize) -> Vec<Option<SnapshotBuf<Value>>> {
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.resize_with(n, || None);
+        slots
+    }
+
+    /// Returns a slot table, recycling every buffer still parked in it.
+    pub fn put_slots(&mut self, mut slots: Vec<Option<SnapshotBuf<Value>>>) {
+        self.free.extend(slots.drain(..).flatten());
+        self.slots = slots;
     }
 
     /// Number of idle buffers held.
@@ -343,11 +851,11 @@ impl<P: Payload> BufPool<P> {
     }
 }
 
-impl<P: Payload> fmt::Debug for SnapshotBuf<P> {
+impl fmt::Debug for SnapshotBuf<Value> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SSBuf[{:?}", self.start)?;
-        for s in &self.spans {
-            write!(f, " ({:?},{:?})", s.t_end, s.value)?;
+        for (iv, value) in self.iter() {
+            write!(f, " ({:?},{value:?})", iv.end)?;
         }
         write!(f, "]")
     }
@@ -359,20 +867,20 @@ impl<P: Payload> fmt::Debug for SnapshotBuf<P> {
 /// cursor remembers its last position so value lookups and next-change
 /// queries are amortized O(1) instead of a binary search per tick.
 #[derive(Clone, Debug)]
-pub struct SsCursor<'a, P: Payload> {
-    buf: &'a SnapshotBuf<P>,
+pub struct SsCursor<'a> {
+    buf: &'a SnapshotBuf<Value>,
     idx: usize,
 }
 
-impl<'a, P: Payload> SsCursor<'a, P> {
+impl<'a> SsCursor<'a> {
     /// Creates a cursor positioned at the beginning of `buf`.
-    pub fn new(buf: &'a SnapshotBuf<P>) -> Self {
+    pub fn new(buf: &'a SnapshotBuf<Value>) -> Self {
         SsCursor { buf, idx: 0 }
     }
 
     /// The underlying buffer.
     #[inline]
-    pub fn buffer(&self) -> &'a SnapshotBuf<P> {
+    pub fn buffer(&self) -> &'a SnapshotBuf<Value> {
         self.buf
     }
 
@@ -380,48 +888,30 @@ impl<'a, P: Payload> SsCursor<'a, P> {
     /// `t` (φ outside coverage). `t` must not decrease across calls for the
     /// amortized O(1) bound, but correctness holds for any `t` at the cost of
     /// a re-scan.
-    pub fn value_at(&mut self, t: Time) -> P {
-        if t <= self.buf.start || t > self.buf.end() {
-            return P::null();
-        }
-        self.seek(t);
-        self.buf.spans[self.idx].value.clone()
+    pub fn value_at(&mut self, t: Time) -> Value {
+        self.value_and_boundary(t).0
     }
 
     /// Returns the value at `t` together with the end of the span providing
     /// it (`None` when the value is φ forever after): one seek answers both
     /// "what is the value" and "when can it next change", which is what the
     /// generated kernel loop asks every iteration.
-    pub fn value_and_boundary(&mut self, t: Time) -> (P, Option<Time>) {
-        let (v, b) = self.value_ref_and_boundary(t);
-        (v.cloned().unwrap_or_else(P::null), b)
+    pub fn value_and_boundary(&mut self, t: Time) -> (Value, Option<Time>) {
+        match self.seek_span(t) {
+            Ok(i) => (self.buf.slot(i), Some(self.buf.ends[i])),
+            Err(b) => (Value::Null, b),
+        }
     }
 
-    /// Returns a reference to the value at `t`, or `None` when φ-outside.
-    pub fn value_ref_at(&mut self, t: Time) -> Option<&'a P> {
-        if t <= self.buf.start || t > self.buf.end() {
-            return None;
+    /// The end of the span providing the value at `t`, without reading the
+    /// value — for accesses whose value is never used but whose change
+    /// points still drive stepping.
+    #[inline]
+    pub fn boundary(&mut self, t: Time) -> Option<Time> {
+        match self.seek_span(t) {
+            Ok(i) => Some(self.buf.ends[i]),
+            Err(b) => b,
         }
-        self.seek(t);
-        Some(&self.buf.spans[self.idx].value)
-    }
-
-    /// Like [`SsCursor::value_and_boundary`], but hands back a *reference*
-    /// to the span value instead of cloning it (`None` when `t` is outside
-    /// coverage). This is the typed fast path: callers that unbox the
-    /// payload in place (see the `tilt-core` compiled kernel tier) read the
-    /// span without ever cloning the enum.
-    pub fn value_ref_and_boundary(&mut self, t: Time) -> (Option<&'a P>, Option<Time>) {
-        if t <= self.buf.start {
-            let b = if self.buf.is_empty() { None } else { Some(self.buf.start) };
-            return (None, b);
-        }
-        if t > self.buf.end() {
-            return (None, None);
-        }
-        self.seek(t);
-        let span = &self.buf.spans[self.idx];
-        (Some(&span.value), Some(span.t_end))
     }
 
     /// The next time strictly after `t` at which the object value changes,
@@ -437,17 +927,33 @@ impl<'a, P: Payload> SsCursor<'a, P> {
             return None;
         }
         self.seek_boundary(t);
-        Some(self.buf.spans[self.idx].t_end)
+        Some(self.buf.ends[self.idx])
+    }
+
+    /// Positions the cursor on the span containing `t` and returns its
+    /// index; outside coverage, returns the boundary to report instead
+    /// (the buffer start before it, nothing after it).
+    #[inline]
+    fn seek_span(&mut self, t: Time) -> Result<usize, Option<Time>> {
+        if t <= self.buf.start {
+            return Err(if self.buf.is_empty() { None } else { Some(self.buf.start) });
+        }
+        if t > self.buf.end() {
+            return Err(None);
+        }
+        self.seek(t);
+        Ok(self.idx)
     }
 
     /// Positions `idx` at the span containing `t` (requires coverage).
     #[inline]
     fn seek(&mut self, t: Time) {
-        if self.idx >= self.buf.spans.len() || self.buf.span_start(self.idx) >= t {
-            self.idx = self.buf.spans.partition_point(|s| s.t_end < t);
+        let ends = &self.buf.ends;
+        if self.idx >= ends.len() || self.buf.span_start(self.idx) >= t {
+            self.idx = ends.partition_point(|&e| e < t);
             return;
         }
-        while self.buf.spans[self.idx].t_end < t {
+        while ends[self.idx] < t {
             self.idx += 1;
         }
     }
@@ -456,49 +962,56 @@ impl<'a, P: Payload> SsCursor<'a, P> {
     /// `[start, end)`).
     #[inline]
     fn seek_boundary(&mut self, t: Time) {
-        if self.idx >= self.buf.spans.len() || self.buf.span_start(self.idx) > t {
-            self.idx = self.buf.spans.partition_point(|s| s.t_end <= t);
+        let ends = &self.buf.ends;
+        if self.idx >= ends.len() || self.buf.span_start(self.idx) > t {
+            self.idx = ends.partition_point(|&e| e <= t);
             return;
         }
-        while self.buf.spans[self.idx].t_end <= t {
+        while ends[self.idx] <= t {
             self.idx += 1;
         }
     }
-}
 
-impl<'a> SsCursor<'a, crate::Value> {
     /// Float fast path of [`SsCursor::value_and_boundary`]: the value at `t`
     /// unboxed to `f64` (`None` for φ or non-numeric payloads; integers
     /// coerce) together with the providing span's end. The compiled kernel
-    /// tier loads `Float`-typed point accesses through this, so the hot
-    /// loop reads one discriminant instead of cloning a [`crate::Value`].
+    /// tier loads `Float`-typed point accesses through this: the read
+    /// indexes the value column, no [`Value`] is built.
     #[inline]
     pub fn value_f64_and_boundary(&mut self, t: Time) -> (Option<f64>, Option<Time>) {
-        let (v, b) = self.value_ref_and_boundary(t);
-        (v.and_then(crate::Value::as_f64), b)
+        match self.seek_span(t) {
+            Ok(i) if self.buf.nulls.get(i) => (None, Some(self.buf.ends[i])),
+            Ok(i) => (self.buf.column().f64_at(i), Some(self.buf.ends[i])),
+            Err(b) => (None, b),
+        }
     }
 
     /// Integer fast path: the value at `t` unboxed to `i64` (`None` for φ
     /// or non-integer payloads) together with the providing span's end.
     #[inline]
     pub fn value_i64_and_boundary(&mut self, t: Time) -> (Option<i64>, Option<Time>) {
-        let (v, b) = self.value_ref_and_boundary(t);
-        (v.and_then(crate::Value::as_i64), b)
+        match self.seek_span(t) {
+            Ok(i) if self.buf.nulls.get(i) => (None, Some(self.buf.ends[i])),
+            Ok(i) => (self.buf.column().i64_at(i), Some(self.buf.ends[i])),
+            Err(b) => (None, b),
+        }
     }
 
     /// Boolean fast path: the value at `t` unboxed to `bool` (`None` for φ
     /// or non-boolean payloads) together with the providing span's end.
     #[inline]
     pub fn value_bool_and_boundary(&mut self, t: Time) -> (Option<bool>, Option<Time>) {
-        let (v, b) = self.value_ref_and_boundary(t);
-        (v.and_then(crate::Value::as_bool), b)
+        match self.seek_span(t) {
+            Ok(i) if self.buf.nulls.get(i) => (None, Some(self.buf.ends[i])),
+            Ok(i) => (self.buf.column().bool_at(i), Some(self.buf.ends[i])),
+            Err(b) => (None, b),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
 
     fn fbuf(events: &[(i64, i64, f64)], lo: i64, hi: i64) -> SnapshotBuf<Value> {
         let evs: Vec<Event<Value>> = events
@@ -648,7 +1161,7 @@ mod tests {
     #[test]
     fn iter_yields_contiguous_intervals() {
         let buf = fbuf(&[(5, 10, 1.0)], 0, 12);
-        let items: Vec<(TimeRange, Value)> = buf.iter().map(|(r, v)| (r, v.clone())).collect();
+        let items: Vec<(TimeRange, Value)> = buf.iter().collect();
         assert_eq!(items.len(), 3);
         assert_eq!(items[0].0, TimeRange::new(Time::new(0), Time::new(5)));
         assert_eq!(items[1].1, Value::Float(1.0));
