@@ -471,15 +471,10 @@ impl BatchCtx {
         nulls: &NullMask,
         run: std::ops::Range<usize>,
     ) {
-        fn boxed<U>(
-            lanes: &mut [U],
-            mask: &mut NullMask,
-            n: usize,
-            read: impl Fn(usize) -> Option<U>,
-        ) {
-            for j in 0..n {
+        fn boxed<U>(lanes: &mut [U], mask: &mut NullMask, read: impl Fn(usize) -> Option<U>) {
+            for (j, lane) in lanes.iter_mut().enumerate() {
                 match read(j) {
-                    Some(x) if !mask.get(j) => lanes[j] = x,
+                    Some(x) if !mask.get(j) => *lane = x,
                     _ => mask.set(j, true),
                 }
             }
@@ -500,13 +495,13 @@ impl BatchCtx {
             (Class::I, ColumnRef::I64(v)) => self.i[r * cap..][..n].copy_from_slice(&v[run]),
             (Class::B, ColumnRef::Bool(v)) => self.b[r * cap..][..n].copy_from_slice(&v[run]),
             (Class::F, ColumnRef::Boxed(_)) => {
-                boxed(&mut self.f[r * cap..][..n], mask, n, |j| col.f64_at(lo + j))
+                boxed(&mut self.f[r * cap..][..n], mask, |j| col.f64_at(lo + j))
             }
             (Class::I, ColumnRef::Boxed(_)) => {
-                boxed(&mut self.i[r * cap..][..n], mask, n, |j| col.i64_at(lo + j))
+                boxed(&mut self.i[r * cap..][..n], mask, |j| col.i64_at(lo + j))
             }
             (Class::B, ColumnRef::Boxed(_)) => {
-                boxed(&mut self.b[r * cap..][..n], mask, n, |j| col.bool_at(lo + j))
+                boxed(&mut self.b[r * cap..][..n], mask, |j| col.bool_at(lo + j))
             }
             // A column of another class reads as φ throughout.
             _ => mask.set_range(0, n, true),

@@ -213,6 +213,18 @@ impl Kernel {
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
     ) {
+        self.run_with(&|obj| bufs.get(obj.index()).and_then(|b| *b), range, out);
+    }
+
+    /// [`Kernel::run_into`] with the dependency buffers looked up through
+    /// `bufs` instead of an object-indexed table — executors resolve
+    /// straight out of their own stores, so no table is built per call.
+    pub(crate) fn run_with<'b>(
+        &'b self,
+        bufs: Bufs<'_, 'b>,
+        range: TimeRange,
+        out: &mut SnapshotBuf<Value>,
+    ) {
         if Profiler::enabled(self) {
             let start = std::time::Instant::now();
             self.dispatch(bufs, range, out);
@@ -222,12 +234,7 @@ impl Kernel {
         }
     }
 
-    fn dispatch(
-        &self,
-        bufs: &[Option<&SnapshotBuf<Value>>],
-        range: TimeRange,
-        out: &mut SnapshotBuf<Value>,
-    ) {
+    fn dispatch<'b>(&'b self, bufs: Bufs<'_, 'b>, range: TimeRange, out: &mut SnapshotBuf<Value>) {
         match &self.typed {
             Some(tp) if self.batched => self.run_batched(tp, bufs, range, out),
             Some(tp) => self.run_typed(tp, bufs, range, out),
@@ -259,9 +266,9 @@ impl Kernel {
 
     /// The interpreted tier: per-tick closure-tree evaluation over
     /// [`Value`] slots, each read materialized from the source columns.
-    fn run_interp(
-        &self,
-        bufs: &[Option<&SnapshotBuf<Value>>],
+    fn run_interp<'b>(
+        &'b self,
+        bufs: Bufs<'_, 'b>,
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
     ) {
@@ -285,10 +292,10 @@ impl Kernel {
     /// reads for `F`/`I`/`B` slots), reduce results unbox straight into
     /// their registers, fused maps run as typed bytecode, and a typed root
     /// register is appended to the output's typed column as is.
-    fn run_typed(
-        &self,
+    fn run_typed<'b>(
+        &'b self,
         tp: &TypedProgram,
-        bufs: &[Option<&SnapshotBuf<Value>>],
+        bufs: Bufs<'_, 'b>,
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
     ) {
@@ -326,11 +333,11 @@ impl Kernel {
     }
 
     /// [`Kernel::run_typed`] for a root register of unboxed class `T`.
-    fn run_typed_as<T: Lane>(
-        &self,
+    fn run_typed_as<'b, T: Lane>(
+        &'b self,
         tp: &TypedProgram,
         ctx: &mut TypedCtx,
-        bufs: &[Option<&SnapshotBuf<Value>>],
+        bufs: Bufs<'_, 'b>,
         range: TimeRange,
         push: &mut dyn FnMut(Time, Option<T>),
     ) {
@@ -432,10 +439,10 @@ impl Kernel {
     /// The batched tier, dispatched once per run on the root register's
     /// class: the result lanes of each batch are appended to the output's
     /// typed column as they are.
-    fn run_batched(
-        &self,
+    fn run_batched<'b>(
+        &'b self,
         tp: &TypedProgram,
-        bufs: &[Option<&SnapshotBuf<Value>>],
+        bufs: Bufs<'_, 'b>,
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
     ) {
@@ -460,10 +467,10 @@ impl Kernel {
     /// the source column through [`SsCursor`] per lane, which carries the
     /// per-lane change-point state `next_tick` steps on — so stepping, and
     /// therefore output, is byte-identical to the scalar tiers.
-    fn run_batched_as<T: Lane>(
-        &self,
+    fn run_batched_as<'b, T: Lane>(
+        &'b self,
         tp: &TypedProgram,
-        bufs: &[Option<&SnapshotBuf<Value>>],
+        bufs: Bufs<'_, 'b>,
         range: TimeRange,
         mut out: ColWriter<'_, T>,
     ) {
@@ -590,13 +597,11 @@ impl Kernel {
     /// positioned at the start of their source buffers.
     fn runners<'b>(
         &'b self,
-        bufs: &[Option<&'b SnapshotBuf<Value>>],
+        bufs: Bufs<'_, 'b>,
         reduce_classes: &[Option<Class>],
     ) -> (Vec<PointRunner<'b>>, Vec<ReduceRunner<'b>>) {
         let buf_for = |obj: TObjId| -> &'b SnapshotBuf<Value> {
-            bufs.get(obj.index())
-                .and_then(|b| *b)
-                .unwrap_or_else(|| panic!("kernel {}: missing buffer for {obj}", self.name))
+            bufs(obj).unwrap_or_else(|| panic!("kernel {}: missing buffer for {obj}", self.name))
         };
         let points = self
             .program
@@ -626,9 +631,9 @@ impl Kernel {
     /// `push(end, value)` per output span (the caller has reset the output
     /// to `range.start`; `V::default()` is φ).
     #[allow(clippy::type_complexity)]
-    fn drive<V: Default>(
-        &self,
-        bufs: &[Option<&SnapshotBuf<Value>>],
+    fn drive<'b, V: Default>(
+        &'b self,
+        bufs: Bufs<'_, 'b>,
         range: TimeRange,
         reduce_classes: &[Option<Class>],
         eval_tick: &mut dyn FnMut(&mut [PointRunner<'_>], &mut [ReduceRunner<'_>], Time) -> V,
@@ -772,6 +777,10 @@ impl KernelProfile {
         }
     }
 }
+
+/// How a kernel run finds its dependency buffers: by object, `None` when
+/// the executor holds none for it.
+pub(crate) type Bufs<'r, 'b> = &'r dyn Fn(TObjId) -> Option<&'b SnapshotBuf<Value>>;
 
 /// One point access during kernel execution: a cursor plus the cached end of
 /// the span last read (the access's next possible change point).

@@ -26,8 +26,13 @@
 //! incremental reduce runners, so their outputs are byte-identical; the
 //! typed tiers simply replace per-tick enum interpretation with typed
 //! register traffic, and the batched tier amortizes the remaining
-//! dispatch. See DESIGN.md substitution 1 for how this stands in for the
-//! paper's LLVM JIT.
+//! dispatch. Snapshot buffers are typed columns end to end
+//! ([`tilt_data::SnapshotBuf`]): point cursors and reduce runners read
+//! them as slices, a fused window map runs over an entering run of spans
+//! as lanes, and a typed root register is appended to the output's typed
+//! column without boxing; the interpreter materializes a `Value` per read.
+//! See DESIGN.md substitution 1 for how this stands in for the paper's
+//! LLVM JIT.
 
 mod batch;
 pub(crate) mod compiled;

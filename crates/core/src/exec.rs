@@ -28,18 +28,23 @@ use crate::opt::Optimizer;
 pub enum ExecTier {
     /// Typed register bytecode executed over *runs* of grid ticks at once:
     /// columnar registers, word-level φ masks, one dispatch per instruction
-    /// per run (the default). Kernels whose bodies don't pass the batch
-    /// gate transparently execute per-tick, so this tier is always safe to
-    /// select.
+    /// per run (the default). Source buffers are read as typed columns —
+    /// a reduce window folds each entering run of spans in one loop, its
+    /// fused map over the run as lanes — and the result lanes are appended
+    /// to the output's typed column as they are. Kernels whose bodies don't
+    /// pass the batch gate transparently execute per-tick, so this tier is
+    /// always safe to select.
     #[default]
     Batched,
     /// Typed register bytecode over unboxed values, dispatched once per
-    /// grid tick, with per-subtree fallback to boxed `Value` operations —
-    /// the scalar reference for the batched tier.
+    /// grid tick (and once per element for fused maps), with per-subtree
+    /// fallback to boxed `Value` operations — the scalar reference for the
+    /// batched tier. Reads and writes the same typed columns.
     Compiled,
     /// The closure-tree interpreter over dynamic `Value`s only — the
     /// reference tier, kept selectable for differential testing and the
-    /// `kernel_hot` tier-vs-tier bench.
+    /// `kernel_hot` tier-vs-tier bench. Every read materializes a `Value`
+    /// from the source column.
     Interpreted,
 }
 
@@ -157,11 +162,6 @@ impl CompiledQuery {
         &self.kernels
     }
 
-    /// Size of the object-indexed slot table used during execution.
-    pub(crate) fn n_slots(&self) -> usize {
-        self.n_slots
-    }
-
     /// The resolved boundary conditions.
     pub fn boundary(&self) -> &Boundary {
         &self.boundary
@@ -272,24 +272,28 @@ impl CompiledQuery {
             "query expects {} inputs",
             self.query.inputs().len()
         );
+        self.run_on(&|i| inputs[i], range, pool)
+    }
+
+    /// [`CompiledQuery::run_pooled`] with input `i` looked up through
+    /// `input` (declaration order), so sessions run straight off their
+    /// histories. Intermediates are parked in the pool's slot table: a
+    /// call allocates nothing but what the pool cannot recycle.
+    fn run_on<'b>(
+        &'b self,
+        input: &dyn Fn(usize) -> &'b SnapshotBuf<Value>,
+        range: TimeRange,
+        pool: &mut BufPool<Value>,
+    ) -> SnapshotBuf<Value> {
+        let input_of = |obj| self.query.inputs().iter().position(|o| *o == obj);
         // The query output may simply be an input (identity query).
-        if self.query.is_input(self.query.output()) {
-            let idx = self
-                .query
-                .inputs()
-                .iter()
-                .position(|o| *o == self.query.output())
-                .expect("output is an input");
+        if let Some(idx) = input_of(self.query.output()) {
             let mut out = pool.take(range.start);
-            inputs[idx].slice_into(range, &mut out);
+            input(idx).slice_into(range, &mut out);
             return out;
         }
 
-        let mut store: Vec<Option<SnapshotBuf<Value>>> = (0..self.n_slots).map(|_| None).collect();
-        let mut slots: Vec<Option<&SnapshotBuf<Value>>> = vec![None; self.n_slots];
-        for (i, obj) in self.query.inputs().iter().enumerate() {
-            slots[obj.index()] = Some(inputs[i]);
-        }
+        let mut store = pool.take_slots(self.n_slots);
         let mut result = None;
         for kernel in &self.kernels {
             let ext = self.boundary.extent(kernel.out);
@@ -303,15 +307,11 @@ impl CompiledQuery {
             };
             let krange = TimeRange::new(range.start.saturating_add(-ext.lookback()), kend);
             let mut out = pool.take(krange.start);
-            {
-                let mut view = slots.clone();
-                for (slot, owned) in view.iter_mut().zip(store.iter()) {
-                    if slot.is_none() {
-                        *slot = owned.as_ref();
-                    }
-                }
-                kernel.run_into(&view, krange, &mut out);
-            }
+            let bufs = |obj| match input_of(obj) {
+                Some(i) => Some(input(i)),
+                None => store[obj.index()].as_ref(),
+            };
+            kernel.run_with(&bufs, krange, &mut out);
             if kernel.out == self.query.output() {
                 result = Some(out);
                 break;
@@ -319,9 +319,7 @@ impl CompiledQuery {
             store[kernel.out.index()] = Some(out);
         }
         // Intermediates are dead once the output kernel ran: recycle them.
-        for buf in store.into_iter().flatten() {
-            pool.put(buf);
-        }
+        pool.put_slots(store);
         result.expect("toposort guarantees the output kernel runs last")
     }
 
@@ -523,9 +521,9 @@ impl<C: Borrow<CompiledQuery>> StreamSessionIn<C> {
                 hist.push_raw(target, Value::Null);
             }
         }
-        let refs: Vec<&SnapshotBuf<Value>> = self.histories.iter().collect();
-        let out = self.cq.borrow().run_pooled(
-            &refs,
+        let histories = &self.histories;
+        let out = self.cq.borrow().run_on(
+            &|i| &histories[i],
             TimeRange::new(self.watermark, target),
             &mut self.pool,
         );
@@ -542,14 +540,10 @@ impl<C: Borrow<CompiledQuery>> StreamSessionIn<C> {
 /// Single-query sessions ([`StreamSessionIn`]) and multi-query group
 /// sessions (`sharing::GroupSessionIn`) must encode histories identically —
 /// the group's correctness guarantee is observational identity with a
-/// standalone session — so both call this one function.
+/// standalone session — so both call this one function, which is the
+/// buffer's own event append ([`SnapshotBuf::from_events`] uses it too).
 pub(crate) fn push_history(hist: &mut SnapshotBuf<Value>, events: &[Event<Value>]) {
-    for e in events {
-        if e.start > hist.end() {
-            hist.push_raw(e.start, Value::Null);
-        }
-        hist.push_raw(e.end, e.payload.clone());
-    }
+    hist.extend_from_events(events, None);
 }
 
 /// Amortized history trim shared by single- and multi-query sessions:

@@ -666,9 +666,10 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
 
         // Pass 1: every distinct kernel once, over the union of its
         // consumers' extents (creation order is topological). Buffers come
-        // from the pool and go back at the end of the pass.
-        let mut node_bufs: Vec<Option<SnapshotBuf<Value>>> =
-            (0..g.nodes.len()).map(|_| None).collect();
+        // from the pool — parked in its slot table meanwhile — and go back
+        // at the end of the pass.
+        let mut node_bufs = pool.take_slots(g.nodes.len());
+        let histories = &self.histories;
         for ni in 0..g.nodes.len() {
             let node = &g.nodes[ni];
             let cq = &g.queries[node.query];
@@ -676,18 +677,16 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
             let kstart = range.start.saturating_add(-node.ext.lookback());
             let kend = range.end.saturating_add(node.ext.lookahead()).align_up(kernel.precision);
             let mut out = pool.take(kstart);
-            {
-                let mut view: Vec<Option<&SnapshotBuf<Value>>> = vec![None; cq.n_slots()];
-                for &(slot, src) in &node.deps {
-                    view[slot] = Some(match src {
-                        OutputRef::Source(i) => &self.histories[i],
-                        OutputRef::Node(d) => {
-                            node_bufs[d].as_ref().expect("dep node computed before its consumer")
-                        }
-                    });
-                }
-                kernel.run_into(&view, TimeRange::new(kstart, kend), &mut out);
-            }
+            let bufs = |obj: crate::ir::TObjId| {
+                let &(_, src) = node.deps.iter().find(|(slot, _)| *slot == obj.index())?;
+                Some(match src {
+                    OutputRef::Source(i) => &histories[i],
+                    OutputRef::Node(d) => {
+                        node_bufs[d].as_ref().expect("dep node computed before its consumer")
+                    }
+                })
+            };
+            kernel.run_with(&bufs, TimeRange::new(kstart, kend), &mut out);
             node_bufs[ni] = Some(out);
         }
 
@@ -718,9 +717,7 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
                 sliced
             })
             .collect();
-        for buf in node_bufs.into_iter().flatten() {
-            pool.put(buf);
-        }
+        pool.put_slots(node_bufs);
 
         self.watermark = target;
         for hist in &mut self.histories {

@@ -498,6 +498,41 @@ mod tests {
         enc.event(&event);
         assert_eq!(enc.into_bytes(), bytes);
         assert_eq!(Dec::new(&bytes).event().unwrap(), event);
+
+        // A snapshot buffer is `start, span count, (t_end, value)*` whatever
+        // column holds its values: φ until 1, then one payload of each
+        // column class until 3 and another until 4, from start = -2.
+        let head: &[u8] = &[254, 255, 255, 255, 255, 255, 255, 255, 3, 0, 0, 0];
+        let phi_until_1: &[u8] = &[1, 0, 0, 0, 0, 0, 0, 0, 0];
+        let (until_3, until_4): (&[u8], &[u8]) =
+            (&[3, 0, 0, 0, 0, 0, 0, 0], &[4, 0, 0, 0, 0, 0, 0, 0]);
+        let columns: [(Value, &[u8], Value, &[u8]); 4] = [
+            (
+                Value::Int(-7),
+                &[2, 249, 255, 255, 255, 255, 255, 255, 255],
+                Value::Int(1),
+                &[2, 1, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                Value::Float(3.25),
+                &[3, 0, 0, 0, 0, 0, 0, 10, 64],
+                Value::Float(-0.0),
+                &[3, 0, 0, 0, 0, 0, 0, 0, 128],
+            ),
+            (Value::Bool(true), &[1, 1], Value::Bool(false), &[1, 0]),
+            (Value::str("x"), &[4, 1, 0, 0, 0, 120], Value::Int(1), &[2, 1, 0, 0, 0, 0, 0, 0, 0]),
+        ];
+        for (x, x_bytes, y, y_bytes) in columns {
+            let mut buf = SnapshotBuf::new(Time::new(-2));
+            buf.push_raw(Time::new(1), Value::Null);
+            buf.push_raw(Time::new(3), x);
+            buf.push_raw(Time::new(4), y);
+            let bytes = [head, phi_until_1, until_3, x_bytes, until_4, y_bytes].concat();
+            let mut enc = Enc::new();
+            enc.ssbuf(&buf);
+            assert_eq!(enc.into_bytes(), bytes, "{buf:?}");
+            assert_eq!(Dec::new(&bytes).ssbuf().unwrap(), buf);
+        }
     }
 
     #[test]

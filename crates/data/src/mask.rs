@@ -236,17 +236,6 @@ impl NullMask {
         }
     }
 
-    /// Appends `n` slots, all `null`.
-    pub fn extend_fill(&mut self, n: usize, null: bool) {
-        let fill = if null { !0u64 } else { 0 };
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(W);
-            self.push_bits(fill, take);
-            left -= take;
-        }
-    }
-
     /// Appends slots `lo..hi` of `src`, a word at a time.
     ///
     /// # Panics
@@ -278,24 +267,12 @@ impl NullMask {
     /// scan: a run of 64 null slots costs one compare.
     #[inline]
     pub fn next_non_null(&self, from: usize) -> Option<usize> {
-        self.next_flag(from, false)
-    }
-
-    /// The first null slot at or after `from`, if any.
-    #[inline]
-    pub fn next_null(&self, from: usize) -> Option<usize> {
-        self.next_flag(from, true)
-    }
-
-    #[inline]
-    fn next_flag(&self, from: usize, null: bool) -> Option<usize> {
         if from >= self.len {
             return None;
         }
-        let flip = if null { 0 } else { !0u64 };
         let mut w = from / W;
         // Bits below `from` in the first word are not candidates.
-        let mut word = (self.words[w] ^ flip) & (!0u64 << (from % W));
+        let mut word = !self.words[w] & (!0u64 << (from % W));
         loop {
             if word != 0 {
                 let i = w * W + word.trailing_zeros() as usize;
@@ -306,7 +283,7 @@ impl NullMask {
             if w == self.words.len() {
                 return None;
             }
-            word = self.words[w] ^ flip;
+            word = !self.words[w];
         }
     }
 
@@ -578,6 +555,67 @@ mod tests {
         d.set(99, true);
         d.or_with(&a, 100);
         assert!(d.get(3) && d.get(64) && d.get(99) && !d.get(65));
+    }
+
+    /// The growth and scan API against a `Vec<bool>`, at lengths and
+    /// offsets around the word edges.
+    #[test]
+    fn growing_masks_agree_with_a_bool_vector() {
+        let pattern = |i: usize| i % 3 == 1 || (60..70).contains(&i) || i % 64 == 63;
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 130, 200] {
+            let model: Vec<bool> = (0..len).map(pattern).collect();
+            let mut m = NullMask::default();
+            m.reserve(len);
+            for &b in &model {
+                m.push(b);
+            }
+            assert_eq!(m.len(), len);
+            assert!((0..len).all(|i| m.get(i) == model[i]), "push, len {len}");
+
+            for lo in [0usize, 1, 31, 63, 64, 65] {
+                if lo > len {
+                    continue;
+                }
+                let live: Vec<usize> = m.live(lo, len).collect();
+                let expected: Vec<usize> = (lo..len).filter(|&i| !model[i]).collect();
+                assert_eq!(live, expected, "live {lo}..{len}");
+                assert_eq!(m.next_non_null(lo), expected.first().copied(), "len {len} from {lo}");
+                assert_eq!(m.count_null(lo, len), len - lo - expected.len());
+
+                // Appending a sub-range, overwriting a prefix with one,
+                // merging one in, and dropping a prefix.
+                let mut ext = NullMask::default();
+                ext.push(true);
+                ext.extend_from(&m, lo, len);
+                assert!((lo..len).all(|i| ext.get(1 + i - lo) == model[i]), "extend_from {lo}");
+                let mut over = NullMask::new(len.max(1));
+                over.copy_range(&m, lo, len - lo);
+                assert!((lo..len).all(|i| over.get(i - lo) == model[i]), "copy_range {lo}");
+                assert!((len - lo..over.len()).all(|i| over.get(i)), "copy_range keeps the rest");
+                let mut merged = NullMask::new(len.max(1));
+                merged.clear_all();
+                merged.set(0, true);
+                merged.or_range(&m, lo, len - lo);
+                assert!((lo..len).all(|i| merged.get(i - lo) == (model[i] || i == lo)));
+                let mut drained = m.clone();
+                drained.drain_front(lo);
+                assert_eq!(drained.len(), len - lo);
+                assert!((lo..len).all(|i| drained.get(i - lo) == model[i]), "drain_front {lo}");
+                let mut rebuilt = NullMask::default();
+                rebuilt.extend_from(&m, lo, len);
+                assert_eq!(drained, rebuilt, "equal content, equal masks");
+            }
+
+            m.clear();
+            assert!(m.is_empty() && m.next_non_null(0).is_none());
+        }
+        let mut bits = NullMask::default();
+        bits.push_bits(0b101, 3);
+        bits.push_bits(!0, 64);
+        assert_eq!((bits.len(), bits.get(1), bits.get(3), bits.get(66)), (67, false, true, true));
+        assert_eq!((bits.word(0), bits.word(1)), (!0 << 3 | 0b101, 0b111));
+        bits.set_word(1, !0);
+        assert_eq!(bits.word(1), 0b111, "flags past the length are dropped");
     }
 
     #[test]

@@ -320,8 +320,7 @@ impl SnapshotBuf<Value> {
             // The span behind the last emitted event, while the next span
             // can still extend it.
             let mut open: Option<usize> = None;
-            let mut next = buf.nulls.next_non_null(0);
-            while let Some(i) = next {
+            for i in buf.nulls.live(0, buf.len()) {
                 match open {
                     Some(j) if j + 1 == i && same(j, i) => {
                         out.last_mut().expect("an open event was emitted").end = buf.ends[i];
@@ -329,7 +328,6 @@ impl SnapshotBuf<Value> {
                     _ => out.push(Event::new(buf.span_start(i), buf.ends[i], boxed(i))),
                 }
                 open = Some(i);
-                next = buf.nulls.next_non_null(i + 1);
             }
             out
         }
@@ -637,14 +635,11 @@ impl SnapshotBuf<Value> {
     ///
     /// Panics if the parts do not tile contiguously.
     pub fn concat(parts: Vec<SnapshotBuf<Value>>) -> SnapshotBuf<Value> {
+        let appended = parts.iter().skip(1).map(SnapshotBuf::len).sum();
         let mut iter = parts.into_iter();
-        let mut out = match iter.next() {
-            Some(first) => first,
-            None => return SnapshotBuf::new(Time::ZERO),
-        };
-        let rest: Vec<SnapshotBuf<Value>> = iter.collect();
-        out.reserve(rest.iter().map(SnapshotBuf::len).sum());
-        for part in rest {
+        let Some(mut out) = iter.next() else { return SnapshotBuf::new(Time::ZERO) };
+        out.reserve(appended);
+        for part in iter {
             assert_eq!(part.start, out.end(), "partition outputs must tile contiguously");
             for i in 0..part.len() {
                 out.push(part.ends[i], part.slot(i));
@@ -688,31 +683,16 @@ impl SnapshotBuf<Value> {
 /// stores them in.
 impl PartialEq for SnapshotBuf<Value> {
     fn eq(&self, other: &Self) -> bool {
-        fn live_eq<T: Copy>(
-            nulls: &NullMask,
-            a: &[T],
-            b: &[T],
-            same: impl Fn(T, T) -> bool,
-        ) -> bool {
-            let mut next = nulls.next_non_null(0);
-            while let Some(i) = next {
-                if !same(a[i], b[i]) {
-                    return false;
-                }
-                next = nulls.next_non_null(i + 1);
-            }
-            true
-        }
         if self.start != other.start || self.ends != other.ends || self.nulls != other.nulls {
             return false;
         }
+        // Placeholders under φ are not content: compare live slots only.
+        let mut live = self.nulls.live(0, self.len());
         match (&self.vals, &other.vals) {
-            (Vals::I64(a), Vals::I64(b)) => live_eq(&self.nulls, a, b, |x, y| x == y),
-            (Vals::F64(a), Vals::F64(b)) => {
-                live_eq(&self.nulls, a, b, |x, y| x.to_bits() == y.to_bits())
-            }
-            (Vals::Bool(a), Vals::Bool(b)) => live_eq(&self.nulls, a, b, |x, y| x == y),
-            _ => (0..self.len()).all(|i| other.slot_is(i, &self.slot(i))),
+            (Vals::I64(a), Vals::I64(b)) => live.all(|i| a[i] == b[i]),
+            (Vals::F64(a), Vals::F64(b)) => live.all(|i| a[i].to_bits() == b[i].to_bits()),
+            (Vals::Bool(a), Vals::Bool(b)) => live.all(|i| a[i] == b[i]),
+            _ => live.all(|i| other.slot_is(i, &self.slot(i))),
         }
     }
 }
