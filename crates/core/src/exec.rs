@@ -547,13 +547,12 @@ pub(crate) fn push_history(hist: &mut SnapshotBuf<Value>, events: &[Event<Value>
 }
 
 /// Amortized history trim shared by single- and multi-query sessions:
-/// keeps `keep` ticks of lookback behind `watermark`, compacting the
-/// buffer (in place: its columns keep their allocations) only once the dead
-/// prefix grows past `4 × max(keep, 16)` ticks.
+/// keeps `keep` ticks of lookback behind `watermark`, rebuilding the
+/// buffer only once the dead prefix grows past `4 × max(keep, 16)` ticks.
 pub(crate) fn trim_history(hist: &mut SnapshotBuf<Value>, watermark: Time, keep: i64) {
     let cutoff = watermark.saturating_add(-keep);
     if cutoff - hist.start() > 4 * keep.max(16) {
-        hist.trim_front(cutoff);
+        *hist = hist.slice(TimeRange::new(cutoff, hist.end()));
     }
 }
 

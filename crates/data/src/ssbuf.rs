@@ -615,27 +615,6 @@ impl SnapshotBuf<Value> {
         }
     }
 
-    /// Drops everything at or before `cutoff` in place — the buffer becomes
-    /// its own [`SnapshotBuf::slice`] over `(cutoff, end]` — keeping the
-    /// column allocations, so a history that is trimmed and appended to in
-    /// turns stops reallocating once it has reached its working size.
-    pub fn trim_front(&mut self, cutoff: Time) {
-        if cutoff <= self.start {
-            return;
-        }
-        let lo = self.ends.partition_point(|&e| e <= cutoff);
-        self.start = cutoff;
-        self.ends.drain(..lo);
-        self.nulls.drain_front(lo);
-        match &mut self.vals {
-            Vals::None => {}
-            Vals::I64(v) => drop(v.drain(..lo)),
-            Vals::F64(v) => drop(v.drain(..lo)),
-            Vals::Bool(v) => drop(v.drain(..lo)),
-            Vals::Boxed(v) => drop(v.drain(..lo)),
-        }
-    }
-
     /// The first time strictly after `t` at which the object value (or span
     /// identity) changes: the buffer start if `t` precedes coverage, the end
     /// of the span containing/following `t` otherwise; `None` past the end.

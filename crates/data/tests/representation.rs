@@ -275,14 +275,6 @@ fn slicing_and_concatenation_agree_with_the_span_array() {
                 buf.slice_into(cut, &mut out);
                 assert_same(&out, &model.slice(cut), &format!("{what}: slice {cut:?}"));
                 assert_eq!(out, buf.slice(cut), "{what}: slice_into == slice");
-
-                // Trimming in place is slicing off the front.
-                let tail = TimeRange::new(cut.start, buf.end().max(cut.start));
-                let mut trimmed = buf.clone();
-                trimmed.trim_front(cut.start);
-                assert_same(&trimmed, &model.slice(tail), &format!("{what}: trim at {a}"));
-                trimmed.push_raw(trimmed.end().max(cut.start) + 1, Value::Null);
-                trimmed.check_invariants().expect("a trimmed buffer takes appends");
             }
 
             // Tile the range at random cuts and put it back together.
