@@ -4,6 +4,12 @@
 //! execution mode (one-shot `run`, partitioned `run_parallel`, a
 //! `StreamSession` fed in 64-event chunks) is compared with
 //! `tilt_query::reference::evaluate`.
+//!
+//! The same table carries the release contract: a session stepped one grid
+//! tick at a time has emitted, after `advance_to(e)`, exactly the final
+//! output through the last grid tick at or before `e − lookahead` — and the
+//! lookahead is 0 for every plan that does not shift into the future, so a
+//! window ending at `e` is out of `advance_to(e)`.
 
 use tilt_core::ir::DataType;
 use tilt_core::{CompiledQuery, Compiler, ExecTier};
@@ -118,6 +124,86 @@ fn every_workload_plan_matches_the_reference_on_every_tier_and_mode() {
                     row.name,
                     expected.len(),
                     got.len()
+                );
+            }
+        }
+    }
+}
+
+/// The lookahead a session's emission trails its watermark by.
+fn emission_lookahead(cq: &CompiledQuery) -> i64 {
+    cq.boundary().max_input_lookahead(cq.query())
+}
+
+/// `events` restricted to `(.., end]`.
+fn through(events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
+    events
+        .iter()
+        .filter(|e| e.start < end)
+        .map(|e| Event::new(e.start, e.end.min(end), e.payload.clone()))
+        .collect()
+}
+
+#[test]
+fn a_window_ending_at_e_is_emitted_by_advance_to_e() {
+    for row in rows() {
+        let q = tilt_query::lower(&row.plan, row.output).expect("workload plan lowers");
+        let grid = Compiler::new().compile(&q).expect("workload plan compiles").grid();
+        let hi = row.events.iter().map(|e| e.end).max().expect("non-empty dataset");
+        let range = TimeRange::new(Time::ZERO, hi.align_up(grid));
+        // The final output: the reference over the whole stream. What a
+        // session has released by `e` must be a prefix of it.
+        let expected = tilt_query::reference::evaluate(
+            &row.plan,
+            row.output,
+            std::slice::from_ref(&row.events),
+            range,
+        );
+
+        for tier in [ExecTier::Batched, ExecTier::Compiled, ExecTier::Interpreted] {
+            let cq = Compiler::new().with_tier(tier).compile(&q).expect("workload plan compiles");
+            let la = emission_lookahead(&cq);
+            // Only `resample` reads ahead (it interpolates towards the next
+            // sample); every other plan is window reduces, joins and shifts
+            // into the past, which need nothing after the window's end.
+            if row.name == "resample" {
+                assert!(la > 0, "resample shifts into the future");
+            } else {
+                assert_eq!(
+                    la, 0,
+                    "{} / {tier:?}: a window ending at e needs nothing after e",
+                    row.name
+                );
+            }
+
+            let mut session = cq.stream_session(Time::ZERO);
+            let mut got: Vec<Event<Value>> = Vec::new();
+            let mut pushed = 0;
+            let mut e = Time::ZERO;
+            while e < range.end {
+                e += grid;
+                // The watermark contract: everything starting before `e`
+                // is in before the session hears of `e`.
+                let upto = pushed + row.events[pushed..].partition_point(|ev| ev.start < e);
+                session.push_events(0, &row.events[pushed..upto]);
+                pushed = upto;
+                got.extend(session.advance_to(e).to_events());
+
+                let released = Time::new(e.ticks() - la).align_down(grid).max(Time::ZERO);
+                assert_eq!(session.watermark(), released, "{} / {tier:?}: step {e}", row.name);
+                let want = through(&expected, released);
+                let ok = if row.exact {
+                    streams_equivalent(&want, &got)
+                } else {
+                    streams_close(&want, &got, 1e-6)
+                };
+                assert!(
+                    ok,
+                    "{} / {tier:?}: after advance_to({e}) the session has {} events, \
+                     the final output through {released} has {}",
+                    row.name,
+                    got.len(),
+                    want.len()
                 );
             }
         }
