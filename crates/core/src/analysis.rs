@@ -7,9 +7,41 @@
 //! chains of a query to answer: to produce the output on `(Ts, Te]`, which
 //! slice of each input is required? The answer — `(Ts − lookback,
 //! Te + lookahead]` per input — is what lets the executor cut a stream into
-//! independently processable partitions (paper Fig. 6).
+//! independently processable partitions (paper Fig. 6), and what tells a
+//! streaming session how far behind the watermark emission has to trail.
+//!
+//! # Where evaluation ticks fall
+//!
+//! An expression with a coarse time domain (precision `p > 1`) is evaluated
+//! only at multiples of `p`, and the value computed at tick `g` is the one a
+//! consumer sees on `(g − p, g]`: **reading a precision-`p` object at time
+//! `u` yields what its expression computed at `ceil_p(u)`** — never at an
+//! earlier tick. So an object that has to be readable through `Te + r` is
+//! evaluated through `ceil_p(Te + r)`, and each of its own accesses reaches
+//! that much further forward; nothing symmetric happens backward, because
+//! the tick serving a read is never before the read.
+//!
+//! How far `ceil_p(Te + r)` lies past `Te + r` depends on where `Te` sits:
+//!
+//! * for an arbitrary `Te` it is at most `p − 1` ticks — the *conservative*
+//!   extent ([`Boundary::extent`]), which holds for every interval and is
+//!   what a one-shot run over an off-grid range uses;
+//! * for a `Te` on the query grid (a multiple of every precision) it is
+//!   exactly `Te + ceil_p(r)` — the *aligned* extent
+//!   ([`Boundary::aligned_extent`]). A window reduce evaluated at `Te`
+//!   reads `(Te − w, Te]` and nothing after it, so a chain of tumbling or
+//!   sliding reduces has aligned lookahead 0 (paper Fig. 3b:
+//!   `~filter[Ts:Te] ⇐ ~stock[Ts-20:Te]`), and only a `Shift` into the
+//!   future contributes — rounded up to the grid of whatever coarse object
+//!   it is read through.
+//!
+//! Streaming sessions emit only up to grid-aligned horizons, so they run on
+//! the aligned extents: a window ending at `e` is final, and emitted, as
+//! soon as the watermark reaches `e`.
 
 use std::collections::HashMap;
+
+use tilt_data::Time;
 
 use crate::ir::{Expr, Query, TObjId};
 
@@ -64,36 +96,72 @@ impl Extent {
     }
 }
 
+/// What is required of one object: for any output interval, and for one
+/// that ends on the query grid.
+#[derive(Clone, Copy, Debug)]
+struct Need {
+    any: Extent,
+    aligned: Extent,
+}
+
+impl Need {
+    fn join(self, other: Need) -> Need {
+        Need { any: self.any.join(other.any), aligned: self.aligned.join(other.aligned) }
+    }
+}
+
 /// The resolved boundary conditions of a query (paper Fig. 3b):
 /// producing the output on `(Ts, Te]` requires each object on
 /// `(Ts − lookback, Te + lookahead]`.
+///
+/// Two extents are kept per object (see the module header): the
+/// conservative one, valid for every `(Ts, Te]`, and the aligned one, exact
+/// in its forward reach when `Te` is a multiple of the query grid.
 #[derive(Clone, Debug, Default)]
 pub struct Boundary {
-    extents: HashMap<TObjId, Extent>,
+    needs: HashMap<TObjId, Need>,
 }
 
 impl Boundary {
     /// The extent required of `obj` (inputs *and* intermediates), relative to
-    /// the output interval. Objects the output does not depend on have no
-    /// entry.
+    /// an arbitrary output interval. Objects the output does not depend on
+    /// have no entry.
     pub fn extent(&self, obj: TObjId) -> Extent {
-        self.extents.get(&obj).copied().unwrap_or(Extent::ZERO)
+        self.needs.get(&obj).map_or(Extent::ZERO, |n| n.any)
+    }
+
+    /// The extent required of `obj` relative to an output interval whose end
+    /// lies on the query grid (the lcm of every precision): the forward
+    /// reach is exact — evaluation ticks past `Te` are `Te + ceil_p(r)`, not
+    /// `Te + r + (p − 1)`. Equal to [`Boundary::extent`] backward.
+    pub fn aligned_extent(&self, obj: TObjId) -> Extent {
+        self.needs.get(&obj).map_or(Extent::ZERO, |n| n.aligned)
     }
 
     /// Whether the output depends on `obj` at all.
     pub fn depends_on(&self, obj: TObjId) -> bool {
-        self.extents.contains_key(&obj)
+        self.needs.contains_key(&obj)
     }
 
     /// The largest lookback over all query inputs — the width of the
-    /// duplicated region each parallel partition re-reads.
+    /// duplicated region each parallel partition re-reads, and the history
+    /// a streaming session keeps behind its watermark.
     pub fn max_input_lookback(&self, query: &Query) -> i64 {
         query.inputs().iter().map(|i| self.extent(*i).lookback()).max().unwrap_or(0)
     }
 
-    /// The largest lookahead over all query inputs.
+    /// The largest lookahead over all query inputs, for an arbitrary output
+    /// interval.
     pub fn max_input_lookahead(&self, query: &Query) -> i64 {
         query.inputs().iter().map(|i| self.extent(*i).lookahead()).max().unwrap_or(0)
+    }
+
+    /// The largest lookahead over all query inputs for an output interval
+    /// ending on the query grid: how far the input watermark must be past
+    /// `Te` before the output through `Te` is final. 0 for every chain of
+    /// window reduces; the forward reach of the `Shift`s otherwise.
+    pub fn aligned_input_lookahead(&self, query: &Query) -> i64 {
+        query.inputs().iter().map(|i| self.aligned_extent(*i).lookahead()).max().unwrap_or(0)
     }
 }
 
@@ -114,27 +182,33 @@ pub fn direct_extents(body: &Expr) -> HashMap<TObjId, Extent> {
 /// Resolves the boundary conditions of `query` by propagating extents from
 /// the output back along the temporal-lineage DAG.
 ///
-/// An expression with a coarse time domain (precision `p > 1`) adds `p − 1`
-/// ticks of slack to its own accesses: the snapshot a consumer reads at `t`
-/// may have been computed up to one grid step earlier.
+/// Each expression turns what its consumers need of it into where its own
+/// evaluation ticks fall, and only then distributes its accesses to its
+/// dependencies: an object of precision `p` readable through `Te + r` is
+/// evaluated through `ceil_p(Te + r)` — at most `p − 1` ticks further for an
+/// arbitrary `Te`, exactly `Te + ceil_p(r)` for a `Te` on the grid. Backward
+/// nothing is added: the tick serving a read at `u` is `ceil_p(u) ≥ u`.
 pub fn resolve_boundaries(query: &Query) -> Boundary {
     let mut boundary = Boundary::default();
-    boundary.extents.insert(query.output(), Extent::ZERO);
+    boundary.needs.insert(query.output(), Need { any: Extent::ZERO, aligned: Extent::ZERO });
 
     // Walk expressions in reverse topological order so each definition sees
     // the final extent of its own output before distributing to dependencies.
     for te in query.exprs().iter().rev() {
-        let Some(&out_ext) = boundary.extents.get(&te.output) else {
+        let Some(&need) = boundary.needs.get(&te.output) else {
             continue; // dead expression: the output does not depend on it
         };
-        let slack = te.dom.precision - 1;
-        for (dep, mut ext) in direct_extents(&te.body) {
-            // A consumer with grid precision p may evaluate up to p−1 ticks
-            // away from the time whose value it defines, in both directions.
-            ext.lo -= slack;
-            ext.hi += slack;
-            let total = out_ext.chain(ext);
-            boundary.extents.entry(dep).and_modify(|e| *e = e.join(total)).or_insert(total);
+        let p = te.dom.precision;
+        let ticks = Need {
+            any: Extent { lo: need.any.lo, hi: need.any.hi + (p - 1) },
+            aligned: Extent {
+                lo: need.aligned.lo,
+                hi: Time::new(need.aligned.hi).align_up(p).ticks(),
+            },
+        };
+        for (dep, ext) in direct_extents(&te.body) {
+            let total = Need { any: ticks.any.chain(ext), aligned: ticks.aligned.chain(ext) };
+            boundary.needs.entry(dep).and_modify(|n| *n = n.join(total)).or_insert(total);
         }
     }
     boundary
@@ -216,7 +290,81 @@ mod tests {
             b.temporal("win", TDom::unbounded(5), Expr::reduce_window(ReduceOp::Sum, input, 10));
         let q = b.finish(win).unwrap();
         let boundary = resolve_boundaries(&q);
-        assert_eq!(boundary.extent(input).lookback(), 14); // 10 + (5 - 1)
+        // Conservative: for an arbitrary `Te` the tick serving a read may
+        // lie up to p − 1 = 4 ticks past it — forward only, a tick is never
+        // before the read it serves.
+        assert_eq!(boundary.extent(input), Extent { lo: -10, hi: 4 });
+        assert_eq!(boundary.max_input_lookahead(&q), 4);
+        // Aligned: the last tick in `(Ts, Te]` is `Te` itself and its window
+        // `(Te − 10, Te]` ends there.
+        assert_eq!(boundary.aligned_extent(input), Extent { lo: -10, hi: 0 });
+        assert_eq!(boundary.aligned_input_lookahead(&q), 0);
+        assert_eq!(boundary.max_input_lookback(&q), 10);
+    }
+
+    #[test]
+    fn aligned_reach_rounds_a_forward_shift_up_to_the_grid_it_is_read_through() {
+        // Shift *above* a coarse window: out[t] = win[t + 3], win on a
+        // stride of 5. With `Te` on the grid, win is read through `Te + 3`,
+        // so evaluated through `ceil_5(Te + 3) = Te + 5`.
+        let mut b = Query::builder();
+        let input = b.input("in", DataType::Float);
+        let win =
+            b.temporal("win", TDom::unbounded(5), Expr::reduce_window(ReduceOp::Sum, input, 10));
+        let out = b.temporal("out", TDom::every_tick(), Expr::at_off(win, 3));
+        let q = b.finish(out).unwrap();
+        let boundary = resolve_boundaries(&q);
+        assert_eq!(boundary.aligned_extent(win), Extent { lo: 3, hi: 3 });
+        assert_eq!(boundary.aligned_extent(input), Extent { lo: -7, hi: 5 });
+        assert_eq!(boundary.aligned_input_lookahead(&q), 5);
+        assert_eq!(boundary.max_input_lookahead(&q), 7); // 3 + (5 − 1)
+
+        // Shift *below* it: win reduces fut[t] = in[t + 3]. The window's
+        // last tick is `Te`; the shift reaches 3 past it, no rounding.
+        let mut b = Query::builder();
+        let input = b.input("in", DataType::Float);
+        let fut = b.temporal("fut", TDom::every_tick(), Expr::at_off(input, 3));
+        let win =
+            b.temporal("win", TDom::unbounded(5), Expr::reduce_window(ReduceOp::Sum, fut, 10));
+        let q = b.finish(win).unwrap();
+        let boundary = resolve_boundaries(&q);
+        assert_eq!(boundary.aligned_input_lookahead(&q), 3);
+        assert_eq!(boundary.max_input_lookahead(&q), 7);
+
+        // A shift into the past read through a coarse object never turns
+        // into lookahead: ceil_5(−7) = −5.
+        let mut b = Query::builder();
+        let input = b.input("in", DataType::Float);
+        let win =
+            b.temporal("win", TDom::unbounded(5), Expr::reduce_window(ReduceOp::Sum, input, 10));
+        let out = b.temporal("out", TDom::every_tick(), Expr::at_off(win, -7));
+        let q = b.finish(out).unwrap();
+        let boundary = resolve_boundaries(&q);
+        assert_eq!(boundary.aligned_extent(input).hi, -5);
+        assert_eq!(boundary.aligned_input_lookahead(&q), 0);
+    }
+
+    #[test]
+    fn chained_tumbling_reduces_need_nothing_after_an_aligned_end() {
+        // The factor-plan shape: panes of 10, peak pane per 60.
+        let mut b = Query::builder();
+        let input = b.input("in", DataType::Int);
+        let panes = b.temporal(
+            "panes",
+            TDom::unbounded(10),
+            Expr::reduce_window(ReduceOp::Count, input, 10),
+        );
+        let peak =
+            b.temporal("peak", TDom::unbounded(60), Expr::reduce_window(ReduceOp::Max, panes, 60));
+        let q = b.finish(peak).unwrap();
+        let boundary = resolve_boundaries(&q);
+        assert_eq!(boundary.aligned_extent(panes), Extent { lo: -60, hi: 0 });
+        assert_eq!(boundary.aligned_input_lookahead(&q), 0);
+        // Off the grid the panes may be evaluated 59 ticks past `Te`, and
+        // each pane tick 9 past the read it serves.
+        assert_eq!(boundary.extent(panes).hi, 59);
+        assert_eq!(boundary.max_input_lookahead(&q), 68);
+        assert_eq!(boundary.max_input_lookback(&q), 70);
     }
 
     #[test]

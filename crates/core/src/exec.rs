@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use tilt_data::{BufPool, Event, SnapshotBuf, Time, TimeRange, Value};
 
-use crate::analysis::{resolve_boundaries, Boundary};
+use crate::analysis::{resolve_boundaries, Boundary, Extent};
 use crate::codegen::{lower, lower_typed, Kernel, KernelProfile};
 use crate::error::Result;
 use crate::ir::{typecheck, Query};
@@ -115,7 +115,8 @@ impl Compiler {
             ExecTier::Interpreted => lower(&optimized)?,
         };
         let n_slots = slot_count(&optimized);
-        Ok(CompiledQuery { query: optimized, kernels, boundary, n_slots, tier: self.tier })
+        let grid = kernels.iter().map(|k| k.precision).fold(1, lcm);
+        Ok(CompiledQuery { query: optimized, kernels, boundary, n_slots, grid, tier: self.tier })
     }
 }
 
@@ -140,6 +141,7 @@ pub struct CompiledQuery {
     kernels: Vec<Kernel>,
     boundary: Boundary,
     n_slots: usize,
+    grid: i64,
     tier: ExecTier,
 }
 
@@ -238,7 +240,17 @@ impl CompiledQuery {
     /// The coarsest grid all kernels agree on: partition boundaries must be
     /// multiples of this to make parallel execution seam-free.
     pub fn grid(&self) -> i64 {
-        self.kernels.iter().map(|k| k.precision).fold(1, lcm)
+        self.grid
+    }
+
+    /// The extent `obj` has to cover beyond an output range ending at `end`:
+    /// exact when `end` lies on the grid, conservative otherwise.
+    pub(crate) fn extent_ending(&self, obj: crate::ir::TObjId, end: Time) -> Extent {
+        if end.ticks() % self.grid == 0 {
+            self.boundary.aligned_extent(obj)
+        } else {
+            self.boundary.extent(obj)
+        }
     }
 
     /// Executes serially over `(range.start, range.end]`.
@@ -296,10 +308,12 @@ impl CompiledQuery {
         let mut store = pool.take_slots(self.n_slots);
         let mut result = None;
         for kernel in &self.kernels {
-            let ext = self.boundary.extent(kernel.out);
+            let ext = self.extent_ending(kernel.out, range.end);
             // Intermediates must cover every grid tick a consumer may read
-            // through (`ceil_p` of the latest lookahead access); the output
-            // kernel covers exactly the requested range.
+            // through (`ceil_p` of the latest lookahead access — nothing
+            // past `range.end` when that is on the grid and no consumer
+            // shifts forward); the output kernel covers exactly the
+            // requested range.
             let kend = if kernel.out == self.query.output() {
                 range.end
             } else {
@@ -403,13 +417,15 @@ impl CompiledQuery {
     /// This is what makes per-key session *eviction* safe in a long-running
     /// service (`tilt-runtime`): a key idle past its state horizon can be
     /// torn down and transparently re-created on revival. The bound is
-    /// `max input lookback + max input lookahead + 2 × grid` — lookback for
-    /// window reach, lookahead plus a grid step for how far emission trails
-    /// the quiet point, and one more grid step for alignment slack.
+    /// `max input lookback + aligned input lookahead + 2 × grid` — lookback
+    /// for window reach, the lookahead plus a grid step for how far emission
+    /// trails the quiet point (sessions emit at grid-aligned horizons, so it
+    /// is the aligned lookahead: 0 unless the query shifts forward), and one
+    /// more grid step for alignment slack.
     pub fn state_horizon(&self) -> i64 {
         self.boundary.max_input_lookback(&self.query)
-            + self.boundary.max_input_lookahead(&self.query)
-            + 2 * self.grid()
+            + self.boundary.aligned_input_lookahead(&self.query)
+            + 2 * self.grid
     }
 
     /// Opens a batched streaming session starting at `start` (used by the
@@ -479,20 +495,24 @@ impl<C: Borrow<CompiledQuery>> StreamSessionIn<C> {
         push_history(&mut self.histories[idx], events);
     }
 
-    /// Advances the input watermark to `upto` and returns the *finalized*
+    /// Advances the input watermark to `upto` — a promise that every event
+    /// starting before `upto` has been pushed — and returns the *finalized*
     /// output prefix.
     ///
-    /// An output at time `t` is final only once (i) every kernel's grid tick
-    /// covering `t` lies at or before the emission horizon and (ii) all
-    /// lookahead input for it has arrived — so emission stops at
-    /// `align_down(upto − lookahead, grid)`. The returned buffer may be
+    /// Emission stops at the last grid tick `e` with `e + lookahead ≤ upto`,
+    /// where the lookahead is the query's *aligned* one
+    /// ([`Boundary::aligned_input_lookahead`]): the output through a grid
+    /// tick `e` is computed by evaluation ticks at or before `e`, and those
+    /// read nothing after `e` unless the query shifts into the future. A
+    /// tumbling window ending at `e` therefore comes out of
+    /// `advance_to(e)`, not one window later. The returned buffer may be
     /// empty when the horizon has not advanced; call
     /// [`StreamSession::flush_to`] at end-of-stream to force the tail out.
     pub fn advance_to(&mut self, upto: Time) -> SnapshotBuf<Value> {
         assert!(upto > self.watermark, "advance_to must move forward");
         let cq = self.cq.borrow();
-        let la = cq.boundary.max_input_lookahead(&cq.query);
-        let target = Time::new(upto.ticks() - la).align_down(cq.grid());
+        let la = cq.boundary.aligned_input_lookahead(&cq.query);
+        let target = Time::new(upto.ticks() - la).align_down(cq.grid);
         if target <= self.watermark {
             return SnapshotBuf::new(self.watermark);
         }

@@ -229,7 +229,7 @@ fn obj_key(keys: &HashMap<TObjId, String>, obj: TObjId) -> &str {
 }
 
 /// One distinct kernel of a [`QueryGroup`]: the representative instance plus
-/// the union of every consumer's boundary-resolved extent.
+/// the union of every consumer's boundary-resolved extents.
 #[derive(Debug)]
 struct SharedNode {
     /// Representative query index (the first registrant of this fingerprint).
@@ -238,8 +238,12 @@ struct SharedNode {
     kernel: usize,
     /// Union over all instances of the boundary extent of the kernel's
     /// output object — how far beyond the emission range the shared buffer
-    /// must reach to serve every consumer.
+    /// must reach to serve every consumer, whatever the range.
     ext: Extent,
+    /// The same union of the members' *aligned* extents: what the buffer
+    /// must cover when the emission range ends on the group grid (every
+    /// advance; a flush only by coincidence).
+    aligned: Extent,
     /// Number of (query, kernel) instances collapsed into this node.
     instances: usize,
     /// The kernel's input wiring, resolved once at group build: for each
@@ -342,9 +346,11 @@ impl QueryGroup {
             for (ki, kernel) in cq.kernels().iter().enumerate() {
                 let key = keys[&kernel.out].clone();
                 let ext = cq.boundary().extent(kernel.out);
+                let aligned = cq.boundary().aligned_extent(kernel.out);
                 let ni = match by_key.get(&key) {
                     Some(&ni) => {
                         nodes[ni].ext = nodes[ni].ext.join(ext);
+                        nodes[ni].aligned = nodes[ni].aligned.join(aligned);
                         nodes[ni].instances += 1;
                         ni
                     }
@@ -363,7 +369,14 @@ impl QueryGroup {
                                 (obj.index(), src)
                             })
                             .collect();
-                        nodes.push(SharedNode { query: qi, kernel: ki, ext, instances: 1, deps });
+                        nodes.push(SharedNode {
+                            query: qi,
+                            kernel: ki,
+                            ext,
+                            aligned,
+                            instances: 1,
+                            deps,
+                        });
                         by_key.insert(key, nodes.len() - 1);
                         nodes.len() - 1
                     }
@@ -384,8 +397,13 @@ impl QueryGroup {
         }
 
         let grid = queries.iter().map(|q| q.grid()).fold(1, lcm);
-        let lookahead =
-            queries.iter().map(|q| q.boundary().max_input_lookahead(q.query())).max().unwrap_or(0);
+        // Sessions emit at multiples of the group grid, which every member
+        // grid divides: each member's aligned lookahead applies.
+        let lookahead = queries
+            .iter()
+            .map(|q| q.boundary().aligned_input_lookahead(q.query()))
+            .max()
+            .unwrap_or(0);
         let keep =
             queries.iter().map(|q| q.boundary().max_input_lookback(q.query())).max().unwrap_or(0)
                 + grid;
@@ -456,8 +474,10 @@ impl QueryGroup {
         self.grid
     }
 
-    /// The largest input lookahead over all member queries: emission must
-    /// trail the watermark by this much.
+    /// The largest *aligned* input lookahead over all member queries
+    /// ([`crate::analysis::Boundary::aligned_input_lookahead`]): group
+    /// emission horizons lie on the group grid and trail the watermark by
+    /// this much — 0 unless a member shifts into the future.
     pub fn max_input_lookahead(&self) -> i64 {
         self.lookahead
     }
@@ -470,7 +490,8 @@ impl QueryGroup {
 
     /// The group's *state horizon*: the quiet stretch after which a fresh
     /// group session is observationally identical to one that lived through
-    /// it — the widest member bound of [`CompiledQuery::state_horizon`].
+    /// it — the widest member bound of [`CompiledQuery::state_horizon`],
+    /// summing the same lookback, aligned lookahead and grid steps.
     pub fn state_horizon(&self) -> i64 {
         self.max_input_lookback() + self.lookahead + 2 * self.grid
     }
@@ -605,9 +626,11 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
     /// Advances the input watermark to `upto` and returns each member
     /// query's finalized output prefix, in registration order.
     ///
-    /// Emission stops at `align_down(upto − max lookahead, group grid)` —
-    /// the most conservative member's horizon — so every returned prefix is
-    /// final. Buffers may be empty when the horizon has not advanced.
+    /// Emission stops at the last multiple `e` of the group grid with
+    /// `e + lookahead ≤ upto` ([`QueryGroup::max_input_lookahead`], the
+    /// most demanding member's), so every returned prefix is final — and a
+    /// member window ending at `e` is in it as soon as `upto` reaches `e`.
+    /// Buffers may be empty when the horizon has not advanced.
     pub fn advance_to(&mut self, upto: Time) -> Vec<SnapshotBuf<Value>> {
         let mut pool = BufPool::new();
         self.advance_to_with(upto, &mut pool)
@@ -663,9 +686,12 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
             }
         }
         let range = TimeRange::new(self.watermark, target);
+        let on_grid = target.ticks() % g.grid == 0;
 
         // Pass 1: every distinct kernel once, over the union of its
-        // consumers' extents (creation order is topological). Buffers come
+        // consumers' extents — the aligned ones when the range ends on the
+        // grid, so nothing is computed past `target` for nobody (creation
+        // order is topological). Buffers come
         // from the pool — parked in its slot table meanwhile — and go back
         // at the end of the pass.
         let mut node_bufs = pool.take_slots(g.nodes.len());
@@ -674,8 +700,9 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
             let node = &g.nodes[ni];
             let cq = &g.queries[node.query];
             let kernel = &cq.kernels()[node.kernel];
-            let kstart = range.start.saturating_add(-node.ext.lookback());
-            let kend = range.end.saturating_add(node.ext.lookahead()).align_up(kernel.precision);
+            let ext = if on_grid { node.aligned } else { node.ext };
+            let kstart = range.start.saturating_add(-ext.lookback());
+            let kend = range.end.saturating_add(ext.lookahead()).align_up(kernel.precision);
             let mut out = pool.take(kstart);
             let bufs = |obj: crate::ir::TObjId| {
                 let &(_, src) = node.deps.iter().find(|(slot, _)| *slot == obj.index())?;

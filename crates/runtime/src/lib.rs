@@ -242,8 +242,10 @@ pub struct RuntimeConfig {
     /// by more than this is retired — its sessions (history, buffers) are
     /// torn down and transparently re-created if the key revives. `None`
     /// (default) keeps every session forever. The TTL is clamped up to the
-    /// widest live query's *state horizon* (lookback + lookahead + 2 grid
-    /// steps) so eviction never changes output; an evicted key's revival
+    /// widest live query's *state horizon* (input lookback + the lookahead
+    /// emission trails the watermark by — the aligned one, 0 for window
+    /// reduces without a forward shift — + 2 grid steps) so eviction never
+    /// changes output; an evicted key's revival
     /// events must start at or after its eviction frontier (earlier
     /// stragglers are late-dropped, as they would be past any lateness
     /// horizon).
@@ -1627,6 +1629,117 @@ mod tests {
                 streams_equivalent(&coalesce(&expected), &coalesce(&out.per_query[q.index()][&k])),
                 "key {k}: evicting service diverged from replay"
             );
+        }
+    }
+
+    /// The YSB shape — Where, then a tumbling count of `window` ticks — and
+    /// with `factor`, its factor query: the peak pane per `factor` panes.
+    fn pane_query(window: i64, factor: Option<i64>) -> Arc<CompiledQuery> {
+        let mut b = Query::builder();
+        let x = b.input("ads", DataType::Int);
+        let views = b.temporal(
+            "views",
+            TDom::every_tick(),
+            Expr::if_else(Expr::at(x).eq(Expr::c(0i64)), Expr::at(x), Expr::null()),
+        );
+        let mut out = b.temporal(
+            "count",
+            TDom::unbounded(window),
+            Expr::reduce_window(ReduceOp::Count, views, window),
+        );
+        if let Some(f) = factor {
+            out = b.temporal(
+                "peak",
+                TDom::unbounded(f * window),
+                Expr::reduce_window(ReduceOp::Max, out, f * window),
+            );
+        }
+        let q = b.finish(out).unwrap();
+        Arc::new(Compiler::new().compile(&q).unwrap())
+    }
+
+    /// The newest output end per query after exactly the first `n` events of
+    /// one key — event `i` covers `(i, i + 1]` — went in one per `ingest`.
+    /// `finish_at(Time::ZERO)` drains the shard without flushing anything,
+    /// so what is out is what the watermark alone released.
+    fn released_after(queries: &[Arc<CompiledQuery>], n: i64, lateness: i64) -> Vec<i64> {
+        let mut builder = StreamService::builder(RuntimeConfig {
+            shards: 1,
+            allowed_lateness: lateness,
+            emit_interval: 1,
+            ..RuntimeConfig::default()
+        });
+        let handles: Vec<QueryHandle> =
+            queries.iter().map(|cq| builder.register(Arc::clone(cq))).collect();
+        let service = builder.start().unwrap();
+        for i in 0..n {
+            service.ingest([KeyedEvent::new(
+                3,
+                0,
+                Event::new(Time::new(i), Time::new(i + 1), Value::Int(0)),
+            )]);
+        }
+        let out = service.finish_at(Time::ZERO);
+        assert_eq!(out.stats.late_dropped, 0);
+        handles
+            .iter()
+            .map(|h| {
+                out.per_query[h.index()]
+                    .get(&3)
+                    .and_then(|evs| evs.iter().map(|e| e.end.ticks()).max())
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tumbling_window_leaves_with_the_event_that_carries_the_watermark_to_its_end() {
+        // The watermark is the newest start minus the lateness, so it
+        // reaches `e` when the event starting at `e + lateness` — the
+        // `e + lateness + 1`-th — is in. That event releases the window
+        // ending at `e`; the one before it must not.
+        let window = 10;
+        let ysb = pane_query(window, None);
+        for lateness in [0i64, 7] {
+            for e in [10i64, 30, 70] {
+                let trigger = e + lateness;
+                assert_eq!(
+                    released_after(&[Arc::clone(&ysb)], trigger, lateness),
+                    [e - window],
+                    "lateness {lateness}: window {e} left before its trigger"
+                );
+                assert_eq!(
+                    released_after(&[Arc::clone(&ysb)], trigger + 1, lateness),
+                    [e],
+                    "lateness {lateness}: window {e} held past its trigger"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_cell_releases_every_member_at_the_group_grid() {
+        // `[ysb, ysb_factor]` in one cell share the pane kernel and emit at
+        // the lcm of their grids: both are out through `e` — a multiple of
+        // the coarse window — with the event that carries the watermark
+        // there, and neither moves before it.
+        let (window, factor) = (10, 6);
+        let coarse = factor * window;
+        let members = [pane_query(window, None), pane_query(window, Some(factor))];
+        for lateness in [0i64, 7] {
+            for e in [coarse, 3 * coarse] {
+                let trigger = e + lateness;
+                assert_eq!(
+                    released_after(&members, trigger, lateness),
+                    [e - coarse, e - coarse],
+                    "lateness {lateness}: the cell moved before the trigger of {e}"
+                );
+                assert_eq!(
+                    released_after(&members, trigger + 1, lateness),
+                    [e, e],
+                    "lateness {lateness}: the cell held {e} past its trigger"
+                );
+            }
         }
     }
 

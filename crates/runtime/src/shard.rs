@@ -239,6 +239,8 @@ struct Cell {
     emit_interval: i64,
     // Cached from `group` (refreshed after incremental edits).
     grid: i64,
+    /// How far emission trails the watermark: the group's aligned input
+    /// lookahead (0 unless a member shifts into the future).
     lookahead: i64,
     n_sources: usize,
     kernel_counts: (u64, u64),
@@ -845,7 +847,13 @@ impl Shard {
 
     /// One emission cycle's plan: each cell's watermark, emission target,
     /// and whether that target is due (at least `emit_interval` past the
-    /// cell's previous target, snapped to its kernel grid).
+    /// cell's previous target). The target is the last multiple `e` of the
+    /// cell's grid with `e + lookahead ≤ watermark`, the lookahead being the
+    /// group's aligned one (`QueryGroup::max_input_lookahead`): no event the
+    /// cell still accepts starts before its watermark, so everything a
+    /// window ending at `e` reads is in, and the window leaves in the cycle
+    /// that carries the watermark to `e` — the target can equal the
+    /// watermark.
     fn cell_plans(&self) -> Vec<CellPlan> {
         self.cells
             .iter()

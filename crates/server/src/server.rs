@@ -106,9 +106,7 @@ macro_rules! net_stats {
     ($( $field:ident: $kind:ident = $register:ident($metric:literal), )*) => {
         /// Server-side connection/byte/credit accounting, registered in
         /// the *service's* metrics registry so one scrape covers both
-        /// layers. Cloning shares the underlying counters (the fields
-        /// are `Arc`s).
-        #[derive(Clone)]
+        /// layers. Shared as one `Arc<NetStats>` ([`Inner::net`]).
         struct NetStats {
             $( $field: Arc<$kind>, )*
         }
@@ -249,7 +247,7 @@ struct Inner {
     subs: Mutex<HashMap<u32, Arc<Mutex<SubState>>>>,
     /// Behind a lock so a restore can re-home the counters into the
     /// replacement service's registry ([`NetStats::rehome`]).
-    net: RwLock<NetStats>,
+    net: RwLock<Arc<NetStats>>,
     running: AtomicBool,
     idle_timeout: Option<Duration>,
     decode_error_budget: u32,
@@ -257,10 +255,12 @@ struct Inner {
 }
 
 impl Inner {
-    /// A shared view of the current accounting (cheap: the fields are
-    /// `Arc`s).
-    fn net(&self) -> NetStats {
-        self.net.read().expect("net lock").clone()
+    /// A shared handle on the current accounting: one reference-count
+    /// bump, whatever the number of counters. Hot paths (the fan-out sink
+    /// runs once per key per window close on a shard thread) take it once
+    /// per call, not once per counter touched.
+    fn net(&self) -> Arc<NetStats> {
+        Arc::clone(&self.net.read().expect("net lock"))
     }
 
     /// The delivery state for `query`, created on first use.
@@ -319,8 +319,9 @@ impl Inner {
         let sub = self.subs.lock().expect("subs lock").remove(&query);
         if let Some(sub) = sub {
             let st = sub.lock().expect("substate lock");
+            let net = self.net();
             for conn in &st.conns {
-                conn.send(&Message::Eos { query }, &self.net());
+                conn.send(&Message::Eos { query }, &net);
             }
         }
     }
@@ -434,7 +435,7 @@ impl Server {
             catalog,
             handles: Mutex::new(HashMap::new()),
             subs: Mutex::new(HashMap::new()),
-            net: RwLock::new(net),
+            net: RwLock::new(Arc::new(net)),
             running: AtomicBool::new(true),
             idle_timeout: config.idle_timeout,
             decode_error_budget: config.decode_error_budget,
@@ -691,7 +692,7 @@ fn restore_service(inner: &Arc<Inner>, path: &str, names: &[String]) -> Message 
         Ok(svc) => svc,
         Err(e) => return Message::Error { code: ErrorCode::Internal, message: e.to_string() },
     };
-    *inner.net.write().expect("net lock") = inner.net().rehome(&restored.registry());
+    *inner.net.write().expect("net lock") = Arc::new(inner.net().rehome(&restored.registry()));
     let queries: Vec<(u32, i64)> = restored
         .query_handles()
         .into_iter()

@@ -533,6 +533,19 @@ impl Lineage {
 mod tests {
     use super::*;
 
+    /// A fresh scratch directory unique to this process and call, so tests
+    /// running in parallel (or a rerun after a crash) never share files.
+    /// No test here arms a failpoint — the registry is process-global, and
+    /// the one that does lives in `tests/chaos_properties.rs`, where every
+    /// test holds the `tilt_fault::Scenario` guard.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        static N: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("tilt-state-{}-{tag}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for CRC-32/ISO-HDLC.
@@ -543,8 +556,7 @@ mod tests {
 
     #[test]
     fn every_truncation_of_a_file_errors_cleanly() {
-        let dir = std::env::temp_dir().join("tilt-state-test-trunc");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("trunc");
         let path = dir.join("snap.tilt");
         let mut w = SnapshotWriter::create(&path).unwrap();
         let mut payload = Enc::new();
@@ -574,8 +586,7 @@ mod tests {
 
     #[test]
     fn bit_flips_fail_the_checksum() {
-        let dir = std::env::temp_dir().join("tilt-state-test-flip");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("flip");
         let path = dir.join("snap.tilt");
         let mut w = SnapshotWriter::create(&path).unwrap();
         w.record(1, b"payload-bytes-here").unwrap();
@@ -593,8 +604,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_and_wrong_versions_rejected() {
-        let dir = std::env::temp_dir().join("tilt-state-test-tail");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("tail");
         let path = dir.join("snap.tilt");
         let mut w = SnapshotWriter::create(&path).unwrap();
         w.record(1, b"x").unwrap();
@@ -617,8 +627,7 @@ mod tests {
 
     #[test]
     fn bundle_round_trip_and_kind_check() {
-        let dir = std::env::temp_dir().join("tilt-state-test-bundle");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("bundle");
         let path = dir.join("bundle.tilt");
         let written = write_bundle(&path, 7, b"key-state").unwrap();
         let (payload, read) = read_bundle(&path, 7).unwrap();
@@ -633,8 +642,7 @@ mod tests {
 
     #[test]
     fn staged_write_publishes_only_on_finish() {
-        let dir = std::env::temp_dir().join("tilt-state-test-stage");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("stage");
         let path = dir.join("snap.tiltsnp");
 
         // Mid-write: destination untouched, bytes live in the .part file.
@@ -656,45 +664,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The satellite fix: overwriting a checkpoint path must never
-    /// destroy the previous good snapshot, even when the writer dies
-    /// mid-file (injected error or torn write) or at fsync/rename time.
-    #[test]
-    fn killed_writer_preserves_previous_snapshot() {
-        let _guard = tilt_fault::Scenario::setup();
-        let dir = std::env::temp_dir().join("tilt-state-test-preserve");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.tiltsnp");
-
-        let mut w = SnapshotWriter::create(&path).unwrap();
-        w.record(1, b"generation-one").unwrap();
-        w.finish().unwrap();
-
-        let kills: [(&str, tilt_fault::Policy); 4] = [
-            ("state.snapshot.write_record", tilt_fault::Policy::ErrorOnce),
-            ("state.snapshot.write_record", tilt_fault::Policy::TornAfter(3)),
-            ("state.snapshot.fsync", tilt_fault::Policy::ErrorOnce),
-            ("state.snapshot.rename", tilt_fault::Policy::ErrorOnce),
-        ];
-        for (site, policy) in kills {
-            tilt_fault::arm(site, policy);
-            let attempt = (|| {
-                let mut w = SnapshotWriter::create(&path)?;
-                w.record(1, b"generation-two")?;
-                w.finish()
-            })();
-            assert!(attempt.is_err(), "{site} fault must fail the rewrite");
-            tilt_fault::disarm(site);
-            let survived = SnapshotFile::read(&path).expect("previous snapshot intact");
-            assert_eq!(survived.records()[0], (1u8, b"generation-one".to_vec()), "{site}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn lineage_numbers_validates_and_prunes() {
-        let dir = std::env::temp_dir().join("tilt-state-test-lineage");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = scratch_dir("lineage");
         let lineage = Lineage::open(&dir, 2).unwrap();
         assert!(lineage.newest_valid().is_none());
 

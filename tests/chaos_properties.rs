@@ -2,7 +2,8 @@
 //! checkpoint write, a connection killed mid-stream, error-every-Nth
 //! spill writes — the final per-key output must equal the fault-free
 //! run, conservation must hold exactly, and a reconnecting subscriber
-//! with `Resume` must observe every frame exactly once.
+//! with `Resume` must observe every frame exactly once; and a snapshot
+//! writer killed at any stage leaves the previous snapshot intact.
 //!
 //! Every test runs inside a [`tilt_fault::Scenario`], which serializes
 //! fault tests within this binary and resets the failpoint registry on
@@ -22,6 +23,7 @@ use tilt_fault as fault;
 use tilt_fault::Policy;
 use tilt_runtime::{KeyedEvent, Lineage, RuntimeConfig, StreamService};
 use tilt_server::{Client, ClientConfig, RetryPolicy, Server, ServerConfig};
+use tilt_state::{SnapshotFile, SnapshotWriter};
 
 /// Default chaos seed when `FAULT_SEED` is unset.
 const SEED_DEFAULT: u64 = 0xC0A5_C0DE;
@@ -173,6 +175,44 @@ fn drain(service: &StreamService) {
 /// rename, one mode per shard count — must leave the lineage's last
 /// published snapshot untouched. Recovery restores from it, re-ingests
 /// the suffix, and lands on output identical to the fault-free run.
+/// Overwriting a checkpoint path must never destroy the previous good
+/// snapshot, even when the writer dies mid-file (injected error or torn
+/// write) or at fsync/rename time. It arms the process-global
+/// `state.snapshot.*` failpoints, so it lives here — where every test
+/// holds the scenario guard — rather than beside `tilt-state`'s unit
+/// tests, which write snapshots unguarded.
+#[test]
+fn killed_writer_preserves_previous_snapshot() {
+    let _scenario = fault::Scenario::setup();
+    let dir = scratch_path("preserve");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("snap.tiltsnp");
+
+    let mut w = SnapshotWriter::create(&path).unwrap();
+    w.record(1, b"generation-one").unwrap();
+    w.finish().unwrap();
+
+    let kills: [(&str, Policy); 4] = [
+        ("state.snapshot.write_record", Policy::ErrorOnce),
+        ("state.snapshot.write_record", Policy::TornAfter(3)),
+        ("state.snapshot.fsync", Policy::ErrorOnce),
+        ("state.snapshot.rename", Policy::ErrorOnce),
+    ];
+    for (site, policy) in kills {
+        fault::arm(site, policy);
+        let attempt = (|| {
+            let mut w = SnapshotWriter::create(&path)?;
+            w.record(1, b"generation-two")?;
+            w.finish()
+        })();
+        assert!(attempt.is_err(), "{site} fault must fail the rewrite");
+        fault::disarm(site);
+        let survived = SnapshotFile::read(&path).expect("previous snapshot intact");
+        assert_eq!(survived.records()[0], (1u8, b"generation-one".to_vec()), "{site}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn torn_checkpoint_recovers_from_newest_valid_snapshot() {
     let _scenario = fault::Scenario::setup();

@@ -5,7 +5,10 @@
 //!   reference evaluator and the TiLT compiler (fused and unfused);
 //! * parallel partitioned execution equals serial execution for arbitrary
 //!   partition sizes;
-//! * incremental window reduction equals naive recomputation.
+//! * incremental window reduction equals naive recomputation;
+//! * plans mixing precisions (strides 1/4/6, `Chop`, chained reduces, shifts
+//!   above and below a coarse node) release, from a session stepped along
+//!   the grid, exactly the final output through `e − aligned lookahead`.
 
 use proptest::prelude::*;
 use tilt_core::ir::{DataType, Expr};
@@ -43,6 +46,7 @@ enum Stage {
     Where(i32),
     Shift(i8),
     Window { size: u8, stride: u8, agg: u8 },
+    Chop(u8),
 }
 
 fn arb_stage() -> impl Strategy<Value = Stage> {
@@ -55,6 +59,38 @@ fn arb_stage() -> impl Strategy<Value = Stage> {
             Stage::Window { size, stride, agg }
         }),
     ]
+}
+
+/// Stages whose grids are 1, 4 and 6 ticks — coarse nodes that divide
+/// neither each other nor the shifts placed around them, so the aligned
+/// boundary rule is exercised where its lookahead is *not* zero.
+fn arb_mixed_stage() -> impl Strategy<Value = Stage> {
+    let stride = || (0usize..3).prop_map(|i| [1u8, 4, 6][i]);
+    prop_oneof![
+        (-3i32..4).prop_map(Stage::Select),
+        (-5i8..6).prop_map(Stage::Shift),
+        (-5i8..6).prop_map(Stage::Shift),
+        (stride(), 0u8..7, 0u8..5).prop_map(|(stride, extra, agg)| Stage::Window {
+            size: stride + extra,
+            stride,
+            agg
+        }),
+        (stride(), 0u8..7, 0u8..5).prop_map(|(stride, extra, agg)| Stage::Window {
+            size: stride + extra,
+            stride,
+            agg
+        }),
+        stride().prop_map(Stage::Chop),
+    ]
+}
+
+/// `events` restricted to `(.., end]`.
+fn through(events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
+    events
+        .iter()
+        .filter(|e| e.start < end)
+        .map(|e| Event::new(e.start, e.end.min(end), e.payload.clone()))
+        .collect()
 }
 
 fn build_plan(stages: &[Stage], join_tail: bool) -> (LogicalPlan, NodeId) {
@@ -76,6 +112,7 @@ fn build_plan(stages: &[Stage], join_tail: bool) -> (LogicalPlan, NodeId) {
                 };
                 plan.window(node, *size as i64, *stride as i64, agg)
             }
+            Stage::Chop(period) => plan.chop(node, *period as i64),
         };
     }
     if join_tail {
@@ -198,5 +235,61 @@ proptest! {
             streams_close(&expected, &got, 1e-6),
             "window({},{}) {:?}: {:?} vs {:?}", size, stride, agg, got, expected
         );
+    }
+
+    /// Mixed precisions: reference == one-shot `run` == a session stepped
+    /// along the grid, which after every `advance_to(e)` has released
+    /// exactly the final output through `align_down(e − lookahead)`.
+    #[test]
+    fn mixed_precision_sessions_release_exactly_the_final_prefix(
+        events in arb_events(),
+        stages in prop::collection::vec(arb_mixed_stage(), 1..5),
+        join_tail in any::<bool>(),
+        steps in prop::collection::vec(1i64..4, 1..8),
+    ) {
+        let (plan, out) = build_plan(&stages, join_tail);
+        let q = tilt_query::lower(&plan, out).unwrap();
+        let hi = events.last().map_or(Time::new(10), |e| e.end) + 10;
+        for cq in [Compiler::new().compile(&q).unwrap(), Compiler::unoptimized().compile(&q).unwrap()] {
+            let grid = cq.grid();
+            let range = TimeRange::new(Time::ZERO, hi.align_up(grid));
+            let expected =
+                tilt_query::reference::evaluate(&plan, out, std::slice::from_ref(&events), range);
+            let buf = SnapshotBuf::from_events(&events, range);
+            let oneshot = cq.run(&[&buf], range).to_events();
+            prop_assert!(
+                streams_close(&expected, &oneshot, 1e-6),
+                "one-shot vs reference: {:?}\n vs {:?}\nplan: {:?}", oneshot, expected, stages
+            );
+
+            let la = cq.boundary().aligned_input_lookahead(cq.query());
+            prop_assert!(la <= cq.boundary().max_input_lookahead(cq.query()));
+            let mut session = cq.stream_session(Time::ZERO);
+            let mut got: Vec<Event<Value>> = Vec::new();
+            let mut pushed = 0;
+            let mut e = Time::ZERO;
+            for step in steps.iter().cycle() {
+                if e >= range.end {
+                    break;
+                }
+                e = (e + step * grid).min(range.end);
+                let upto = pushed + events[pushed..].partition_point(|ev| ev.start < e);
+                session.push_events(0, &events[pushed..upto]);
+                pushed = upto;
+                got.extend(session.advance_to(e).to_events());
+                let released = Time::new(e.ticks() - la).align_down(grid).max(Time::ZERO);
+                prop_assert_eq!(session.watermark(), released);
+                prop_assert!(
+                    streams_close(&through(&expected, released), &got, 1e-6),
+                    "after advance_to({}) with lookahead {}: {:?}\n vs final {:?}\nplan: {:?}",
+                    e, la, got, through(&expected, released), stages
+                );
+            }
+            got.extend(session.flush_to(range.end).to_events());
+            prop_assert!(
+                streams_close(&expected, &got, 1e-6),
+                "session vs reference: {:?}\n vs {:?}\nplan: {:?}", got, expected, stages
+            );
+        }
     }
 }

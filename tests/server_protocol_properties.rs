@@ -896,6 +896,91 @@ fn two_subscribers_receive_identical_streams() {
     server.stop();
 }
 
+/// The YSB shape: a tumbling count of `window` ticks over the matching ads.
+fn tumbling_count_query(window: i64) -> Arc<CompiledQuery> {
+    let mut b = Query::builder();
+    let x = b.input("ads", DataType::Int);
+    let views = b.temporal(
+        "views",
+        TDom::every_tick(),
+        Expr::if_else(Expr::at(x).eq(Expr::c(0i64)), Expr::at(x), Expr::null()),
+    );
+    let counts = b.temporal(
+        "counts",
+        TDom::unbounded(window),
+        Expr::reduce_window(ReduceOp::Count, views, window),
+    );
+    let q = b.finish(counts).unwrap();
+    Arc::new(Compiler::new().compile(&q).unwrap())
+}
+
+#[test]
+fn subscriber_gets_window_e_once_ingest_through_start_e_is_acknowledged() {
+    // Release timing through the socket: the events that carry every
+    // shard's watermark to `e` are in once `ingest` returns (each frame is
+    // acknowledged), and then every campaign's frame for the window ending
+    // at `e` must reach the subscriber with nothing further sent. The
+    // subscriber is a raw socket so a held window fails on the read timeout
+    // instead of hanging; the timeout plays no part in a passing run.
+    let (window, campaigns) = (10i64, 4u64);
+    for lateness in [0i64, 3] {
+        let config = RuntimeConfig {
+            shards: 2,
+            allowed_lateness: lateness,
+            emit_interval: window,
+            ..RuntimeConfig::default()
+        };
+        let server = Server::start(config, vec![("ysb".into(), tumbling_count_query(window))])
+            .expect("server starts");
+        let producer = Client::connect(server.addr()).expect("producer connects");
+        let q = producer.attach("ysb", None, None).expect("attach");
+        let mut sub = greeted(server.addr());
+        sub.set_read_timeout(Some(std::time::Duration::from_secs(20))).expect("read timeout");
+        sub.write_all(&encode_frame(&Message::Subscribe { query: q.id() })).expect("subscribe");
+        let (reply, _) = read_message(&mut sub).expect("subscribe reply");
+        assert_eq!(reply, Message::Ok);
+
+        let mut next_start = 0i64;
+        for e in [window, 2 * window, 5 * window] {
+            // One event per campaign per tick, through the start that puts
+            // the watermark (newest start − lateness) at `e`.
+            let batch: Vec<KeyedEvent> = (next_start..=e + lateness)
+                .flat_map(|t| {
+                    (0..campaigns).map(move |k| {
+                        KeyedEvent::new(
+                            k,
+                            0,
+                            Event::new(Time::new(t), Time::new(t + 1), Value::Int(0)),
+                        )
+                    })
+                })
+                .collect();
+            next_start = e + lateness + 1;
+            producer.ingest(batch).expect("ingest acknowledged");
+
+            let mut waiting: std::collections::HashSet<u64> = (0..campaigns).collect();
+            while !waiting.is_empty() {
+                let (msg, _) = read_message(&mut sub).unwrap_or_else(|err| {
+                    panic!(
+                        "lateness {lateness}: window {e} of campaigns {waiting:?} was not \
+                         released by the ingest that carried the watermark to it: {err:?}"
+                    )
+                });
+                let Message::OutputSeq { key, events, .. } = msg else {
+                    panic!("unexpected frame on a subscription: {msg:?}")
+                };
+                let newest = events.iter().map(|ev| ev.end.ticks()).max().unwrap_or(0);
+                assert!(newest <= e, "window {newest} left before the watermark reached it");
+                if newest == e {
+                    waiting.remove(&key);
+                }
+            }
+        }
+        producer.shutdown(None).expect("shutdown");
+        server.stop();
+    }
+}
+
 #[test]
 fn detach_ends_subscriptions_with_eos() {
     let server = test_server(1, 4);

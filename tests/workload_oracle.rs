@@ -130,9 +130,10 @@ fn every_workload_plan_matches_the_reference_on_every_tier_and_mode() {
     }
 }
 
-/// The lookahead a session's emission trails its watermark by.
+/// The lookahead a session's emission trails its watermark by: the aligned
+/// one, since sessions emit at grid-aligned horizons.
 fn emission_lookahead(cq: &CompiledQuery) -> i64 {
-    cq.boundary().max_input_lookahead(cq.query())
+    cq.boundary().aligned_input_lookahead(cq.query())
 }
 
 /// `events` restricted to `(.., end]`.
