@@ -96,17 +96,18 @@ impl Extent {
     }
 }
 
-/// What is required of one object: for any output interval, and for one
-/// that ends on the query grid.
+/// What is required of one object: its extent for any output interval, and
+/// the exact forward reach for an interval that ends on the query grid
+/// (backward the two never differ).
 #[derive(Clone, Copy, Debug)]
 struct Need {
-    any: Extent,
-    aligned: Extent,
+    ext: Extent,
+    aligned_hi: i64,
 }
 
 impl Need {
     fn join(self, other: Need) -> Need {
-        Need { any: self.any.join(other.any), aligned: self.aligned.join(other.aligned) }
+        Need { ext: self.ext.join(other.ext), aligned_hi: self.aligned_hi.max(other.aligned_hi) }
     }
 }
 
@@ -127,7 +128,7 @@ impl Boundary {
     /// an arbitrary output interval. Objects the output does not depend on
     /// have no entry.
     pub fn extent(&self, obj: TObjId) -> Extent {
-        self.needs.get(&obj).map_or(Extent::ZERO, |n| n.any)
+        self.needs.get(&obj).map_or(Extent::ZERO, |n| n.ext)
     }
 
     /// The extent required of `obj` relative to an output interval whose end
@@ -135,7 +136,7 @@ impl Boundary {
     /// reach is exact — evaluation ticks past `Te` are `Te + ceil_p(r)`, not
     /// `Te + r + (p − 1)`. Equal to [`Boundary::extent`] backward.
     pub fn aligned_extent(&self, obj: TObjId) -> Extent {
-        self.needs.get(&obj).map_or(Extent::ZERO, |n| n.aligned)
+        self.needs.get(&obj).map_or(Extent::ZERO, |n| Extent { lo: n.ext.lo, hi: n.aligned_hi })
     }
 
     /// Whether the output depends on `obj` at all.
@@ -190,7 +191,7 @@ pub fn direct_extents(body: &Expr) -> HashMap<TObjId, Extent> {
 /// nothing is added: the tick serving a read at `u` is `ceil_p(u) ≥ u`.
 pub fn resolve_boundaries(query: &Query) -> Boundary {
     let mut boundary = Boundary::default();
-    boundary.needs.insert(query.output(), Need { any: Extent::ZERO, aligned: Extent::ZERO });
+    boundary.needs.insert(query.output(), Need { ext: Extent::ZERO, aligned_hi: 0 });
 
     // Walk expressions in reverse topological order so each definition sees
     // the final extent of its own output before distributing to dependencies.
@@ -198,16 +199,12 @@ pub fn resolve_boundaries(query: &Query) -> Boundary {
         let Some(&need) = boundary.needs.get(&te.output) else {
             continue; // dead expression: the output does not depend on it
         };
+        // Where this expression's own evaluation ticks fall.
         let p = te.dom.precision;
-        let ticks = Need {
-            any: Extent { lo: need.any.lo, hi: need.any.hi + (p - 1) },
-            aligned: Extent {
-                lo: need.aligned.lo,
-                hi: Time::new(need.aligned.hi).align_up(p).ticks(),
-            },
-        };
+        let ticks = Extent { lo: need.ext.lo, hi: need.ext.hi + (p - 1) };
+        let aligned_tick_hi = Time::new(need.aligned_hi).align_up(p).ticks();
         for (dep, ext) in direct_extents(&te.body) {
-            let total = Need { any: ticks.any.chain(ext), aligned: ticks.aligned.chain(ext) };
+            let total = Need { ext: ticks.chain(ext), aligned_hi: aligned_tick_hi + ext.hi };
             boundary.needs.entry(dep).and_modify(|n| *n = n.join(total)).or_insert(total);
         }
     }

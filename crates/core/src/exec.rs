@@ -19,7 +19,7 @@ use tilt_data::{BufPool, Event, SnapshotBuf, Time, TimeRange, Value};
 use crate::analysis::{resolve_boundaries, Boundary, Extent};
 use crate::codegen::{lower, lower_typed, Kernel, KernelProfile};
 use crate::error::Result;
-use crate::ir::{typecheck, Query};
+use crate::ir::{typecheck, Query, TObjId};
 use crate::opt::Optimizer;
 
 /// Which kernel-body execution tier the compiler emits (see
@@ -245,7 +245,7 @@ impl CompiledQuery {
 
     /// The extent `obj` has to cover beyond an output range ending at `end`:
     /// exact when `end` lies on the grid, conservative otherwise.
-    pub(crate) fn extent_ending(&self, obj: crate::ir::TObjId, end: Time) -> Extent {
+    pub(crate) fn extent_ending(&self, obj: TObjId, end: Time) -> Extent {
         if end.ticks() % self.grid == 0 {
             self.boundary.aligned_extent(obj)
         } else {
@@ -460,6 +460,9 @@ pub struct StreamSessionIn<C: Borrow<CompiledQuery>> {
     histories: Vec<SnapshotBuf<Value>>,
     watermark: Time,
     keep: i64,
+    /// How far emission trails `advance_to`'s `upto`: the query's aligned
+    /// input lookahead.
+    lookahead: i64,
     /// Recycles intermediate kernel buffers across advances (the
     /// single-query analogue of the pool group sessions thread through
     /// `advance_to_with`).
@@ -475,9 +478,10 @@ pub type SharedStreamSession = StreamSessionIn<Arc<CompiledQuery>>;
 impl<C: Borrow<CompiledQuery>> StreamSessionIn<C> {
     fn new(cq: C, start: Time) -> Self {
         let q = cq.borrow();
-        let keep = q.boundary.max_input_lookback(&q.query) + q.grid();
+        let keep = q.boundary.max_input_lookback(&q.query) + q.grid;
+        let lookahead = q.boundary.aligned_input_lookahead(&q.query);
         let histories = q.query.inputs().iter().map(|_| SnapshotBuf::new(start)).collect();
-        StreamSessionIn { cq, histories, watermark: start, keep, pool: BufPool::new() }
+        StreamSessionIn { cq, histories, watermark: start, keep, lookahead, pool: BufPool::new() }
     }
 
     /// The current watermark (everything up to it has been emitted).
@@ -510,9 +514,7 @@ impl<C: Borrow<CompiledQuery>> StreamSessionIn<C> {
     /// [`StreamSession::flush_to`] at end-of-stream to force the tail out.
     pub fn advance_to(&mut self, upto: Time) -> SnapshotBuf<Value> {
         assert!(upto > self.watermark, "advance_to must move forward");
-        let cq = self.cq.borrow();
-        let la = cq.boundary.aligned_input_lookahead(&cq.query);
-        let target = Time::new(upto.ticks() - la).align_down(cq.grid);
+        let target = Time::new(upto.ticks() - self.lookahead).align_down(self.cq.borrow().grid);
         if target <= self.watermark {
             return SnapshotBuf::new(self.watermark);
         }
