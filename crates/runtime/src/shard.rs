@@ -1975,6 +1975,10 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilt_core::ir::{DataType, Expr, Query, ReduceOp, TDom};
+    use tilt_core::{CompiledQuery, Compiler};
+
+    use crate::RuntimeStats;
 
     fn ev(start: i64, end: i64, v: f64) -> Event<Value> {
         Event::new(Time::new(start), Time::new(end), Value::Float(v))
@@ -2089,5 +2093,223 @@ mod tests {
             buf.matured_mut(Time::MAX).iter().map(|b| (b.event.start, b.event.end)).collect();
         let want: Vec<(Time, Time)> = reference.iter().map(|e| (e.start, e.end)).collect();
         assert_eq!(got, want);
+    }
+
+    // ---- A burst of one equals a burst of many ----
+
+    /// Ticks of event time one block of the differential stream spans.
+    const BLOCK_TICKS: i64 = 4096;
+    /// Events per block: 64 messages of 256, one receive burst at the
+    /// [`MAX_MSGS_PER_CYCLE`] bound.
+    const BLOCK_EVENTS: usize = MAX_MSGS_PER_CYCLE * 256;
+    /// A key that is quarantined before the first event arrives.
+    const QUARANTINED: u64 = 666;
+
+    fn window_sums(sources: usize) -> Arc<CompiledQuery> {
+        let mut b = Query::builder();
+        let mut expr: Option<Expr> = None;
+        for s in 0..sources {
+            let input = b.input(&format!("s{s}"), DataType::Float);
+            let sum = Expr::reduce_window(ReduceOp::Sum, input, 4);
+            expr = Some(match expr {
+                Some(e) => e.add(sum),
+                None => sum,
+            });
+        }
+        let out = b.temporal("sum", TDom::every_tick(), expr.expect("at least one source"));
+        Arc::new(Compiler::new().compile(&b.finish(out).unwrap()).unwrap())
+    }
+
+    /// A shard serving two cells — source 0 alone under lateness 8, sources
+    /// 0 and 1 under lateness 24 — with its own counters, and one key
+    /// quarantined up front.
+    fn two_cell_shard(cfg: RuntimeConfig) -> (Shard, Arc<SharedStats>) {
+        let stats = Arc::new(SharedStats::new(1, true, 64));
+        let sinks = Arc::new(SinkTable::new());
+        let specs: Vec<Arc<CellSpec>> = [(window_sums(1), 8), (window_sums(2), 24)]
+            .into_iter()
+            .map(|(cq, lateness)| {
+                let qid = stats.register_query(cfg.start, false);
+                sinks.push(None);
+                Arc::new(CellSpec {
+                    group: Arc::new(QueryGroup::new(vec![cq]).unwrap()),
+                    qids: vec![qid],
+                    root: cfg.start,
+                    lateness,
+                    emit_interval: cfg.emit_interval,
+                })
+            })
+            .collect();
+        let mut shard = Shard::new(0, &specs, cfg, sinks, Arc::clone(&stats), None);
+        shard.retired.insert(
+            QUARANTINED,
+            Retired { frontiers: Vec::new(), out: Vec::new(), quarantined: true },
+        );
+        (shard, stats)
+    }
+
+    /// One block of the seeded stream. Only its last event carries a cell's
+    /// watermark over an emission point (every other source-0 start stays
+    /// below `base + BLOCK_TICKS / 2`, the cells' `emit_interval`), so an
+    /// emission cycle after every event and one after the whole block run
+    /// the same cycles. Within the block: 40 hot keys in bounded disorder,
+    /// stragglers inside one cell's bound and beyond both, the same
+    /// `(start, end)` twice with different payloads, a source nobody reads,
+    /// the quarantined key, and a churn set that is silent in blocks 1 and 2
+    /// (evicted under a TTL) and returns in block 3 behind, then ahead of,
+    /// its eviction frontier.
+    fn block_events(block: usize, rng: &mut u64) -> Vec<KeyedEvent> {
+        let mut next = || {
+            *rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (*rng >> 33) as i64
+        };
+        let base = block as i64 * BLOCK_TICKS;
+        let jump = base + BLOCK_TICKS + 24;
+        let mut out: Vec<KeyedEvent> = Vec::with_capacity(BLOCK_EVENTS);
+        let point = |key: u64, source: usize, start: i64, len: i64, v: f64| {
+            KeyedEvent::new(key, source, ev(start, start + len, v))
+        };
+        for i in 0..BLOCK_EVENTS {
+            let progress = base + (i as i64 * (BLOCK_TICKS / 2 - 64)) / BLOCK_EVENTS as i64;
+            let v = (next() % 64) as f64 * 0.25;
+            let len = 1 + next() % 3;
+            let ke = if i == BLOCK_EVENTS - 1 {
+                point(0, 0, jump, 1, v)
+            } else if i == BLOCK_EVENTS / 2 {
+                // Source 1 runs ahead first, so the block's last event moves
+                // both cells' watermarks at once.
+                point(1, 1, jump, 1, v)
+            } else if i % 501 == 1 {
+                let prev = out.last().expect("not the first event");
+                KeyedEvent::new(
+                    prev.key,
+                    prev.source,
+                    Event::new(prev.event.start, prev.event.end, Value::Float(v + 0.125)),
+                )
+            } else if i % 1999 == 0 {
+                point((next() % 40) as u64, 2, progress + 1, len, v)
+            } else if i % 777 == 0 {
+                point(QUARANTINED, 0, progress + 1, len, v)
+            } else if i % 53 == 0 && (block == 0 || block == 3) {
+                let key = 100 + (next() % 8) as u64;
+                // Key 100 first returns with an event from before its
+                // eviction; the others (and its later events) are current.
+                let start = if block == 3 && key == 100 && i < BLOCK_EVENTS / 4 {
+                    10 + next() % 20
+                } else {
+                    progress + 1
+                };
+                point(key, 0, start, len, v)
+            } else {
+                let key = (next() % 40) as u64;
+                let source = if next() % 8 == 0 { 1 } else { 0 };
+                let disorder = if next() % 97 == 0 { 8 + next() % 40 } else { next() % 6 };
+                point(key, source, (progress + 1 - disorder).max(1), len, v)
+            };
+            out.push(ke);
+        }
+        out
+    }
+
+    /// One receive burst as [`Shard::run`] folds it: every message applied,
+    /// then one emission cycle. Accounts the events as `send_batch` and
+    /// `ingest` do, so the conservation identity can be read.
+    fn cycle(shard: &mut Shard, stats: &SharedStats, msgs: Vec<Vec<KeyedEvent>>) {
+        let mut finish_at = None;
+        for events in msgs {
+            stats.queue_depth[0].add(events.len() as i64);
+            stats.events_in.add(events.len() as u64);
+            shard.apply(ShardMsg::Batch(events), &mut finish_at);
+        }
+        shard.maybe_advance();
+    }
+
+    fn burst_of_one_equals_burst_of_many(cfg: RuntimeConfig) -> RuntimeStats {
+        let cfg = RuntimeConfig { emit_interval: BLOCK_TICKS / 2, ..cfg };
+        let (mut single, single_stats) = two_cell_shard(cfg);
+        let (mut folded, folded_stats) = two_cell_shard(cfg);
+        let mut rng = 0x5EED_0000_0000_0029u64;
+        for block in 0..4 {
+            let events = block_events(block, &mut rng);
+            for ke in &events {
+                cycle(&mut single, &single_stats, vec![vec![ke.clone()]]);
+            }
+            cycle(&mut folded, &folded_stats, events.chunks(256).map(<[_]>::to_vec).collect());
+            assert!(
+                single.checkpoint_payload() == folded.checkpoint_payload(),
+                "checkpoint bytes differ after block {block}"
+            );
+            let (a, b) = (single_stats.snapshot(), folded_stats.snapshot());
+            assert_eq!(a.conservation_balance(), 0, "block {block}");
+            assert_eq!(b.conservation_balance(), 0, "block {block}");
+        }
+        let a = single.flush(None).per_key;
+        let b = folded.flush(None).per_key;
+        assert_eq!(a.len(), b.len());
+        for ((ka, oa), (kb, ob)) in a.iter().zip(&b) {
+            assert_eq!(ka, kb);
+            assert_eq!(oa, ob, "key {ka}");
+        }
+        assert!(a.iter().any(|(_, out)| out.iter().any(|evs| !evs.is_empty())));
+        let (a, b) = (single_stats.snapshot(), folded_stats.snapshot());
+        for (field, x, y) in [
+            ("late_dropped", a.late_dropped, b.late_dropped),
+            ("events_consumed", a.events_consumed, b.events_consumed),
+            ("backstop_dropped", a.backstop_dropped, b.backstop_dropped),
+            ("backstop_forced", a.backstop_forced, b.backstop_forced),
+            ("evictions", a.evictions, b.evictions),
+            ("revivals", a.revivals, b.revivals),
+            ("quarantine_dropped", a.quarantine_dropped, b.quarantine_dropped),
+            ("reorder_buffered", a.reorder_buffered, b.reorder_buffered),
+            ("events_out", a.events_out, b.events_out),
+            ("kernels_run", a.kernels_run, b.kernels_run),
+            ("keys", a.keys, b.keys),
+        ] {
+            assert_eq!(x, y, "{field}");
+        }
+        assert_eq!(a.late_per_query, b.late_per_query);
+        assert_eq!(b.conservation_balance(), 0);
+        assert!(b.quarantine_dropped > 0 && b.late_dropped > 0 && b.events_consumed > 0);
+        b
+    }
+
+    #[test]
+    fn burst_of_one_equals_burst_of_many_with_eviction_and_revival() {
+        let stats = burst_of_one_equals_burst_of_many(RuntimeConfig {
+            key_ttl: Some(BLOCK_TICKS),
+            ..RuntimeConfig::default()
+        });
+        assert!(stats.evictions >= 8, "the churn set is evicted: {}", stats.evictions);
+        assert!(stats.revivals >= 8, "and revived: {}", stats.revivals);
+    }
+
+    #[test]
+    fn burst_of_one_equals_burst_of_many_under_the_per_key_backstop() {
+        for backstop in [BackstopPolicy::DropNewest, BackstopPolicy::ForceDrain] {
+            let stats = burst_of_one_equals_burst_of_many(RuntimeConfig {
+                max_pending_per_key: Some(16),
+                backstop,
+                ..RuntimeConfig::default()
+            });
+            match backstop {
+                BackstopPolicy::DropNewest => assert!(stats.backstop_dropped > 0),
+                BackstopPolicy::ForceDrain => assert!(stats.backstop_forced > 0),
+            }
+        }
+    }
+
+    #[test]
+    fn burst_of_one_equals_burst_of_many_under_the_per_shard_backstop() {
+        for backstop in [BackstopPolicy::DropNewest, BackstopPolicy::ForceDrain] {
+            let stats = burst_of_one_equals_burst_of_many(RuntimeConfig {
+                max_pending_per_shard: Some(2000),
+                backstop,
+                ..RuntimeConfig::default()
+            });
+            match backstop {
+                BackstopPolicy::DropNewest => assert!(stats.backstop_dropped > 0),
+                BackstopPolicy::ForceDrain => assert!(stats.backstop_forced > 0),
+            }
+        }
     }
 }

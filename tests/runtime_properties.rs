@@ -166,4 +166,86 @@ proptest! {
             );
         }
     }
+
+    /// How a stream is cut into `ingest` calls — hence into channel
+    /// messages and shard receive bursts — is invisible: one event per call
+    /// and 4096 per call give the same per-key output and the same final
+    /// counters, at 1, 2 and 4 shards. (Only counters that do not depend on
+    /// how many emission cycles ran are compared; output is compared
+    /// coalesced for the same reason.)
+    #[test]
+    fn ingest_chunking_is_invisible(
+        key_streams in prop::collection::vec(
+            prop::collection::vec((1i64..5, 1i64..4, -50i64..50), 20..80),
+            2..12,
+        ),
+        window in 1i64..16,
+        agg in 0u8..3,
+        displacement in 1usize..48,
+    ) {
+        let streams: Vec<Vec<Event<Value>>> =
+            key_streams.iter().map(|segs| stream_from_segments(segs)).collect();
+        let arrivals = arrival_sequence(&streams, displacement);
+        let lateness = lateness_needed(&arrivals) + 2;
+        let hi = arrivals.iter().map(|ke| ke.event.end).max().unwrap();
+        let end = Time::new(hi.ticks() + window);
+        let cq = window_query(window, agg);
+
+        let mut reference: Option<(Vec<Vec<Event<Value>>>, Vec<(&'static str, i64)>)> = None;
+        for shards in [1usize, 2, 4] {
+            for chunk in [1usize, 4096] {
+                let runtime = Single::start(
+                    Arc::clone(&cq),
+                    RuntimeConfig {
+                        shards,
+                        allowed_lateness: lateness,
+                        emit_interval: 8,
+                        ..RuntimeConfig::default()
+                    },
+                );
+                for call in arrivals.chunks(chunk) {
+                    runtime.ingest(call.iter().cloned());
+                }
+                let out = runtime.finish_at(end);
+                let per_key: Vec<Vec<Event<Value>>> =
+                    (0..streams.len()).map(|k| coalesce(&out.per_key[&(k as u64)])).collect();
+                let counters: Vec<(&'static str, i64)> = out
+                    .stats
+                    .fields()
+                    .filter(|(name, _)| {
+                        matches!(
+                            *name,
+                            "events_in" | "events_consumed" | "late_dropped" | "detach_dropped"
+                                | "keys" | "live_keys" | "evictions" | "revivals"
+                                | "backstop_dropped" | "backstop_forced" | "quarantine_dropped"
+                                | "reorder_buffered" | "conservation_balance"
+                        )
+                    })
+                    .collect();
+                prop_assert_eq!(counters.len(), 13);
+                match &reference {
+                    None => {
+                        prop_assert_eq!(out.stats.events_in as usize, arrivals.len());
+                        prop_assert_eq!(out.stats.reorder_buffered as usize, arrivals.len());
+                        prop_assert_eq!(out.stats.late_dropped, 0);
+                        prop_assert_eq!(out.stats.conservation_balance(), 0);
+                        reference = Some((per_key, counters));
+                    }
+                    Some((want_out, want_counters)) => {
+                        prop_assert_eq!(
+                            &counters, want_counters,
+                            "shards {}, chunk {}", shards, chunk
+                        );
+                        for (k, (got, want)) in per_key.iter().zip(want_out).enumerate() {
+                            prop_assert!(
+                                streams_equivalent(want, got),
+                                "key {} (shards {}, chunk {}): {:?} vs {:?}",
+                                k, shards, chunk, want, got
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
