@@ -13,13 +13,21 @@
 //! deterministic suite at the bottom pins the batched tier's word-edge
 //! behavior: runs of 63/64/65 ticks and φ gaps straddling 64-lane mask
 //! word boundaries.
+//!
+//! A second family covers *quiet runs*: sparse streams (gaps of up to 300
+//! ticks) under windows of 16, 64 and 257 ticks, where a window holds
+//! content for many ticks in a row while nothing enters or leaves it. Every
+//! tier must emit the same one-span-per-tick output there, one-shot and
+//! through a session whose advances end in the middle of such runs, and
+//! where `tilt_query` can express the plan, the reference evaluator's too.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use tilt_core::ir::{CustomReduce, DataType, Expr, Query, QueryBuilder, ReduceOp, TDom, TObjId};
 use tilt_core::{Compiler, ExecTier};
-use tilt_data::{Event, SnapshotBuf, Time, TimeRange, Value};
+use tilt_data::{streams_close, streams_equivalent, Event, SnapshotBuf, Time, TimeRange, Value};
+use tilt_query::{elem, Agg, LogicalPlan};
 use tilt_runtime::{KeyedEvent, RuntimeConfig};
 
 mod common;
@@ -433,6 +441,200 @@ proptest! {
     }
 }
 
+/// Sorted, disjoint events separated by gaps of 1–300 ticks — so a window
+/// of 16, 64 or 257 ticks spends most of its life between two change
+/// points — with payloads drawn from `vals`: point events, or intervals of
+/// 1–40 ticks.
+fn sparse_stream(g: &mut Gen, intervals: bool, vals: &[f64]) -> Vec<Event<Value>> {
+    let n = 20 + g.pick(30);
+    let mut t = 0i64;
+    (0..n)
+        .map(|_| {
+            let start = t + g.pick(300) as i64;
+            let end = start + if intervals { 1 + g.pick(40) as i64 } else { 1 };
+            t = end;
+            Event::new(Time::new(start), Time::new(end), Value::Float(vals[g.pick(vals.len())]))
+        })
+        .collect()
+}
+
+/// Small integers: every sum, mean numerator and sum of squares over them
+/// is exact in `f64`, so Subtract-on-Evict and a naive fold agree to the bit.
+const SMALL_INTS: [f64; 8] = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0];
+/// Signed powers of two: products and their inverses are exact. (No zeros:
+/// a window holding *only* zeros is `Int(0)` on the interpreter and
+/// `Float(0.0)` on the typed tiers — an older divergence, not this suite's.)
+const POWERS: [f64; 5] = [0.5, 1.0, 2.0, -1.0, -2.0];
+
+/// A session fed everything that starts before each multiple of `step` and
+/// advanced there, then flushed to `end`: the advances of a long quiet run
+/// end inside it.
+fn stepped_session(
+    cq: &tilt_core::CompiledQuery,
+    events: &[Event<Value>],
+    step: i64,
+    end: Time,
+) -> Vec<Event<Value>> {
+    let mut session = cq.stream_session(Time::ZERO);
+    let mut out = Vec::new();
+    let mut pushed = 0;
+    let mut upto = Time::new(step);
+    while upto < end {
+        let n = events[pushed..].partition_point(|e| e.start < upto);
+        session.push_events(0, &events[pushed..pushed + n]);
+        pushed += n;
+        out.extend(session.advance_to(upto).to_events());
+        upto += step;
+    }
+    session.push_events(0, &events[pushed..]);
+    out.extend(session.flush_to(end).to_events());
+    out
+}
+
+/// All three tiers over `events`, one-shot and as a stepped session: the
+/// buffers byte-identical, the sessions event-identical, and a session
+/// equivalent to the one-shot run. Returns the one-shot events.
+fn assert_tiers_agree(name: &str, q: &Query, events: &[Event<Value>]) -> Vec<Event<Value>> {
+    let tiers = [ExecTier::Batched, ExecTier::Compiled, ExecTier::Interpreted]
+        .map(|tier| Compiler::new().with_tier(tier).compile(q).expect("compiles"));
+    let grid = tiers[0].grid();
+    let hi = events.last().expect("non-empty stream").end;
+    let range = TimeRange::new(Time::ZERO, (hi + 300).align_up(grid));
+    let buf = SnapshotBuf::from_events(events, range);
+    let runs = tiers.each_ref().map(|cq| cq.run(&[&buf], range));
+    assert_eq!(runs[0], runs[1], "{name}: batched vs per-tick diverged");
+    assert_eq!(runs[1], runs[2], "{name}: per-tick vs interpreted diverged");
+    let oneshot = runs[0].to_events();
+    // 37 shares no factor with the windows or the strides: advance edges
+    // drift through every phase of a quiet run.
+    let sessions = tiers.each_ref().map(|cq| stepped_session(cq, events, 37, range.end));
+    assert_eq!(sessions[0], sessions[1], "{name}: batched vs per-tick sessions diverged");
+    assert_eq!(sessions[1], sessions[2], "{name}: per-tick vs interpreted sessions diverged");
+    assert!(streams_equivalent(&oneshot, &sessions[0]), "{name}: session diverged from one-shot");
+    oneshot
+}
+
+/// `tilt_query`'s reference evaluator over the same range as
+/// [`assert_tiers_agree`].
+fn reference_events(
+    plan: &LogicalPlan,
+    out: tilt_query::NodeId,
+    events: &[Event<Value>],
+    grid: i64,
+) -> Vec<Event<Value>> {
+    let hi = events.last().expect("non-empty stream").end;
+    let range = TimeRange::new(Time::ZERO, (hi + 300).align_up(grid));
+    tilt_query::reference::evaluate(plan, out, &[events.to_vec()], range)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Quiet runs: every built-in reduction (subtract-on-evict, deque and
+    /// recompute accumulators) over sparse point and interval streams,
+    /// windows 16 / 64 / 257 at stride 1 and 4 — all tiers byte-identical,
+    /// one-shot and chunked, and equal to the reference evaluator.
+    #[test]
+    fn quiet_runs_match_across_tiers_and_the_reference(seed in any::<u64>()) {
+        let mut g = Gen { rng: TestRng::new(seed) };
+        for intervals in [false, true] {
+            let events = sparse_stream(&mut g, intervals, &SMALL_INTS);
+            for window in [16i64, 64, 257] {
+                for stride in [1i64, 4] {
+                    for agg in [Agg::Sum, Agg::Count, Agg::Mean, Agg::StdDev, Agg::Min, Agg::Max] {
+                        let name = format!("{agg:?} w={window} s={stride} intervals={intervals}");
+                        let mut plan = LogicalPlan::new();
+                        let src = plan.source("x", DataType::Float);
+                        let out = plan.window(src, window, stride, agg.clone());
+                        let q = tilt_query::lower(&plan, out).expect("window plan lowers");
+                        let got = assert_tiers_agree(&name, &q, &events);
+                        let want = reference_events(&plan, out, &events, stride);
+                        // The reference's two-pass σ differs from the
+                        // running sums in the last bits; the rest is exact.
+                        let ok = if matches!(agg, Agg::StdDev) {
+                            streams_close(&want, &got, 1e-9)
+                        } else {
+                            streams_equivalent(&want, &got)
+                        };
+                        prop_assert!(ok, "{}: diverged from the reference", name);
+                    }
+                    // Product has no logical-plan aggregate: tiers only.
+                    let products = sparse_stream(&mut g, intervals, &POWERS);
+                    let mut b = Query::builder();
+                    let x = b.input("x", DataType::Float);
+                    let body = Expr::reduce_window(ReduceOp::Product, x, window);
+                    let out = b.temporal("product", TDom::unbounded(stride), body);
+                    let q = b.finish(out).expect("well-formed");
+                    assert_tiers_agree(&format!("Product w={window} s={stride}"), &q, &products);
+                }
+            }
+        }
+    }
+
+    /// Quiet runs in composite bodies: two reduces of different widths in
+    /// one kernel (the run ends at the earlier change point of the two), a
+    /// reduce beside a point read and a backward shift of the same input
+    /// (point boundaries end a run too), a filter fused into the window as
+    /// a map that drops elements to φ, and a body that reads the clock —
+    /// whose lanes differ tick by tick and must never be copied.
+    #[test]
+    fn quiet_runs_in_composite_bodies(seed in any::<u64>()) {
+        let mut g = Gen { rng: TestRng::new(seed) };
+        let or_zero = |e: Expr| Expr::if_else(e.clone().is_present(), e, Expr::c(0.0));
+        for intervals in [false, true] {
+            let events = sparse_stream(&mut g, intervals, &SMALL_INTS);
+            for window in [16i64, 64, 257] {
+                for stride in [1i64, 4] {
+                    let tag = format!("w={window} s={stride} intervals={intervals}");
+                    let single = |name: &str, body: &dyn Fn(TObjId) -> Expr| {
+                        let mut b = Query::builder();
+                        let x = b.input("x", DataType::Float);
+                        let out = b.temporal(name, TDom::unbounded(stride), body(x));
+                        let q = b.finish(out).expect("well-formed");
+                        let cq = Compiler::new().compile(&q).expect("compiles");
+                        assert_eq!(cq.num_kernels(), 1, "{name}: one fused body");
+                        assert_tiers_agree(&format!("{name} {tag}"), &q, &events)
+                    };
+                    single("two_widths", &|x| {
+                        Expr::reduce_window(ReduceOp::Sum, x, window)
+                            .sub(Expr::reduce_window(ReduceOp::Max, x, window / 4 + 1))
+                    });
+                    single("beside_reads", &|x| {
+                        Expr::reduce_window(ReduceOp::Mean, x, window)
+                            .add(or_zero(Expr::at(x)))
+                            .add(or_zero(Expr::at_off(x, -3)).mul(Expr::c(0.5)))
+                    });
+                    single("reads_clock", &|x| {
+                        Expr::reduce_window(ReduceOp::Sum, x, window).add(Expr::Unary(
+                            tilt_core::ir::UnOp::ToFloat,
+                            Box::new(Expr::Time),
+                        ))
+                    });
+
+                    // Where + Window: the optimizer fuses the filter into
+                    // the window as its map; non-positive elements drop.
+                    for agg in [Agg::Sum, Agg::Count] {
+                        let mut plan = LogicalPlan::new();
+                        let src = plan.source("x", DataType::Float);
+                        let kept = plan.where_(src, elem().gt(Expr::c(0.0)));
+                        let out = plan.window(kept, window, stride, agg.clone());
+                        let q = tilt_query::lower(&plan, out).expect("filtered window lowers");
+                        let cq = Compiler::new().compile(&q).expect("compiles");
+                        prop_assert_eq!(cq.num_kernels(), 1, "the filter fuses into the window");
+                        let name = format!("filtered {agg:?} {tag}");
+                        let got = assert_tiers_agree(&name, &q, &events);
+                        let want = reference_events(&plan, out, &events, stride);
+                        prop_assert!(
+                            streams_equivalent(&want, &got),
+                            "{}: diverged from the reference", name
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic word-edge coverage for the batched tier: a fused numeric
 /// plan driven over dense runs of exactly 63/64/65/128/130 ticks (the
 /// `NullMask` word size is 64, the batch cap 256), with φ gaps positioned
@@ -489,6 +691,34 @@ fn batched_tier_word_boundary_runs() {
                 bt, c,
                 "per-tick vs interpreted diverged (ticks={total_ticks}, gap={gap_at:?})"
             );
+        }
+    }
+
+    // Quiet runs against the same edges: a point event at tick 1 opens a
+    // batch at lane 0 and a window of 64 / 300 ticks holds it while
+    // nothing else happens; a second event `second_at` lanes later ends
+    // the run on / next to a 64-lane word boundary or the 256-lane batch
+    // cap, and with the 300-tick window the first run crosses the cap.
+    for window in [64i64, 300] {
+        for second_at in [62i64, 63, 64, 65, 66, 127, 128, 129, 254, 255, 256, 257, 258] {
+            let mut b = Query::builder();
+            let x = b.input("x", DataType::Float);
+            let sum = Expr::reduce_window(ReduceOp::Sum, x, window);
+            let count = Expr::reduce_window(ReduceOp::Count, x, window / 2);
+            let body = sum.mul(Expr::c(2.0)).add(Expr::if_else(
+                count.clone().is_present(),
+                Expr::Unary(tilt_core::ir::UnOp::ToFloat, Box::new(count)),
+                Expr::c(-1.0),
+            ));
+            let out = b.temporal("out", TDom::every_tick(), body);
+            let q = b.finish(out).expect("well-formed");
+            let batched = Compiler::new().compile(&q).expect("compiles");
+            assert_eq!(batched.batched_kernels(), 1);
+            let events = [
+                Event::point(Time::new(1), Value::Float(1.5)),
+                Event::point(Time::new(1 + second_at), Value::Float(-0.25)),
+            ];
+            assert_tiers_agree(&format!("w={window} second_at={second_at}"), &q, &events);
         }
     }
 }
