@@ -319,8 +319,9 @@ fn check_file(file: &Path) -> Outcome {
             // accounting is honest (zero for fully numeric plans, visible
             // with `fully_typed == false` when a plan leans on the
             // dynamic tier), the batch gate admits exactly the numeric
-            // kernels, and fused maps run at most once per element.
-            for plan in ["pointwise", "window_sum"] {
+            // kernels, fused maps run at most once per element, and a
+            // window between two change points is copied, not re-slid.
+            for plan in ["pointwise", "window_sum", "sparse_sliding"] {
                 check.is_true(&format!("plans.{plan}.outputs_identical"));
                 check.is_true(&format!("plans.{plan}.batched_outputs_identical"));
                 check.eq_i64(&format!("plans.{plan}.fallback_ops"), 0);
@@ -345,6 +346,13 @@ fn check_file(file: &Path) -> Outcome {
             check.gt_i64("plans.window_sum.map_runs", 0);
             check.le_f64("plans.window_sum.map_run_rate", 1.05);
             check.le_f64("plans.str_fallback.map_run_rate", 1.05);
+            // Slides follow change points: every event of `sparse_sliding`
+            // sits alone in its window for 64 lanes, and the batched tier
+            // slides where it enters and where it leaves — `slides ≤
+            // 2·events + runs`. A loop that slid per lane would read 64
+            // per event.
+            check.gt_i64("plans.sparse_sliding.slides", 0);
+            check.le_fields("plans.sparse_sliding.slides", "plans.sparse_sliding.slides_bound");
         }
         other => {
             check

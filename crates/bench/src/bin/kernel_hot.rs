@@ -1,7 +1,7 @@
 //! Per-kernel hot-loop throughput: interpreted vs per-tick typed vs
 //! batched typed tier.
 //!
-//! Three plans probe the three-tier execution model:
+//! Four plans probe the three-tier execution model:
 //!
 //! * `pointwise` — a fully fused numeric map/filter scoring chain (pure
 //!   per-tick scalar evaluation, where enum interpretation hurts most and
@@ -12,16 +12,22 @@
 //!   bytecode, typed window maps, and unboxed accumulators together;
 //! * `str_fallback` — a `Str`-driven filter, pinning that fallback
 //!   subtrees stay correct *and visible* in the fallback counters (and
-//!   are rejected by the batch gate).
+//!   are rejected by the batch gate);
+//! * `sparse_sliding` — an every-tick sliding sum of 64 ticks over one
+//!   point event per ~200: each event holds the window for 64 output
+//!   lanes while nothing enters or leaves it, the shape of a sparse keyed
+//!   stream. The batched tier slides where an event enters and where it
+//!   leaves and copies the lanes between (`slides_per_event`).
 //!
 //! Tier measurements interleave round by round so shared-runner frequency
 //! drift cannot bias the ratios. Throughput is machine-dependent and only
 //! reported; the **machine-independent invariants** — all three tiers
 //! byte-identical, fallback counters zero for the fully numeric plans,
-//! nonzero (with `fully_typed == false`) for the `Str` plan, and window
-//! maps executed at most once per accumulated element (`map_run_rate`) —
-//! go into the `--json` report and are re-checked by the `guardrail`
-//! binary in CI.
+//! nonzero (with `fully_typed == false`) for the `Str` plan, window maps
+//! executed at most once per accumulated element (`map_run_rate`), and a
+//! window slid only where something enters or leaves it (`slides ≤
+//! 2·events + runs` on `sparse_sliding`) — go into the `--json` report and
+//! are re-checked by the `guardrail` binary in CI.
 
 use tilt_bench::json::Json;
 use tilt_bench::{best_throughput, fmt_meps, fmt_ratio, print_table, write_json_report, RunCfg};
@@ -195,6 +201,30 @@ fn str_fallback_plan() -> Query {
     b.finish(smoothed).unwrap()
 }
 
+/// An every-tick sliding sum over a sparse stream: between the tick an
+/// event enters the window and the tick it leaves, 64 output lanes read
+/// the same window.
+fn sparse_sliding_plan() -> Query {
+    let mut b = Query::builder();
+    let x = b.input("x", DataType::Float);
+    let out = b.temporal("wsum", TDom::every_tick(), Expr::reduce_window(ReduceOp::Sum, x, 64));
+    b.finish(out).unwrap()
+}
+
+/// One point event every 150–249 ticks: further apart than the window of
+/// [`sparse_sliding_plan`] is wide, so no two ever share it.
+fn sparse_float_events(n: usize) -> Vec<Event<Value>> {
+    let mut state = 0x9E3779B97F4A7C15u64;
+    let mut t = 0i64;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            t += 150 + ((state >> 33) % 100) as i64;
+            Event::point(Time::new(t), Value::Float((state >> 40) as f64 / (1u64 << 24) as f64))
+        })
+        .collect()
+}
+
 fn float_events(n: usize) -> Vec<Event<Value>> {
     let mut state = 0x9E3779B97F4A7C15u64;
     (1..=n as i64)
@@ -230,6 +260,11 @@ struct PlanResult {
     /// events, on the batched tier. The map-once-per-element invariant
     /// keeps `map_runs / events` at most ~1 regardless of window size.
     map_runs: u64,
+    /// Grid ticks the batched tier evaluated in that pass, and how many of
+    /// them it evaluated by sliding its windows rather than by copying the
+    /// lane before (`KernelProfile::{lanes, slides}`, summed over kernels).
+    lanes: u64,
+    slides: u64,
     /// Per-kernel profiles from one *timed* pass on a fresh compile (the
     /// throughput rounds above run untimed, so the bench numbers never
     /// carry clock-read overhead), plus that pass's event count.
@@ -284,6 +319,8 @@ fn run_plan(name: &'static str, q: &Query, events: &[Event<Value>], runs: usize)
         fallback_ops: compiled.fallback_ops() + batched.fallback_ops(),
         fully_typed: batched.fully_typed(),
         map_runs: profiled.map_runs(),
+        lanes: profile.iter().map(|k| k.lanes).sum(),
+        slides: profile.iter().map(|k| k.slides).sum(),
         profile,
         profiled_events: events.len(),
     }
@@ -298,6 +335,12 @@ fn main() {
         run_plan("pointwise", &pointwise_plan(), &floats, cfg.runs),
         run_plan("window_sum", &window_sum_plan(), &floats, cfg.runs),
         run_plan("str_fallback", &str_fallback_plan(), &strs, cfg.runs),
+        run_plan(
+            "sparse_sliding",
+            &sparse_sliding_plan(),
+            &sparse_float_events(cfg.events),
+            cfg.runs,
+        ),
     ];
 
     let rows: Vec<Vec<String>> = results
@@ -358,6 +401,19 @@ fn main() {
                         ("fully_typed", r.fully_typed.into()),
                         ("map_runs", r.map_runs.into()),
                         ("map_run_rate", (r.map_runs as f64 / r.profiled_events as f64).into()),
+                        ("lanes", r.lanes.into()),
+                        ("slides", r.slides.into()),
+                        ("slides_per_event", (r.slides as f64 / r.profiled_events as f64).into()),
+                        // What a window slid only at its change points
+                        // costs at most: one slide where each event enters,
+                        // one where it leaves, one to find each kernel
+                        // run's first quiet stretch.
+                        (
+                            "slides_bound",
+                            (2 * r.profiled_events as u64
+                                + r.profile.iter().map(|k| k.invocations).sum::<u64>())
+                            .into(),
+                        ),
                         (
                             "profile",
                             Json::Arr(

@@ -8,7 +8,12 @@
 //! so the dispatch dominates. This module amortizes it: the kernel driver
 //! collects up to [`MAX_BATCH`] consecutive ticks whose stepping is dense,
 //! and [`BatchCtx::exec`] runs each instruction once over all lanes as a
-//! plain `f64`/`i64` slice loop the compiler auto-vectorizes.
+//! plain `f64`/`i64` slice loop the compiler auto-vectorizes. The columns
+//! outlive the run: the driver fills its lanes (or repeats the lane before
+//! across a stretch where no input changes, [`BatchCtx::repeat_lane`]),
+//! the body defines the rest before reading them, and the prelude's
+//! constant columns — which the gate proves nothing writes — are filled
+//! once, when the kernel's run state is shaped.
 //!
 //! φ handling is where the batch shape pays twice: per-register lane masks
 //! are word-level [`NullMask`]s, so propagating φ through a binary op is a
@@ -74,15 +79,26 @@ pub(crate) fn batchable(tp: &TypedProgram, modes: &[Option<(Class, Class)>]) -> 
     body_ok(tp)
 }
 
+/// What the gate knows of a register at the current body position.
+#[derive(Clone, Copy, PartialEq)]
+enum Def {
+    No,
+    /// Written by the body (or the driver) earlier in the tick.
+    Yes,
+    /// A prelude constant or φ seed: live from the start, written by
+    /// nothing else — a kernel's batch columns hold these across runs.
+    Prelude,
+}
+
 /// Registers proven initialized at the current body position.
 struct Init {
-    f: Vec<bool>,
-    i: Vec<bool>,
-    b: Vec<bool>,
+    f: Vec<Def>,
+    i: Vec<Def>,
+    b: Vec<Def>,
 }
 
 impl Init {
-    fn slots(&mut self, c: Class) -> &mut Vec<bool> {
+    fn slots(&mut self, c: Class) -> &mut Vec<Def> {
         match c {
             Class::F => &mut self.f,
             Class::I => &mut self.i,
@@ -91,12 +107,18 @@ impl Init {
         }
     }
 
-    fn def(&mut self, c: Class, r: u16) {
-        self.slots(c)[r as usize] = true;
+    /// Records a write to `r`; `false` when `r` is a prelude register.
+    fn def(&mut self, c: Class, r: u16) -> bool {
+        let slot = &mut self.slots(c)[r as usize];
+        let writable = *slot != Def::Prelude;
+        if writable {
+            *slot = Def::Yes;
+        }
+        writable
     }
 
     fn live(&mut self, c: Class, r: u16) -> bool {
-        self.slots(c)[r as usize]
+        self.slots(c)[r as usize] != Def::No
     }
 }
 
@@ -105,18 +127,19 @@ impl Init {
 /// else.
 fn prelude_init(tp: &TypedProgram) -> Option<Init> {
     let mut init = Init {
-        f: vec![false; tp.n_f as usize],
-        i: vec![false; tp.n_i as usize],
-        b: vec![false; tp.n_b as usize],
+        f: vec![Def::No; tp.n_f as usize],
+        i: vec![Def::No; tp.n_i as usize],
+        b: vec![Def::No; tp.n_b as usize],
     };
     for ins in &tp.prelude {
-        match ins {
-            Instr::ConstF { dst, .. } => init.def(Class::F, *dst),
-            Instr::ConstI { dst, .. } => init.def(Class::I, *dst),
-            Instr::ConstB { dst, .. } => init.def(Class::B, *dst),
-            Instr::Null { dst } if dst.class != Class::V => init.def(dst.class, dst.idx),
+        let (c, r) = match ins {
+            Instr::ConstF { dst, .. } => (Class::F, *dst),
+            Instr::ConstI { dst, .. } => (Class::I, *dst),
+            Instr::ConstB { dst, .. } => (Class::B, *dst),
+            Instr::Null { dst } if dst.class != Class::V => (dst.class, dst.idx),
             _ => return None,
-        }
+        };
+        init.slots(c)[r as usize] = Def::Prelude;
     }
     Some(init)
 }
@@ -128,10 +151,9 @@ fn body_ok(tp: &TypedProgram) -> bool {
     // Besides the prelude, the driver-filled point/reduce slots are the
     // only registers live at body entry.
     for r in tp.point_regs.iter().chain(&tp.reduce_regs).flatten() {
-        if r.class == Class::V {
+        if r.class == Class::V || !init.def(r.class, r.idx) {
             return false;
         }
-        init.def(r.class, r.idx);
     }
     tp.instrs.iter().all(|ins| step(ins, &mut init))
 }
@@ -147,23 +169,19 @@ pub(crate) fn map_batchable(
     root: Option<Reg>,
 ) -> bool {
     let Some(mut init) = prelude_init(tp) else { return false };
-    if var.class == Class::V || root.is_none() {
+    if var.class == Class::V || root.is_none() || !init.def(var.class, var.idx) {
         return false;
     }
-    init.def(var.class, var.idx);
     instrs.iter().all(|ins| step(ins, &mut init))
 }
 
 /// Admits one instruction: reads must be initialized and distinct from the
 /// destination (batch columns update in place, so an aliased destination
-/// would clobber an operand mid-run).
+/// would clobber an operand mid-run), and the destination must not be a
+/// prelude register (those columns are written once per run state).
 fn step(ins: &Instr, init: &mut Init) -> bool {
     let mut chk = |reads: &[(Class, u16)], dst: (Class, u16)| -> bool {
-        let ok = reads.iter().all(|&(c, r)| init.live(c, r) && (c, r) != dst);
-        if ok {
-            init.def(dst.0, dst.1);
-        }
-        ok
+        reads.iter().all(|&(c, r)| init.live(c, r) && (c, r) != dst) && init.def(dst.0, dst.1)
     };
     use Class::{B, F, I};
     match ins {
@@ -387,39 +405,57 @@ lane!(i64, I, get_i, i, ni);
 lane!(bool, B, get_b, b, nb);
 
 impl BatchCtx {
-    /// Columns sized for `tp`, all lanes φ, capacity [`MAX_BATCH`].
-    pub(crate) fn new(tp: &TypedProgram) -> BatchCtx {
-        let cap = MAX_BATCH;
-        BatchCtx {
-            cap,
-            f: vec![0.0; tp.n_f as usize * cap],
-            i: vec![0; tp.n_i as usize * cap],
-            b: vec![false; tp.n_b as usize * cap],
-            nf: (0..tp.n_f).map(|_| NullMask::new(cap)).collect(),
-            ni: (0..tp.n_i).map(|_| NullMask::new(cap)).collect(),
-            nb: (0..tp.n_b).map(|_| NullMask::new(cap)).collect(),
-            scratch: NullMask::new(cap),
+    /// Columns sized for `tp`, capacity [`MAX_BATCH`], each filled with its
+    /// register of `ctx` (a scalar file whose prelude has run): constants
+    /// and φ seeds become whole columns, written here once — the gate
+    /// proved nothing else writes them — and every other column is defined
+    /// by the driver or the body before each use, so what it holds now, or
+    /// is left holding by the previous run, is never read.
+    pub(crate) fn new(tp: &TypedProgram, ctx: &TypedCtx) -> BatchCtx {
+        fn file<T: Copy>(
+            n: u16,
+            cap: usize,
+            reg: impl Fn(u16) -> (T, bool),
+        ) -> (Vec<T>, Vec<NullMask>) {
+            let mut vals = Vec::with_capacity(n as usize * cap);
+            let mut masks = Vec::with_capacity(n as usize);
+            for r in 0..n {
+                let (x, null) = reg(r);
+                vals.resize(vals.len() + cap, x);
+                let mut mask = NullMask::new(cap);
+                if !null {
+                    mask.clear_all();
+                }
+                masks.push(mask);
+            }
+            (vals, masks)
         }
+        let cap = MAX_BATCH;
+        let (f, nf) = file(tp.n_f, cap, |r| ctx.get_f(r));
+        let (i, ni) = file(tp.n_i, cap, |r| ctx.get_i(r));
+        let (b, nb) = file(tp.n_b, cap, |r| ctx.get_b(r));
+        BatchCtx { cap, f, i, b, nf, ni, nb, scratch: NullMask::new(cap) }
     }
 
-    /// Replicates a prepared scalar register file (prelude already run)
-    /// across every lane: constants and φ seeds become whole columns.
-    /// Called once per drive; per-lane slots are overwritten each batch.
-    pub(crate) fn broadcast(&mut self, ctx: &TypedCtx, tp: &TypedProgram) {
-        for r in 0..tp.n_f {
-            let (x, n) = ctx.get_f(r);
-            self.f[r as usize * self.cap..][..self.cap].fill(x);
-            set_whole(&mut self.nf[r as usize], n);
+    /// Copies lane `from` of the driver-filled registers `regs` into the
+    /// `n` lanes after it: the lanes of a stretch in which no read and no
+    /// window changes hold the registers of the lane before.
+    pub(crate) fn repeat_lane(&mut self, regs: impl Iterator<Item = Reg>, from: usize, n: usize) {
+        fn repeat<T: Copy>(col: &mut [T], mask: &mut NullMask, from: usize, n: usize) {
+            let (lo, hi) = (from + 1, from + 1 + n);
+            let x = col[from];
+            col[lo..hi].fill(x);
+            mask.set_range(lo, hi, mask.get(from));
         }
-        for r in 0..tp.n_i {
-            let (x, n) = ctx.get_i(r);
-            self.i[r as usize * self.cap..][..self.cap].fill(x);
-            set_whole(&mut self.ni[r as usize], n);
-        }
-        for r in 0..tp.n_b {
-            let (x, n) = ctx.get_b(r);
-            self.b[r as usize * self.cap..][..self.cap].fill(x);
-            set_whole(&mut self.nb[r as usize], n);
+        let cap = self.cap;
+        for r in regs {
+            let at = r.idx as usize;
+            match r.class {
+                Class::F => repeat(&mut self.f[at * cap..][..cap], &mut self.nf[at], from, n),
+                Class::I => repeat(&mut self.i[at * cap..][..cap], &mut self.ni[at], from, n),
+                Class::B => repeat(&mut self.b[at * cap..][..cap], &mut self.nb[at], from, n),
+                Class::V => unreachable!("batch gate admits only typed driver registers"),
+            }
         }
     }
 
@@ -951,12 +987,28 @@ impl BatchCtx {
     }
 }
 
-/// Sets a whole mask to one flag value.
-fn set_whole(m: &mut NullMask, null: bool) {
-    if null {
-        m.set_all();
-    } else {
-        m.clear_all();
+#[cfg(test)]
+impl BatchCtx {
+    /// [`TypedCtx::poison`] for the columns: every lane of every register
+    /// but the prelude's.
+    pub(super) fn poison(&mut self, tp: &TypedProgram, null: bool) {
+        let keep = tp.prelude_regs();
+        let kept = |class, idx: usize| keep.contains(&Reg { class, idx: idx as u16 });
+        let cap = self.cap;
+        let flag = |m: &mut NullMask| if null { m.set_all() } else { m.clear_all() };
+        for r in (0..self.nf.len()).filter(|&r| !kept(Class::F, r)) {
+            self.f[r * cap..][..cap].fill(f64::NAN);
+            flag(&mut self.nf[r]);
+        }
+        for r in (0..self.ni.len()).filter(|&r| !kept(Class::I, r)) {
+            self.i[r * cap..][..cap].fill(i64::MIN);
+            flag(&mut self.ni[r]);
+        }
+        for r in (0..self.nb.len()).filter(|&r| !kept(Class::B, r)) {
+            self.b[r * cap..][..cap].fill(true);
+            flag(&mut self.nb[r]);
+        }
+        flag(&mut self.scratch);
     }
 }
 

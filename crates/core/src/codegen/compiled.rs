@@ -424,7 +424,10 @@ pub(super) enum Instr {
 ///
 /// φ lives in per-class [`NullMask`]s for the unboxed files; `V` registers
 /// carry it inline as [`Value::Null`]. Registers persist across ticks, like
-/// the interpreter's [`super::EvalCtx`] slots.
+/// the interpreter's [`super::EvalCtx`] slots — and across runs: the file
+/// is part of the kernel's run state, its prelude constants written once
+/// (nothing else ever writes those registers) and everything else defined
+/// by the body before it is read.
 #[derive(Clone, Debug)]
 pub(crate) struct TypedCtx {
     /// The current evaluation time in ticks.
@@ -442,6 +445,11 @@ pub(crate) struct TypedCtx {
     /// the map-once-per-element invariant (Subtract-on-Evict must *not*
     /// re-run maps; see `super::reduce`).
     pub(crate) map_runs: u64,
+    /// Grid ticks evaluated since the kernel last folded its counters.
+    pub(crate) lanes: u64,
+    /// Of those, the ticks whose windows were slid and reads loaded — the
+    /// rest were copies of the tick before (see `Kernel::run_batched_as`).
+    pub(crate) slides: u64,
 }
 
 impl TypedCtx {
@@ -718,9 +726,57 @@ pub(crate) struct TypedProgram {
     pub(crate) reduce_elem: Vec<Option<Class>>,
 }
 
+#[cfg(test)]
+impl TypedProgram {
+    /// The registers the prelude writes — the only ones a register file
+    /// keeps a meaning in from one run to the next.
+    pub(super) fn prelude_regs(&self) -> Vec<Reg> {
+        let reg = |class, idx: &u16| Reg { class, idx: *idx };
+        self.prelude
+            .iter()
+            .map(|ins| match ins {
+                Instr::ConstF { dst, .. } => reg(Class::F, dst),
+                Instr::ConstI { dst, .. } => reg(Class::I, dst),
+                Instr::ConstB { dst, .. } => reg(Class::B, dst),
+                Instr::ConstV { dst, .. } => reg(Class::V, dst),
+                Instr::Null { dst } => *dst,
+                other => panic!("not a prelude instruction: {other:?}"),
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl TypedCtx {
+    /// Overwrites every register but the prelude's with what no run should
+    /// ever read: NaN, `i64::MIN`, `true`, and φ flags all set or all
+    /// clear per `null`.
+    pub(super) fn poison(&mut self, tp: &TypedProgram, null: bool) {
+        let keep = tp.prelude_regs();
+        let kept = |class, idx: usize| keep.contains(&Reg { class, idx: idx as u16 });
+        for r in (0..self.f.len()).filter(|&r| !kept(Class::F, r)) {
+            self.f[r] = f64::NAN;
+            self.nf.set(r, null);
+        }
+        for r in (0..self.i.len()).filter(|&r| !kept(Class::I, r)) {
+            self.i[r] = i64::MIN;
+            self.ni.set(r, null);
+        }
+        for r in (0..self.b.len()).filter(|&r| !kept(Class::B, r)) {
+            self.b[r] = true;
+            self.nb.set(r, null);
+        }
+        for r in (0..self.v.len()).filter(|&r| !kept(Class::V, r)) {
+            self.v[r] = if null { Value::Null } else { Value::Float(f64::NAN) };
+        }
+        self.t = i64::MIN;
+    }
+}
+
 impl TypedProgram {
     /// Creates a register file sized for this program, with every constant
-    /// register pre-materialized by the prelude.
+    /// register pre-materialized by the prelude. Called where a kernel's
+    /// run state is first shaped, not per run.
     pub(crate) fn new_ctx(&self) -> TypedCtx {
         let mut ctx = TypedCtx {
             t: 0,
@@ -733,6 +789,8 @@ impl TypedProgram {
             nb: NullMask::new(self.n_b as usize),
             fallback_ops: 0,
             map_runs: 0,
+            lanes: 0,
+            slides: 0,
         };
         exec(&self.prelude, &mut ctx);
         ctx

@@ -8,6 +8,7 @@
 //! the compiled expression once, and appends one snapshot to the output
 //! buffer. Ticks at which no input changes are never visited.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -17,14 +18,21 @@ use tilt_obs::Profiler;
 use super::batch::{batchable, BatchCtx, Lane, MAX_BATCH};
 use super::compiled::{compile_typed, type_lookup, Class, TypedCtx, TypedProgram};
 use super::program::{compile, EvalCtx, PointSpec, Program};
-use super::reduce::{typed_fold_class, typed_result_class, MapRun, ReduceRunner};
+use super::reduce::{typed_fold_class, typed_result_class, MapRun, ReduceRunner, ReduceStore};
 use crate::error::Result;
 use crate::ir::typeck::TypeInfo;
 use crate::ir::{TObjId, TempExpr};
 
+/// The next [`Kernel::id`].
+static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(0);
+
 /// A compiled temporal expression: the unit of execution.
 #[derive(Debug)]
 pub struct Kernel {
+    /// What a [`Scratch`] files this kernel's run state under: handed out
+    /// at lowering and never again, so — unlike an address — it cannot
+    /// come back as another kernel after this one is dropped.
+    id: u64,
     /// The temporal object this kernel materializes.
     pub out: TObjId,
     /// Human-readable name (the object's name in the source query).
@@ -61,6 +69,11 @@ pub struct Kernel {
     /// observable for the map-once-per-element invariant (Subtract-on-
     /// Evict must not re-run maps; see `super::reduce`).
     map_runs: AtomicU64,
+    /// Grid ticks evaluated by the typed tiers, accumulated across runs.
+    lanes: AtomicU64,
+    /// Of `lanes`, the ticks whose windows slid and whose reads loaded; the
+    /// rest were copied from the tick before (quiet lanes).
+    slides: AtomicU64,
     /// Whether [`Kernel::run_into`] reads the clock around each call.
     /// Off by default: the disabled cost is this one relaxed load.
     timed: AtomicBool,
@@ -80,6 +93,7 @@ impl Kernel {
             }
         });
         Ok(Kernel {
+            id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
             out: te.output,
             name: name.to_string(),
             precision: te.dom.precision,
@@ -92,6 +106,8 @@ impl Kernel {
             interp_fallback: false,
             fallback: AtomicU64::new(0),
             map_runs: AtomicU64::new(0),
+            lanes: AtomicU64::new(0),
+            slides: AtomicU64::new(0),
             timed: AtomicBool::new(false),
             invocations: AtomicU64::new(0),
             nanos: AtomicU64::new(0),
@@ -206,39 +222,56 @@ impl Kernel {
     ///
     /// Dispatches to the typed (compiled) tier when it was lowered, the
     /// interpreter otherwise; both tiers share one loop skeleton, so
-    /// stepping and output shape are identical.
+    /// stepping and output shape are identical. The run state — register
+    /// files, batch columns, window rings — is this thread's: shaped on the
+    /// kernel's first run here, reset by every later one.
     pub fn run_into(
         &self,
         bufs: &[Option<&SnapshotBuf<Value>>],
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
     ) {
-        self.run_with(&|obj| bufs.get(obj.index()).and_then(|b| *b), range, out);
+        let mut scratch = Scratch::take();
+        self.run_with(&|obj| bufs.get(obj.index()).and_then(|b| *b), range, out, &mut scratch);
+        scratch.put();
     }
 
     /// [`Kernel::run_into`] with the dependency buffers looked up through
     /// `bufs` instead of an object-indexed table — executors resolve
-    /// straight out of their own stores, so no table is built per call.
+    /// straight out of their own stores, so no table is built per call —
+    /// and the run state kept in `scratch` from one call to the next.
     pub(crate) fn run_with<'b>(
         &'b self,
         bufs: Bufs<'_, 'b>,
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
+        scratch: &mut Scratch,
     ) {
+        let state = scratch.state_of(self);
         if Profiler::enabled(self) {
             let start = std::time::Instant::now();
-            self.dispatch(bufs, range, out);
+            self.dispatch(bufs, range, out, state);
             Profiler::record(self, start.elapsed().as_nanos() as u64);
         } else {
-            self.dispatch(bufs, range, out);
+            self.dispatch(bufs, range, out, state);
         }
     }
 
-    fn dispatch<'b>(&'b self, bufs: Bufs<'_, 'b>, range: TimeRange, out: &mut SnapshotBuf<Value>) {
-        match &self.typed {
-            Some(tp) if self.batched => self.run_batched(tp, bufs, range, out),
-            Some(tp) => self.run_typed(tp, bufs, range, out),
-            None => self.run_interp(bufs, range, out),
+    fn dispatch<'b>(
+        &'b self,
+        bufs: Bufs<'_, 'b>,
+        range: TimeRange,
+        out: &mut SnapshotBuf<Value>,
+        state: &mut RunState,
+    ) {
+        let runners = &mut state.runners;
+        match (&self.typed, &mut state.regs) {
+            (Some(tp), Regs::Batched(ctx, bc)) => {
+                self.run_batched(tp, ctx, bc, runners, bufs, range, out)
+            }
+            (Some(tp), Regs::Typed(ctx)) => self.run_typed(tp, ctx, runners, bufs, range, out),
+            (None, Regs::Interp(ctx)) => self.run_interp(ctx, runners, bufs, range, out),
+            _ => unreachable!("a run state is shaped by its kernel"),
         }
     }
 
@@ -261,6 +294,8 @@ impl Kernel {
             nanos: self.nanos.load(Ordering::Relaxed),
             fallback_ops: self.fallback_ops(),
             map_runs: self.map_runs(),
+            lanes: self.lanes.load(Ordering::Relaxed),
+            slides: self.slides.load(Ordering::Relaxed),
         }
     }
 
@@ -268,6 +303,8 @@ impl Kernel {
     /// [`Value`] slots, each read materialized from the source columns.
     fn run_interp<'b>(
         &'b self,
+        ctx: &mut EvalCtx,
+        runners: &mut Runners,
         bufs: Bufs<'_, 'b>,
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
@@ -275,14 +312,14 @@ impl Kernel {
         if self.interp_fallback {
             self.fallback.fetch_add(1, Ordering::Relaxed);
         }
-        let mut ctx = self.program.new_ctx();
         let program = &self.program;
         out.reset(range.start);
         self.drive(
+            runners,
             bufs,
             range,
             &[],
-            &mut |points, reduces, g| eval_at(program, &mut ctx, points, reduces, g),
+            &mut |points, reduces, g| eval_at(program, ctx, points, reduces, g),
             &mut |end, v| out.push_raw(end, v),
         );
     }
@@ -295,53 +332,61 @@ impl Kernel {
     fn run_typed<'b>(
         &'b self,
         tp: &TypedProgram,
+        ctx: &mut TypedCtx,
+        runners: &mut Runners,
         bufs: Bufs<'_, 'b>,
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
     ) {
-        let mut ctx = tp.new_ctx();
-        match tp.root.map(|r| r.class) {
+        let ticks = match tp.root.map(|r| r.class) {
             Some(Class::F) => {
                 let mut w = out.f64_writer(range.start);
-                self.run_typed_as(tp, &mut ctx, bufs, range, &mut |end, v| w.push(end, v));
+                self.run_typed_as(tp, ctx, runners, bufs, range, &mut |end, v| w.push(end, v))
             }
             Some(Class::I) => {
                 let mut w = out.i64_writer(range.start);
-                self.run_typed_as(tp, &mut ctx, bufs, range, &mut |end, v| w.push(end, v));
+                self.run_typed_as(tp, ctx, runners, bufs, range, &mut |end, v| w.push(end, v))
             }
             Some(Class::B) => {
                 let mut w = out.bool_writer(range.start);
-                self.run_typed_as(tp, &mut ctx, bufs, range, &mut |end, v| w.push(end, v));
+                self.run_typed_as(tp, ctx, runners, bufs, range, &mut |end, v| w.push(end, v))
             }
             // A boxed root (or a provably-φ body): the class comes from
             // the data, like any boxed write.
             Some(Class::V) | None => {
                 out.reset(range.start);
                 self.drive(
+                    runners,
                     bufs,
                     range,
                     &tp.reduce_elem,
                     &mut |points, reduces, g| {
-                        self.load_typed_slots(tp, &mut ctx, points, reduces, g);
-                        tp.run(&mut ctx)
+                        self.load_typed_slots(tp, ctx, points, reduces, g);
+                        tp.run(ctx)
                     },
                     &mut |end, v| out.push_raw(end, v),
-                );
+                )
             }
-        }
-        self.count_ctx(&ctx);
+        };
+        // The per-tick tier slides and loads at every tick it visits.
+        ctx.lanes += ticks;
+        ctx.slides += ticks;
+        self.count_ctx(ctx);
     }
 
-    /// [`Kernel::run_typed`] for a root register of unboxed class `T`.
+    /// [`Kernel::run_typed`] for a root register of unboxed class `T`;
+    /// returns the ticks evaluated.
     fn run_typed_as<'b, T: Lane>(
         &'b self,
         tp: &TypedProgram,
         ctx: &mut TypedCtx,
+        runners: &mut Runners,
         bufs: Bufs<'_, 'b>,
         range: TimeRange,
         push: &mut dyn FnMut(Time, Option<T>),
-    ) {
+    ) -> u64 {
         self.drive(
+            runners,
             bufs,
             range,
             &tp.reduce_elem,
@@ -350,7 +395,7 @@ impl Kernel {
                 tp.run_as::<T>(ctx)
             },
             push,
-        );
+        )
     }
 
     /// Fills the typed program's reduce and point registers for tick `g`.
@@ -363,6 +408,7 @@ impl Kernel {
         g: Time,
     ) {
         ctx.t = g.ticks();
+        // The per-tick tier slides and loads at every tick it visits.
         for (i, runner) in reduces.iter_mut().enumerate() {
             let reg = tp.reduce_regs[i];
             // Unboxed fold path: the typed map's `f64`/`i64` output
@@ -426,31 +472,42 @@ impl Kernel {
         }
     }
 
-    /// Folds a run's fallback and map counters into the kernel's.
-    fn count_ctx(&self, ctx: &TypedCtx) {
-        if ctx.fallback_ops > 0 {
-            self.fallback.fetch_add(ctx.fallback_ops, Ordering::Relaxed);
-        }
-        if ctx.map_runs > 0 {
-            self.map_runs.fetch_add(ctx.map_runs, Ordering::Relaxed);
+    /// Folds a run's counters into the kernel's and zeroes them for the
+    /// next run over this register file.
+    fn count_ctx(&self, ctx: &mut TypedCtx) {
+        for (run, total) in [
+            (&mut ctx.fallback_ops, &self.fallback),
+            (&mut ctx.map_runs, &self.map_runs),
+            (&mut ctx.lanes, &self.lanes),
+            (&mut ctx.slides, &self.slides),
+        ] {
+            let n = std::mem::take(run);
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
     /// The batched tier, dispatched once per run on the root register's
     /// class: the result lanes of each batch are appended to the output's
     /// typed column as they are.
+    #[allow(clippy::too_many_arguments)]
     fn run_batched<'b>(
         &'b self,
         tp: &TypedProgram,
+        ctx: &mut TypedCtx,
+        bc: &mut BatchCtx,
+        runners: &mut Runners,
         bufs: Bufs<'_, 'b>,
         range: TimeRange,
         out: &mut SnapshotBuf<Value>,
     ) {
         let root = tp.root.expect("the batch gate requires a root");
+        let s = range.start;
         match root.class {
-            Class::F => self.run_batched_as(tp, bufs, range, out.f64_writer(range.start)),
-            Class::I => self.run_batched_as(tp, bufs, range, out.i64_writer(range.start)),
-            Class::B => self.run_batched_as(tp, bufs, range, out.bool_writer(range.start)),
+            Class::F => self.run_batched_as(tp, ctx, bc, runners, bufs, range, out.f64_writer(s)),
+            Class::I => self.run_batched_as(tp, ctx, bc, runners, bufs, range, out.i64_writer(s)),
+            Class::B => self.run_batched_as(tp, ctx, bc, runners, bufs, range, out.bool_writer(s)),
             Class::V => unreachable!("batch gate admits only typed roots"),
         }
     }
@@ -461,15 +518,40 @@ impl Kernel {
     /// (see [`super::batch`]) — one instruction dispatch per run instead of
     /// per tick, φ checks one branch per 64 lanes — and the root register's
     /// lanes land in the output's typed column in one append, span ends
-    /// taken from the lane boundaries. Reduce windows slide once per lane
-    /// but fold their entering *run* of source spans in one loop, the fused
-    /// map over it as lanes too (see [`ReduceRunner`]); point reads index
-    /// the source column through [`SsCursor`] per lane, which carries the
-    /// per-lane change-point state `next_tick` steps on — so stepping, and
-    /// therefore output, is byte-identical to the scalar tiers.
+    /// taken from the lane boundaries. Point reads index the source column
+    /// through [`SsCursor`], which carries the change-point state
+    /// `next_tick` steps on, and a reduce window folds its entering *run*
+    /// of source spans in one loop, the fused map over it as lanes too (see
+    /// [`ReduceRunner`]) — so stepping, and therefore output, is
+    /// byte-identical to the scalar tiers.
+    ///
+    /// **A lane costs a slide only at a change point.** A window with
+    /// content defines one snapshot per grid tick, so stepping is dense
+    /// across it — but between the tick a span enters and the tick one
+    /// leaves, nothing a lane reads changes. After a lane whose slides
+    /// moved nothing — and, while the last look ahead found such lanes,
+    /// after any lane: a sparse stream stays sparse — the loop looks for
+    /// the next tick at which any window or read can change
+    /// ([`Kernel::next_tick`] with `by_change`) and fills the lanes up to
+    /// it with copies of this lane's driver registers: still one lane, one
+    /// span, per grid tick — the same bytes — with no slide and no load. A
+    /// window is then slid where a span enters and where one leaves, and
+    /// nowhere else. A stream with an event per tick moves something at
+    /// every lane: its first look finds nothing and it never looks again;
+    /// kernels that read the clock or are sampled differ lane by lane and
+    /// never fill.
+    ///
+    /// **Run state outlives the run.** `ctx`, `bc` and the runners' buffers
+    /// belong to the kernel's [`RunState`]: the constant columns were
+    /// broadcast when it was shaped, the rest is overwritten before it is
+    /// read, and the counters are folded and zeroed at the end.
+    #[allow(clippy::too_many_arguments)]
     fn run_batched_as<'b, T: Lane>(
         &'b self,
         tp: &TypedProgram,
+        ctx: &mut TypedCtx,
+        bc: &mut BatchCtx,
+        runners: &mut Runners,
         bufs: Bufs<'_, 'b>,
         range: TimeRange,
         mut out: ColWriter<'_, T>,
@@ -485,18 +567,18 @@ impl Kernel {
             return;
         }
         let root = tp.root.expect("the batch gate requires a root");
-        let (mut points, mut reduces) = self.runners(bufs, &tp.reduce_elem);
-
-        // The scalar file holds prelude constants and hosts per-element
-        // map execution; columns are broadcast from it once per drive.
-        let mut ctx = tp.new_ctx();
-        let mut bc = BatchCtx::new(tp);
-        bc.broadcast(&ctx, tp);
+        let (mut points, mut reduces) = runners.bind(self, bufs, &tp.reduce_elem);
+        // Lanes can repeat only where windows hold stepping dense.
+        let fills = !reduces.is_empty() && !self.sample && !self.uses_time;
+        // Whether the last look ahead found lanes to fill. A run starts out
+        // hopeful: that costs a dense stream one miss per run.
+        let mut sparse = true;
 
         let mut g = g_first;
         loop {
             let span_cap = (((g_last.ticks() - g.ticks()) / p) as usize + 1).min(MAX_BATCH);
             let mut k = 0usize;
+            let mut filled = 0usize;
             // The grid tick after this run; `None` once stepping passed
             // `g_last` (the drive is over after this batch).
             let mut succ: Option<Time> = None;
@@ -504,23 +586,25 @@ impl Kernel {
             while k < span_cap {
                 let gk = g + (k as i64) * p;
                 ctx.t = gk.ticks();
+                let mut moved = false;
                 for (i, runner) in reduces.iter_mut().enumerate() {
                     let map = tp.typed_maps[i].as_ref();
                     match self.reduce_modes[i] {
                         Some((fold, _)) => {
                             let run = map.map(|map| MapRun {
                                 map,
-                                ctx: &mut ctx,
-                                lanes: map.runs_on_lanes().then_some(&mut bc),
+                                ctx: &mut *ctx,
+                                lanes: map.runs_on_lanes().then_some(&mut *bc),
                             });
                             runner.slide_typed(gk, fold, run);
                         }
                         // Result provably φ (no register): the window still
                         // slides dynamically so `next_tick` sees its state.
                         None => {
-                            slide_boxed(runner, tp, &mut ctx, i, gk);
+                            slide_boxed(runner, tp, ctx, i, gk);
                         }
                     }
+                    moved |= runner.moved();
                     if let Some(reg) = tp.reduce_regs[i] {
                         match reg.class {
                             Class::F => bc.store_f_lane(reg, k, runner.result_f()),
@@ -556,12 +640,33 @@ impl Kernel {
                     }
                 }
                 k += 1;
-                match self.next_tick(gk, g_last, &points, &reduces) {
+                match self.next_tick(gk, g_last, &points, &reduces, false) {
                     Some(ng) if ng.ticks() == gk.ticks() + p => {
-                        // Dense: extend the run (or hand the successor to
-                        // the next batch when this one is full).
+                        // Dense. The lanes up to the next change point
+                        // repeat this one; past them, extend the run (or
+                        // hand the successor to the next batch when this
+                        // one is full).
+                        if fills && (sparse || !moved) && k < span_cap {
+                            let quiet = match self.next_tick(gk, g_last, &points, &reduces, true) {
+                                Some(change) => ((change - gk) / p) as usize - 1,
+                                None => usize::MAX,
+                            };
+                            let n = quiet.min(span_cap - k);
+                            sparse = n > 0;
+                            if sparse {
+                                let regs = tp.reduce_regs.iter().chain(&tp.point_regs);
+                                bc.repeat_lane(regs.flatten().copied(), k - 1, n);
+                                k += n;
+                                filled += n;
+                            }
+                        }
                         if k == span_cap {
-                            succ = Some(ng);
+                            let ng = g + (k as i64) * p;
+                            if ng <= g_last {
+                                succ = Some(ng);
+                            } else {
+                                stop = true;
+                            }
                         }
                     }
                     Some(ng) => {
@@ -575,12 +680,14 @@ impl Kernel {
                 }
             }
             bc.exec(&tp.instrs, g.ticks(), p, k);
+            ctx.lanes += k as u64;
+            ctx.slides += (k - filled) as u64;
             // Interior lanes are dense, so each value holds exactly at its
             // own tick; the last lane holds until the successor (or
             // `g_last`), same spans the scalar skeleton pushes.
             let last_end =
                 if stop { g_last } else { succ.expect("a non-final batch has a successor") - p };
-            let (vals, nulls) = T::lanes(&bc, root);
+            let (vals, nulls) = T::lanes(bc, root);
             out.extend_lanes(g, p, last_end, &vals[..k], nulls);
             if stop {
                 break;
@@ -590,71 +697,42 @@ impl Kernel {
         if g_last < range.end {
             out.push(range.end, None);
         }
-        self.count_ctx(&ctx);
-    }
-
-    /// One point runner and one reduce runner per slot of the program,
-    /// positioned at the start of their source buffers.
-    fn runners<'b>(
-        &'b self,
-        bufs: Bufs<'_, 'b>,
-        reduce_classes: &[Option<Class>],
-    ) -> (Vec<PointRunner<'b>>, Vec<ReduceRunner<'b>>) {
-        let buf_for = |obj: TObjId| -> &'b SnapshotBuf<Value> {
-            bufs(obj).unwrap_or_else(|| panic!("kernel {}: missing buffer for {obj}", self.name))
-        };
-        let points = self
-            .program
-            .points
-            .iter()
-            .map(|ps| PointRunner {
-                cursor: SsCursor::new(buf_for(ps.obj)),
-                spec: *ps,
-                boundary: None,
-            })
-            .collect();
-        let reduces = self
-            .program
-            .reduces
-            .iter()
-            .enumerate()
-            .map(|(i, rs)| {
-                let class = reduce_classes.get(i).copied().flatten();
-                ReduceRunner::with_elem_class(rs, buf_for(rs.obj), class)
-            })
-            .collect();
-        (points, reduces)
+        runners.unbind(points, reduces);
+        self.count_ctx(ctx);
     }
 
     /// The shared loop skeleton of the per-tick tiers: change-point-driven
     /// stepping over the grid, one `eval_tick` call per visited tick, one
     /// `push(end, value)` per output span (the caller has reset the output
-    /// to `range.start`; `V::default()` is φ).
+    /// to `range.start`; `V::default()` is φ). Returns the ticks visited.
     #[allow(clippy::type_complexity)]
     fn drive<'b, V: Default>(
         &'b self,
+        runners: &mut Runners,
         bufs: Bufs<'_, 'b>,
         range: TimeRange,
         reduce_classes: &[Option<Class>],
         eval_tick: &mut dyn FnMut(&mut [PointRunner<'_>], &mut [ReduceRunner<'_>], Time) -> V,
         push: &mut dyn FnMut(Time, V),
-    ) {
+    ) -> u64 {
         let p = self.precision;
         if range.is_empty() {
-            return;
+            return 0;
         }
         let g_first = Time::new(range.start.ticks() + 1).align_up(p);
         let g_last = range.end.align_down(p);
         if g_first > g_last {
             push(range.end, V::default());
-            return;
+            return 0;
         }
-        let (mut points, mut reduces) = self.runners(bufs, reduce_classes);
+        let (mut points, mut reduces) = runners.bind(self, bufs, reduce_classes);
 
+        let mut ticks = 0;
         let mut g = g_first;
         loop {
             let v = eval_tick(&mut points, &mut reduces, g);
-            match self.next_tick(g, g_last, &points, &reduces) {
+            ticks += 1;
+            match self.next_tick(g, g_last, &points, &reduces, false) {
                 Some(ng) => {
                     // `v` holds for every tick in [g, ng − p].
                     push(ng - p, v);
@@ -669,15 +747,22 @@ impl Kernel {
         if g_last < range.end {
             push(range.end, V::default());
         }
+        runners.unbind(points, reduces);
+        ticks
     }
 
-    /// The next grid tick (≤ `g_last`) at which any access may change value.
+    /// The next grid tick (≤ `g_last`) the loop must visit after `g`: where
+    /// any access may change value, and — event identity — every tick of a
+    /// window with content. With `by_change`, only the former: a window
+    /// with content counts for the ticks a span enters or leaves it, which
+    /// is how far the lanes after `g` repeat `g`'s.
     fn next_tick(
         &self,
         g: Time,
         g_last: Time,
         points: &[PointRunner<'_>],
         reduces: &[ReduceRunner<'_>],
+        by_change: bool,
     ) -> Option<Time> {
         let p = self.precision;
         if self.sample || self.uses_time {
@@ -700,14 +785,21 @@ impl Kernel {
             }
         }
         for runner in reduces {
-            if runner.has_content() {
+            if runner.has_content() && !by_change {
                 // A non-empty reduction defines one snapshot per grid tick:
                 // downstream consumers count window outputs per stride
                 // (event identity), so equal-valued consecutive ticks must
                 // not be skipped. φ gaps (below) still are.
                 consider(g + p);
-            } else if let Some(t) = runner.next_enter_time() {
+                continue;
+            }
+            if let Some(t) = runner.next_enter_time() {
                 consider(t);
+            }
+            if by_change {
+                if let Some(t) = runner.next_evict_time() {
+                    consider(t);
+                }
             }
         }
         let mut ng = if p == 1 { best? } else { best?.align_up(p) };
@@ -756,6 +848,14 @@ pub struct KernelProfile {
     /// Fused window-map executions (counted even when untimed); bounded by
     /// elements accumulated — the map-once-per-element invariant.
     pub map_runs: u64,
+    /// Grid ticks the typed tiers evaluated (counted even when untimed):
+    /// one per output span before coalescing.
+    pub lanes: u64,
+    /// Of `lanes`, the ticks evaluated by sliding windows and loading
+    /// reads. The rest — `lanes − slides` — sat between two change points
+    /// of a window with content and were copied from the tick before
+    /// (batched tier only; the per-tick tier slides at every tick).
+    pub slides: u64,
 }
 
 impl KernelProfile {
@@ -765,6 +865,15 @@ impl KernelProfile {
             0.0
         } else {
             self.nanos as f64 / self.invocations as f64
+        }
+    }
+
+    /// The share of lanes copied rather than slid (0.0 before any run).
+    pub fn quiet_lane_share(&self) -> f64 {
+        if self.lanes == 0 {
+            0.0
+        } else {
+            (self.lanes - self.slides) as f64 / self.lanes as f64
         }
     }
 
@@ -788,6 +897,184 @@ struct PointRunner<'a> {
     cursor: SsCursor<'a>,
     spec: PointSpec,
     boundary: Option<Time>,
+}
+
+/// How many kernels a [`Scratch`] keeps run state for. Past it the scratch
+/// starts over: state of kernels that no longer exist goes, the live ones
+/// reshape theirs on their next run.
+const SCRATCH_KERNELS: usize = 64;
+
+/// The run state of the kernels a thread runs, kept from one run to the
+/// next: one per thread — a shard worker, a `run_parallel` worker, whatever
+/// thread drives sessions and one-shot runs — never per key and never per
+/// session, so that it stays warm in cache however many sessions the
+/// thread serves (a copy per session is as slow to touch as the state was
+/// to rebuild). Like a [`tilt_data::BufPool`]'s buffers it is memory, not
+/// state: nothing in it outlives a run in a way a later run can observe,
+/// and it is never checkpointed, spilled or migrated.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    states: Vec<RunState>,
+}
+
+thread_local! {
+    /// This thread's scratch while no execution holds it.
+    static SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
+}
+
+impl Scratch {
+    /// Takes this thread's scratch for the length of one execution: the one
+    /// last [`Scratch::put`] back, or an empty one — the first time, and
+    /// whenever the last taker never returned it (a kernel panicked, and
+    /// what the run left half-written went with the unwinding).
+    pub(crate) fn take() -> Box<Scratch> {
+        SCRATCH.take().unwrap_or_default()
+    }
+
+    /// Returns the scratch after an execution that ran to its end.
+    pub(crate) fn put(self: Box<Scratch>) {
+        SCRATCH.set(Some(self));
+    }
+
+    /// `kernel`'s run state, shaped on the kernel's first run over this
+    /// scratch.
+    fn state_of(&mut self, kernel: &Kernel) -> &mut RunState {
+        let at = match self.states.iter().position(|s| s.id == kernel.id) {
+            Some(at) => at,
+            None => {
+                if self.states.len() == SCRATCH_KERNELS {
+                    self.states.clear();
+                }
+                self.states.push(RunState::shape(kernel));
+                self.states.len() - 1
+            }
+        };
+        &mut self.states[at]
+    }
+}
+
+#[cfg(test)]
+impl Scratch {
+    /// Overwrites everything a run may leave behind in the state of
+    /// `kernels` — every register and lane that is not a prelude constant
+    /// (NaN, `i64::MIN`, `true`, φ flags all set or all clear per `null`),
+    /// every accumulator and ring — so a test can show that no run reads
+    /// any of it. Returns how many run states it found.
+    pub(crate) fn poison(&mut self, kernels: &[&Kernel], null: bool) -> usize {
+        for state in &mut self.states {
+            let kernel = kernels.iter().find(|k| k.id == state.id).expect("a known kernel");
+            match (&kernel.typed, &mut state.regs) {
+                (Some(tp), Regs::Batched(ctx, bc)) => {
+                    ctx.poison(tp, null);
+                    bc.poison(tp, null);
+                }
+                (Some(tp), Regs::Typed(ctx)) => ctx.poison(tp, null),
+                (None, Regs::Interp(ctx)) => {
+                    let junk = if null { Value::Null } else { Value::Float(f64::NAN) };
+                    for slot in ctx.points.iter_mut().chain(&mut ctx.reduces).chain(&mut ctx.vars) {
+                        *slot = junk.clone();
+                    }
+                }
+                _ => unreachable!("a run state is shaped by its kernel"),
+            }
+            state.runners.stores.iter_mut().for_each(ReduceStore::poison);
+        }
+        self.states.len()
+    }
+}
+
+/// Everything a run of one kernel allocates, kept so the next run resets it
+/// instead: the register file of the kernel's tier and the runners'
+/// buffers. A run leaves values behind in all of it; the next one reads
+/// none of them — constants aside, every register is written before it is
+/// read, every counter is folded and zeroed ([`Kernel::count_ctx`]), every
+/// accumulator and ring is emptied when its runner is bound.
+struct RunState {
+    /// [`Kernel::id`] of the kernel this state is shaped for.
+    id: u64,
+    regs: Regs,
+    runners: Runners,
+}
+
+/// The register file(s) of a kernel's tier.
+enum Regs {
+    Interp(EvalCtx),
+    Typed(TypedCtx),
+    /// The scalar file hosts per-element map execution and the run
+    /// counters; the columns were broadcast from its prelude constants.
+    Batched(TypedCtx, BatchCtx),
+}
+
+impl RunState {
+    fn shape(kernel: &Kernel) -> RunState {
+        let regs = match &kernel.typed {
+            Some(tp) if kernel.batched => {
+                let ctx = tp.new_ctx();
+                let bc = BatchCtx::new(tp, &ctx);
+                Regs::Batched(ctx, bc)
+            }
+            Some(tp) => Regs::Typed(tp.new_ctx()),
+            None => Regs::Interp(kernel.program.new_ctx()),
+        };
+        RunState { id: kernel.id, regs, runners: Runners::default() }
+    }
+}
+
+/// The runners' storage between runs: the two runner vectors, empty (a
+/// runner borrows its source buffer, so none outlives its run), and one
+/// [`ReduceStore`] per reduce slot.
+#[derive(Default)]
+struct Runners {
+    points: Vec<PointRunner<'static>>,
+    reduces: Vec<ReduceRunner<'static>>,
+    stores: Vec<ReduceStore>,
+}
+
+/// An empty vector's allocation as a vector of `B`. `A` and `B` are one
+/// type at two lifetimes, so the in-place `collect` keeps the buffer.
+fn retyped<A, B>(mut v: Vec<A>) -> Vec<B> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("the vector was cleared")).collect()
+}
+
+impl Runners {
+    /// One point runner and one reduce runner per slot of `kernel`'s
+    /// program, positioned at the start of their source buffers, in the
+    /// vectors and over the stores of the previous run.
+    fn bind<'b>(
+        &mut self,
+        kernel: &'b Kernel,
+        bufs: Bufs<'_, 'b>,
+        reduce_classes: &[Option<Class>],
+    ) -> (Vec<PointRunner<'b>>, Vec<ReduceRunner<'b>>) {
+        let buf_for = |obj: TObjId| -> &'b SnapshotBuf<Value> {
+            bufs(obj).unwrap_or_else(|| panic!("kernel {}: missing buffer for {obj}", kernel.name))
+        };
+        let mut points: Vec<PointRunner<'b>> = retyped(std::mem::take(&mut self.points));
+        points.extend(kernel.program.points.iter().map(|ps| PointRunner {
+            cursor: SsCursor::new(buf_for(ps.obj)),
+            spec: *ps,
+            boundary: None,
+        }));
+        let mut reduces: Vec<ReduceRunner<'b>> = retyped(std::mem::take(&mut self.reduces));
+        self.stores.resize_with(kernel.program.reduces.len(), ReduceStore::default);
+        reduces.extend(kernel.program.reduces.iter().zip(&mut self.stores).enumerate().map(
+            |(i, (rs, store))| {
+                let class = reduce_classes.get(i).copied().flatten();
+                ReduceRunner::with_store(rs, buf_for(rs.obj), class, std::mem::take(store))
+            },
+        ));
+        (points, reduces)
+    }
+
+    /// Takes the vectors and the stores back after a run.
+    fn unbind(&mut self, points: Vec<PointRunner<'_>>, mut reduces: Vec<ReduceRunner<'_>>) {
+        for (store, runner) in self.stores.iter_mut().zip(reduces.drain(..)) {
+            *store = runner.into_store();
+        }
+        self.points = retyped(points);
+        self.reduces = retyped(reduces);
+    }
 }
 
 /// Slides reduce slot `i` through the dynamic fold — boxed elements
@@ -981,6 +1268,20 @@ mod tests {
         // No grid tick inside (0, 50] for precision 100: all φ.
         assert_eq!(out.to_events().len(), 0);
         assert_eq!(out.range(), TimeRange::new(Time::new(0), Time::new(50)));
+    }
+
+    #[test]
+    fn retyped_keeps_the_allocation() {
+        // What `Runners` relies on to hold its vectors across runs.
+        let v: Vec<PointRunner<'static>> = Vec::with_capacity(5);
+        let at = v.as_ptr() as usize;
+        let buf = SnapshotBuf::new(Time::ZERO);
+        let mut w: Vec<PointRunner<'_>> = retyped(v);
+        assert_eq!((w.as_ptr() as usize, w.capacity()), (at, 5));
+        let spec = PointSpec { obj: TObjId(0), offset: 0 };
+        w.push(PointRunner { cursor: SsCursor::new(&buf), spec, boundary: None });
+        let back: Vec<PointRunner<'static>> = retyped(w);
+        assert_eq!((back.as_ptr() as usize, back.capacity(), back.len()), (at, 5, 0));
     }
 
     #[test]

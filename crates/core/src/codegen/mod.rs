@@ -22,6 +22,14 @@
 //!   qualify (see `batch::batchable`); everything else transparently
 //!   executes per-tick.
 //!
+//! A kernel run costs what its change points cost. The loop visits every
+//! grid tick of a window with content (one snapshot per tick is event
+//! identity), but the batched tier slides a window only where a span
+//! enters or leaves it and fills the lanes between by copying the lane
+//! before; and what a run needs besides its inputs — register files, batch
+//! columns, accumulators and rings — is shaped once per kernel per thread
+//! and reset, not rebuilt, by every run after (see `kernel::Scratch`).
+//!
 //! All tiers share one loop skeleton, one slot layout, and one set of
 //! incremental reduce runners, so their outputs are byte-identical; the
 //! typed tiers simply replace per-tick enum interpretation with typed
@@ -40,6 +48,7 @@ mod kernel;
 mod program;
 mod reduce;
 
+pub(crate) use kernel::Scratch;
 pub use kernel::{Kernel, KernelProfile};
 pub use program::{compile, EvalCtx, EvalFn, MapFn, PointSpec, Program, ReduceSpec};
 pub use reduce::ReduceRunner;

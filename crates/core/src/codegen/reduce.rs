@@ -493,8 +493,24 @@ impl State {
         }
     }
 
+    /// Back to the empty accumulator of `(op, class)`; a deque keeps its
+    /// buffer.
     fn reset(&mut self, op: &ReduceOp, class: Option<Class>) {
-        *self = State::with_class(op, class);
+        match (&mut *self, State::with_class(op, class)) {
+            (State::MinMax { deque, is_max }, State::MinMax { is_max: m, .. }) => {
+                deque.clear();
+                *is_max = m;
+            }
+            (State::MinMaxF { deque, is_max }, State::MinMaxF { is_max: m, .. }) => {
+                deque.clear();
+                *is_max = m;
+            }
+            (State::MinMaxI { deque, is_max }, State::MinMaxI { is_max: m, .. }) => {
+                deque.clear();
+                *is_max = m;
+            }
+            (state, fresh) => *state = fresh,
+        }
     }
 }
 
@@ -788,6 +804,35 @@ fn skip_while(ends: &[Time], from: usize, pred: impl Fn(Time) -> bool) -> usize 
     }
 }
 
+/// What a reduce slot owns across runs: the accumulator (with its deque
+/// buffer, if any) and the rings of mapped values. A kernel's run state
+/// keeps one per slot; [`ReduceRunner::with_store`] empties it into a
+/// runner and [`ReduceRunner::into_store`] hands it back, so a run reuses
+/// the buffers of the last one and carries none of its contents over.
+#[derive(Default)]
+pub(crate) struct ReduceStore {
+    state: Option<State>,
+    ring_v: VecDeque<Value>,
+    ring_f: Ring<f64>,
+    ring_i: Ring<i64>,
+}
+
+#[cfg(test)]
+impl ReduceStore {
+    /// Leaves junk in the accumulator and every ring, as a run cut short
+    /// might: the next runner over this store must not see any of it.
+    pub(super) fn poison(&mut self) {
+        if let Some(state) = &mut self.state {
+            state.add(&Value::Float(f64::NAN), Time::MAX);
+            state.add(&Value::Int(i64::MIN), Time::MAX);
+        }
+        self.ring_v.push_back(Value::Float(f64::NAN));
+        self.ring_f.push(Some(f64::NAN));
+        self.ring_f.push(None);
+        self.ring_i.push(Some(i64::MIN));
+    }
+}
+
 /// Incremental evaluation of one window reduction over one source buffer.
 ///
 /// The runner reads the source as columns — span ends, φ mask, value
@@ -799,6 +844,19 @@ fn skip_while(ends: &[Time], from: usize, pred: impl Fn(Time) -> bool) -> usize 
 /// *everything* that was folded leaves — every tumbling window, and any
 /// sliding window after a gap — the accumulator is reset rather than
 /// subtracted from, so no float residue survives an empty window.
+///
+/// Between two *change points* — the times a non-φ span enters
+/// ([`ReduceRunner::next_enter_time`]) or leaves
+/// ([`ReduceRunner::next_evict_time`]) — the folded set, hence the result,
+/// does not change, and a slide there moves nothing. Slides may therefore
+/// skip any stretch between two change points: the next one takes out and
+/// folds in the same spans in the same order, so the accumulator goes
+/// through the same operations. The batched tier relies on this to copy
+/// such lanes instead of sliding for each.
+///
+/// The runner borrows its source for one run; what it owns (accumulator,
+/// rings) is handed from run to run by the kernel's run state: a run
+/// empties it, it does not allocate it.
 pub struct ReduceRunner<'a> {
     spec: &'a ReduceSpec,
     start: Time,
@@ -826,12 +884,14 @@ pub struct ReduceRunner<'a> {
     /// Current window end edge.
     cur_hi: Time,
     initialized: bool,
+    /// Whether the last slide took any span out or in.
+    moved: bool,
 }
 
 impl<'a> ReduceRunner<'a> {
     /// Creates a runner for `spec` over `src` with dynamic accumulators.
     pub fn new(spec: &'a ReduceSpec, src: &'a SnapshotBuf<Value>) -> Self {
-        Self::with_elem_class(spec, src, None)
+        Self::with_store(spec, src, None, ReduceStore::default())
     }
 
     /// Creates a runner whose accumulator is monomorphized to the window's
@@ -839,27 +899,62 @@ impl<'a> ReduceRunner<'a> {
     /// tier's reduce fast path. Typed accumulators replay the dynamic
     /// operation sequence exactly, so either constructor produces
     /// bit-identical results on well-typed data.
+    #[cfg(test)]
     pub(crate) fn with_elem_class(
         spec: &'a ReduceSpec,
         src: &'a SnapshotBuf<Value>,
         class: Option<Class>,
     ) -> Self {
+        Self::with_store(spec, src, class, ReduceStore::default())
+    }
+
+    /// [`ReduceRunner::with_elem_class`] over the buffers of `store`,
+    /// emptied first: the accumulator back to the empty one of
+    /// `(spec.op, class)`, the rings cleared.
+    pub(crate) fn with_store(
+        spec: &'a ReduceSpec,
+        src: &'a SnapshotBuf<Value>,
+        class: Option<Class>,
+        store: ReduceStore,
+    ) -> Self {
+        let ReduceStore { state, mut ring_v, mut ring_f, mut ring_i } = store;
+        let state = match state {
+            Some(mut state) => {
+                state.reset(&spec.op, class);
+                state
+            }
+            None => State::with_class(&spec.op, class),
+        };
+        ring_v.clear();
+        ring_f.clear();
+        ring_i.clear();
         ReduceRunner {
             spec,
             start: src.start(),
             ends: src.ends(),
             nulls: src.nulls(),
             col: src.column(),
-            state: State::with_class(&spec.op, class),
+            state,
             class,
             count: 0,
             enter_idx: 0,
             evict_idx: 0,
-            ring_v: VecDeque::new(),
-            ring_f: Ring::default(),
-            ring_i: Ring::default(),
+            ring_v,
+            ring_f,
+            ring_i,
             cur_hi: Time::MIN,
             initialized: false,
+            moved: false,
+        }
+    }
+
+    /// Gives the runner's buffers back for the next run.
+    pub(crate) fn into_store(self) -> ReduceStore {
+        ReduceStore {
+            state: Some(self.state),
+            ring_v: self.ring_v,
+            ring_f: self.ring_f,
+            ring_i: self.ring_i,
         }
     }
 
@@ -875,6 +970,14 @@ impl<'a> ReduceRunner<'a> {
     #[inline]
     pub fn has_content(&self) -> bool {
         self.count > 0
+    }
+
+    /// Whether the last slide took any span out of the window or into it
+    /// (φ spans included: conservative). After a slide that did not, the
+    /// result is the previous slide's, bit for bit.
+    #[inline]
+    pub(crate) fn moved(&self) -> bool {
+        self.moved
     }
 
     /// The time `t` at which the *next* source span would enter the window,
@@ -983,6 +1086,8 @@ impl<'a> ReduceRunner<'a> {
         debug_assert!(new_hi >= self.cur_hi, "reduce window must advance monotonically");
         self.cur_hi = new_hi;
 
+        let (evict_from, enter_from) = (self.evict_idx, self.enter_idx);
+
         // Spans `[k, ..)` end inside or after the new window.
         let k = skip_while(ends, self.evict_idx, |e| e <= new_lo);
         let live_stays = self.nulls.next_non_null(k).is_some_and(|i| i < self.enter_idx);
@@ -1015,6 +1120,7 @@ impl<'a> ReduceRunner<'a> {
             fold.enter(self, self.enter_idx..j);
             self.enter_idx = j;
         }
+        self.moved = (self.evict_idx, self.enter_idx) != (evict_from, enter_from);
     }
 
     /// Empties the accumulator and the rings.

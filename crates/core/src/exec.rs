@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use tilt_data::{BufPool, Event, SnapshotBuf, Time, TimeRange, Value};
 
 use crate::analysis::{resolve_boundaries, Boundary, Extent};
-use crate::codegen::{lower, lower_typed, Kernel, KernelProfile};
+use crate::codegen::{lower, lower_typed, Kernel, KernelProfile, Scratch};
 use crate::error::Result;
 use crate::ir::{typecheck, Query, TObjId};
 use crate::opt::Optimizer;
@@ -289,8 +289,11 @@ impl CompiledQuery {
 
     /// [`CompiledQuery::run_pooled`] with input `i` looked up through
     /// `input` (declaration order), so sessions run straight off their
-    /// histories. Intermediates are parked in the pool's slot table: a
-    /// call allocates nothing but what the pool cannot recycle.
+    /// histories. Intermediates are parked in the pool's slot table and the
+    /// kernels' run state is this thread's [`Scratch`]: a call allocates
+    /// nothing but what neither can recycle. The scratch is taken for the
+    /// length of the call, so a kernel that panics takes it along — the
+    /// next call starts from an empty one, never from a half-written one.
     fn run_on<'b>(
         &'b self,
         input: &dyn Fn(usize) -> &'b SnapshotBuf<Value>,
@@ -306,6 +309,7 @@ impl CompiledQuery {
         }
 
         let mut store = pool.take_slots(self.n_slots);
+        let mut scratch = Scratch::take();
         let mut result = None;
         for kernel in &self.kernels {
             let ext = self.extent_ending(kernel.out, range.end);
@@ -325,7 +329,7 @@ impl CompiledQuery {
                 Some(i) => Some(input(i)),
                 None => store[obj.index()].as_ref(),
             };
-            kernel.run_with(&bufs, krange, &mut out);
+            kernel.run_with(&bufs, krange, &mut out, &mut scratch);
             if kernel.out == self.query.output() {
                 result = Some(out);
                 break;
@@ -334,6 +338,7 @@ impl CompiledQuery {
         }
         // Intermediates are dead once the output kernel ran: recycle them.
         pool.put_slots(store);
+        scratch.put();
         result.expect("toposort guarantees the output kernel runs last")
     }
 
@@ -369,13 +374,15 @@ impl CompiledQuery {
         crossbeam::thread::scope(|s| {
             for _ in 0..threads.min(cuts.len()) {
                 s.spawn(|_| {
+                    // One pool per worker, not per partition.
+                    let mut pool = BufPool::new();
                     let mut local: Vec<(usize, SnapshotBuf<Value>)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= cuts.len() {
                             break;
                         }
-                        local.push((i, self.run(inputs, cuts[i])));
+                        local.push((i, self.run_pooled(inputs, cuts[i], &mut pool)));
                     }
                     let mut guard = results.lock().expect("no poisoned workers");
                     for (i, buf) in local {
@@ -465,7 +472,9 @@ pub struct StreamSessionIn<C: Borrow<CompiledQuery>> {
     lookahead: i64,
     /// Recycles intermediate kernel buffers across advances (the
     /// single-query analogue of the pool group sessions thread through
-    /// `advance_to_with`).
+    /// `advance_to_with`). The kernels' run state is recycled too, but
+    /// not from here: it belongs to the thread that advances the session
+    /// (see `codegen::Scratch`), shared with every other session it drives.
     pool: BufPool<Value>,
 }
 
@@ -569,12 +578,13 @@ pub(crate) fn push_history(hist: &mut SnapshotBuf<Value>, events: &[Event<Value>
 }
 
 /// Amortized history trim shared by single- and multi-query sessions:
-/// keeps `keep` ticks of lookback behind `watermark`, rebuilding the
-/// buffer only once the dead prefix grows past `4 × max(keep, 16)` ticks.
+/// keeps `keep` ticks of lookback behind `watermark`, dropping the dead
+/// prefix — in place, the columns keep their allocations — only once it
+/// grows past `4 × max(keep, 16)` ticks.
 pub(crate) fn trim_history(hist: &mut SnapshotBuf<Value>, watermark: Time, keep: i64) {
     let cutoff = watermark.saturating_add(-keep);
     if cutoff - hist.start() > 4 * keep.max(16) {
-        *hist = hist.slice(TimeRange::new(cutoff, hist.end()));
+        hist.trim_start(cutoff);
     }
 }
 
@@ -800,6 +810,89 @@ mod tests {
             streams_equivalent(&a_tail, &b),
             "fresh session diverged after the state horizon: {a_tail:?} vs {b:?}"
         );
+    }
+
+    /// YSB's shape over an int stream: a filter fused into a strided count
+    /// as its window map (lanes-mapped on the batched tier), then a body
+    /// with int and bool registers and constants of its own.
+    fn pane_query() -> Query {
+        let mut b = Query::builder();
+        let x = b.input("ads", DataType::Int);
+        let views = b.temporal(
+            "views",
+            TDom::every_tick(),
+            Expr::if_else(
+                Expr::at(x).rem(Expr::c(3i64)).eq(Expr::c(0i64)),
+                Expr::at(x),
+                Expr::null(),
+            ),
+        );
+        let panes = b.temporal(
+            "panes",
+            TDom::unbounded(5),
+            Expr::reduce_window(ReduceOp::Count, views, 10),
+        );
+        let out = b.temporal(
+            "out",
+            TDom::unbounded(5),
+            Expr::if_else(
+                Expr::at(panes).gt(Expr::c(2i64)),
+                Expr::at(panes).mul(Expr::c(7i64)).sub(Expr::c(11i64)),
+                Expr::null(),
+            ),
+        );
+        b.finish(out).unwrap()
+    }
+
+    #[test]
+    fn scratch_carries_nothing_from_one_run_to_the_next() {
+        // Two queries whose register files differ in shape and constants,
+        // on every tier, fused and unfused, alternate on one thread — one
+        // scratch — with everything a run can leave behind in it poisoned
+        // between runs. Each output must equal a fresh scratch's (a fresh
+        // thread's).
+        let n = 600;
+        let floats = price_events(n);
+        let ints: Vec<Event<Value>> = (1..=n)
+            .filter(|t| t % 7 != 0)
+            .map(|t| Event::point(Time::new(t), Value::Int((t * 37) % 11)))
+            .collect();
+        let whole = TimeRange::new(Time::ZERO, Time::new(n));
+        let inputs =
+            [SnapshotBuf::from_events(&floats, whole), SnapshotBuf::from_events(&ints, whole)];
+        let mut cases: Vec<(CompiledQuery, &SnapshotBuf<Value>)> = Vec::new();
+        for tier in [ExecTier::Batched, ExecTier::Compiled, ExecTier::Interpreted] {
+            for base in [Compiler::new(), Compiler::unoptimized()] {
+                let compiler = base.with_tier(tier);
+                cases.push((compiler.compile(&trend_query()).unwrap(), &inputs[0]));
+                cases.push((compiler.compile(&pane_query()).unwrap(), &inputs[1]));
+            }
+        }
+        let kernels: Vec<&Kernel> = cases.iter().flat_map(|(cq, _)| &cq.kernels).collect();
+        let lanes_mapped = |k: &&Kernel| {
+            let maps = k.typed.iter().flat_map(|tp| tp.typed_maps.iter().flatten());
+            k.is_batched() && maps.into_iter().any(|m| m.runs_on_lanes())
+        };
+        assert!(kernels.iter().any(lanes_mapped), "a window map borrows the batch columns");
+
+        let mut pool = BufPool::new();
+        for round in 0..4 {
+            for (cq, input) in &cases {
+                for (lo, hi) in [(0, 240), (240, 420), (420, 600)] {
+                    let range = TimeRange::new(Time::new(lo), Time::new(hi));
+                    let got = cq.run_pooled(&[input], range, &mut pool);
+                    // A thread of its own has a scratch of its own, empty.
+                    let fresh = std::thread::scope(|s| {
+                        s.spawn(|| cq.run(&[input], range)).join().expect("reference run")
+                    });
+                    assert_eq!(got, fresh, "{cq:?} over {range:?}, round {round}");
+                    pool.put(got);
+                    let mut scratch = Scratch::take();
+                    assert!(scratch.poison(&kernels, round % 2 == 0) > 0);
+                    scratch.put();
+                }
+            }
+        }
     }
 
     #[test]

@@ -693,8 +693,11 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
         // grid, so nothing is computed past `target` for nobody (creation
         // order is topological). Buffers come
         // from the pool — parked in its slot table meanwhile — and go back
-        // at the end of the pass.
+        // at the end of the pass; the kernels' run state is the thread's
+        // scratch, held for the length of the pass (a kernel that panics
+        // takes it along; the next advance starts an empty one).
         let mut node_bufs = pool.take_slots(g.nodes.len());
+        let mut scratch = crate::codegen::Scratch::take();
         let histories = &self.histories;
         for ni in 0..g.nodes.len() {
             let node = &g.nodes[ni];
@@ -713,20 +716,29 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
                     }
                 })
             };
-            kernel.run_with(&bufs, TimeRange::new(kstart, kend), &mut out);
+            kernel.run_with(&bufs, TimeRange::new(kstart, kend), &mut out, &mut scratch);
             node_bufs[ni] = Some(out);
         }
+        scratch.put();
 
         // Pass 2: per-query outputs, sliced from the shared buffers with
         // the same tail semantics as a standalone run (grid ticks past the
         // last one inside the range read φ, not extrapolated values).
         // Output slices draw from the pool too: the shard worker puts them
         // back once their events are delivered, so steady-state emission
-        // allocates nothing.
+        // allocates nothing. A node nothing else consumes whose kernel ran
+        // over exactly the output range *is* the standalone output: its
+        // buffer is handed over, not copied.
         let outs = g
             .outputs
             .iter()
             .map(|out| {
+                if let OutputRef::Node(ni) = *out {
+                    let whole = node_bufs[ni].as_ref().is_some_and(|buf| buf.range() == range);
+                    if whole && g.nodes[ni].instances == 1 {
+                        return node_bufs[ni].take().expect("node computed");
+                    }
+                }
                 let mut sliced = pool.take(range.start);
                 match *out {
                     OutputRef::Source(i) => self.histories[i].slice_into(range, &mut sliced),

@@ -615,6 +615,28 @@ impl SnapshotBuf<Value> {
         }
     }
 
+    /// Drops everything at or before `cutoff` in place: afterwards the
+    /// buffer equals `self.slice((cutoff, end])`, but the columns keep their
+    /// allocations — sessions trim their input histories this way on every
+    /// advance without allocating. A `cutoff` outside the coverage trims
+    /// nothing.
+    pub fn trim_start(&mut self, cutoff: Time) {
+        if cutoff <= self.start || cutoff >= self.end() {
+            return;
+        }
+        let lo = self.ends.partition_point(|&e| e <= cutoff);
+        self.start = cutoff;
+        self.ends.drain(..lo);
+        self.nulls.drain_front(lo);
+        match &mut self.vals {
+            Vals::None => {}
+            Vals::I64(v) => drop(v.drain(..lo)),
+            Vals::F64(v) => drop(v.drain(..lo)),
+            Vals::Bool(v) => drop(v.drain(..lo)),
+            Vals::Boxed(v) => drop(v.drain(..lo)),
+        }
+    }
+
     /// The first time strictly after `t` at which the object value (or span
     /// identity) changes: the buffer start if `t` precedes coverage, the end
     /// of the span containing/following `t` otherwise; `None` past the end.
@@ -770,6 +792,12 @@ impl<T: Copy + Default> ColWriter<'_, T> {
 /// table an execution fills with its intermediates
 /// ([`BufPool::take_slots`]), so an advance allocates nothing but its
 /// output.
+///
+/// What a kernel run needs besides buffers — register files, batch
+/// columns, window rings — is recycled the same way but does not travel
+/// with the pool: `tilt-core` keeps that scratch with the *thread* that
+/// runs the kernels, so a thousand sessions driven by one thread share one
+/// warm copy instead of each holding a cold one beside its pool.
 pub struct BufPool<P> {
     free: Vec<SnapshotBuf<P>>,
     slots: Vec<Option<SnapshotBuf<P>>>,

@@ -275,6 +275,18 @@ fn slicing_and_concatenation_agree_with_the_span_array() {
                 buf.slice_into(cut, &mut out);
                 assert_same(&out, &model.slice(cut), &format!("{what}: slice {cut:?}"));
                 assert_eq!(out, buf.slice(cut), "{what}: slice_into == slice");
+
+                // Trimming in place is slicing off the front: same spans,
+                // and the buffer still takes appends.
+                let mut trimmed = buf.clone();
+                trimmed.trim_start(cut.start);
+                // A cutoff outside the coverage trims nothing.
+                let inside = range.start < cut.start && cut.start < range.end;
+                let kept = if inside { TimeRange::new(cut.start, range.end) } else { range };
+                let expect = model.slice(kept);
+                assert_same(&trimmed, &expect, &format!("{what}: trim_start {:?}", cut.start));
+                trimmed.push_raw(range.end + 5, Value::Null);
+                assert_eq!(trimmed.len(), expect.spans.len() + 1, "{what}: append after trim");
             }
 
             // Tile the range at random cuts and put it back together.

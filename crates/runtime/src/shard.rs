@@ -452,7 +452,10 @@ pub(crate) struct Shard {
     sinks: Arc<SinkTable>,
     stats: Arc<SharedStats>,
     /// Recycles intermediate kernel buffers across every advance on this
-    /// shard (one pool per worker, not per key — no per-key memory).
+    /// shard (one pool per worker, not per key — no per-key memory). The
+    /// kernels' run state is recycled likewise, by `tilt-core`, per
+    /// thread: this worker's is reset by every advance of every key, and
+    /// an advance that panics (see `maybe_advance`) discards it.
     pool: BufPool<Value>,
     /// Scratch for batching drained events into `push_events` calls.
     scratch: Vec<Event<Value>>,
@@ -877,7 +880,9 @@ impl Shard {
     /// it still has buffered input or pushed-but-unemitted history; with a
     /// sink it is additionally re-queued while its eager advances keep
     /// producing output. Kernel execution runs under `catch_unwind`: a
-    /// panicking key is quarantined instead of unwinding the shard thread.
+    /// panicking key is quarantined instead of unwinding the shard thread
+    /// (and the kernels' run state the cut-short run was holding is
+    /// dropped with it: the next key's kernels shape theirs afresh).
     fn maybe_advance(&mut self) {
         let plans = self.cell_plans();
         let shard_wm = plans.iter().filter(|p| p.alive).map(|p| p.wm).min().unwrap_or(Time::MIN);

@@ -364,6 +364,39 @@ proptest! {
     }
 }
 
+/// Run state is filed per kernel and kept by the thread, and a dropped
+/// kernel's address comes back for the next one compiled: queries of every
+/// register-file shape the generator makes are compiled, run on **one**
+/// thread — one scratch — and dropped, in a loop long enough for the
+/// allocator to hand addresses out again and for the scratch to start over
+/// several times. State filed under anything that can be reused (an
+/// address) answers a new kernel with an old kernel's registers; every
+/// output must equal that of a thread which never ran anything else.
+#[test]
+fn scratch_does_not_alias_recompiled_kernels() {
+    let mut rng = TestRng::new(proptest::resolved_seed("scratch_does_not_alias"));
+    for _ in 0..120 {
+        let (q, events) = full_case(rng.next_u64());
+        for optimized in [true, false] {
+            let base = if optimized { Compiler::new() } else { Compiler::unoptimized() };
+            let cq = base.compile(&q).expect("compiles");
+            let hi = events.iter().flat_map(|evs| evs.last()).map(|e| e.end).max();
+            let range =
+                TimeRange::new(Time::ZERO, (hi.unwrap_or(Time::new(8)) + 16).align_up(cq.grid()));
+            let bufs: Vec<SnapshotBuf<Value>> =
+                events.iter().map(|evs| SnapshotBuf::from_events(evs, range)).collect();
+            let refs: Vec<&SnapshotBuf<Value>> = bufs.iter().collect();
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| cq.run(&refs, range)).join().expect("reference run")
+            });
+            // Twice: the second run resets the state the first one shaped.
+            for _ in 0..2 {
+                assert_eq!(cq.run(&refs, range), fresh, "diverged from a fresh thread's run");
+            }
+        }
+    }
+}
+
 /// Builds a single-input numeric DAG (the shape the keyed service runs).
 fn keyed_case(seed: u64) -> (Query, Vec<Vec<Event<Value>>>) {
     let mut g = Gen { rng: TestRng::new(seed) };

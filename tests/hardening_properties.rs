@@ -350,6 +350,52 @@ fn poisoned_key_is_quarantined_and_others_are_unaffected() {
     }
 }
 
+/// A kernel that panics is cut off mid-run, with its run state half
+/// written — and that state lives in the shard worker's pool, which serves
+/// every key of the shard. After the quarantine, keys the shard already
+/// served *and* a key it first sees afterwards must come out exactly as on
+/// a shard that never saw a panic: the scratch is discarded with the
+/// unwound run, never reset halfway and reused.
+#[test]
+fn a_kernel_panic_leaves_the_shards_run_state_usable() {
+    silence_poison_panics();
+    let (keys, poison_key, late_key) = (6u64, 3u64, 40u64);
+    let n = 120i64;
+    let cq = poisonable_sum(6);
+    let runtime = Single::start(
+        Arc::clone(&cq),
+        RuntimeConfig { shards: 1, emit_interval: 8, ..RuntimeConfig::default() },
+    );
+    let value = |t: i64| Value::Float((t % 13) as f64);
+    runtime.ingest((1..=n).flat_map(|t| {
+        let served = (0..keys).map(move |k| {
+            let v = if k == poison_key && t == 50 { Value::Float(-1.0) } else { value(t) };
+            KeyedEvent::new(k, 0, Event::point(Time::new(t), v))
+        });
+        // One more key, first seen ten ticks after the panic.
+        let late =
+            (t >= 60).then(|| KeyedEvent::new(late_key, 0, Event::point(Time::new(t), value(t))));
+        served.chain(late)
+    }));
+    let out = runtime.finish_at(Time::new(n + 6));
+    assert_eq!(out.stats.keys_quarantined, 1);
+
+    let end = Time::new(n + 6);
+    let all: Vec<Event<Value>> = (1..=n).map(|t| Event::point(Time::new(t), value(t))).collect();
+    let expected = replay(&cq, &all, end);
+    for k in (0..keys).filter(|&k| k != poison_key) {
+        assert!(
+            streams_equivalent(&coalesce(&expected), &coalesce(&out.per_key[&k])),
+            "key {k}: served before and after the panic, corrupted by it"
+        );
+    }
+    let expected_late = replay(&cq, &all[59..], end);
+    assert!(
+        streams_equivalent(&coalesce(&expected_late), &coalesce(&out.per_key[&late_key])),
+        "a key first served after the panic came out wrong"
+    );
+}
+
 /// The same isolation holds for the shared multi-query engine: poisoning
 /// quarantines the key across the group, every other key still serves all
 /// registered queries.

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use tilt_core::ir::{DataType, Expr, Query, ReduceOp, TDom};
 use tilt_core::{CompiledQuery, Compiler};
 use tilt_data::{coalesce, streams_equivalent, Event, Time, Value};
-use tilt_runtime::{KeyedEvent, RuntimeConfig, StreamService};
+use tilt_runtime::{KeyedEvent, QuerySettings, RuntimeConfig, StreamService};
 
 /// Per-key random event stream: (gap, len, value) segments. Values are
 /// quantized to multiples of 0.25 so float aggregation is exact and the
@@ -146,6 +146,81 @@ fn check_shared_vs_standalone(
         }
     }
     Ok(())
+}
+
+/// One shard worker owns one pool, and with it the run state of every
+/// kernel it runs — here the kernels of two *cells* (queries with different
+/// emission cadences never share one), whose register files differ in
+/// shape and in constants, run alternately, key after key, over sparse
+/// streams whose windows sit quiet for most of their life. Each query's
+/// output must equal a standalone service's.
+#[test]
+fn one_shard_serving_two_cells_keeps_their_run_state_apart() {
+    let sliding = {
+        let mut b = Query::builder();
+        let x = b.input("x", DataType::Float);
+        let body = Expr::reduce_window(ReduceOp::Sum, x, 64)
+            .mul(Expr::c(0.5))
+            .add(Expr::reduce_window(ReduceOp::Max, x, 16));
+        let out = b.temporal("sliding", TDom::every_tick(), body);
+        Arc::new(Compiler::new().compile(&b.finish(out).unwrap()).unwrap())
+    };
+    let panes = {
+        let mut b = Query::builder();
+        let x = b.input("x", DataType::Float);
+        let hot = b.temporal(
+            "hot",
+            TDom::every_tick(),
+            Expr::if_else(Expr::at(x).gt(Expr::c(-1.25)), Expr::at(x), Expr::null()),
+        );
+        let count =
+            b.temporal("count", TDom::unbounded(4), Expr::reduce_window(ReduceOp::Count, hot, 12));
+        let out = b.temporal(
+            "scaled",
+            TDom::unbounded(4),
+            Expr::at(count).mul(Expr::c(3i64)).sub(Expr::c(7i64)),
+        );
+        Arc::new(Compiler::new().compile(&b.finish(out).unwrap()).unwrap())
+    };
+    // Eight keys, one event every 37–150 ticks each.
+    let streams: Vec<Vec<Event<Value>>> = (0..8i64)
+        .map(|k| {
+            let segments: Vec<(i64, i64, i64)> = (0..40i64)
+                .map(|i| (37 + (i * 29 + k * 13) % 114, 1, (i * 7 + k) % 41 - 20))
+                .collect();
+            stream_from_segments(&segments)
+        })
+        .collect();
+    let arrivals = arrival_sequence(&streams, 1);
+    let end = Time::new(arrivals.iter().map(|ke| ke.event.end.ticks()).max().unwrap() + 96);
+
+    let config = RuntimeConfig { shards: 1, allowed_lateness: 0, ..RuntimeConfig::default() };
+    let cadence = |ticks| QuerySettings { emit_interval: Some(ticks), ..QuerySettings::default() };
+    let mut builder = StreamService::builder(config);
+    let handles = [
+        builder.register_with(Arc::clone(&sliding), cadence(4)),
+        builder.register_with(Arc::clone(&panes), cadence(16)),
+    ];
+    let service = builder.start().expect("same source type");
+    service.ingest(arrivals.iter().cloned());
+    let out = service.finish_at(end);
+    assert_eq!(out.stats.late_dropped, 0);
+
+    for (handle, (cq, ticks)) in handles.iter().zip([(&sliding, 4), (&panes, 16)]) {
+        let mut solo = StreamService::builder(config);
+        let q = solo.register_with(Arc::clone(cq), cadence(ticks));
+        let solo = solo.start().expect("single registration");
+        solo.ingest(arrivals.iter().cloned());
+        let want = solo.finish_at(end).per_query.swap_remove(q.index());
+        for k in 0..streams.len() as u64 {
+            assert_eq!(
+                coalesce(&want[&k]),
+                coalesce(&out.per_query[handle.index()][&k]),
+                "query {} key {k}: two cells on one shard diverged from a standalone service",
+                handle.index()
+            );
+        }
+    }
 }
 
 const STRIDES: [i64; 3] = [1, 2, 5];
