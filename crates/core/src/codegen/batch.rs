@@ -123,23 +123,19 @@ impl Init {
 }
 
 /// The registers live before any body or map instruction runs: the
-/// prelude's constants and φ seeds. `None` when the prelude holds anything
-/// else.
+/// prelude's constants and φ seeds. `None` when the prelude holds a boxed
+/// one.
 fn prelude_init(tp: &TypedProgram) -> Option<Init> {
     let mut init = Init {
         f: vec![Def::No; tp.n_f as usize],
         i: vec![Def::No; tp.n_i as usize],
         b: vec![Def::No; tp.n_b as usize],
     };
-    for ins in &tp.prelude {
-        let (c, r) = match ins {
-            Instr::ConstF { dst, .. } => (Class::F, *dst),
-            Instr::ConstI { dst, .. } => (Class::I, *dst),
-            Instr::ConstB { dst, .. } => (Class::B, *dst),
-            Instr::Null { dst } if dst.class != Class::V => (dst.class, dst.idx),
-            _ => return None,
-        };
-        init.slots(c)[r as usize] = Def::Prelude;
+    for r in tp.prelude_regs() {
+        if r.class == Class::V {
+            return None;
+        }
+        init.slots(r.class)[r.idx as usize] = Def::Prelude;
     }
     Some(init)
 }
@@ -992,7 +988,7 @@ impl BatchCtx {
     /// [`TypedCtx::poison`] for the columns: every lane of every register
     /// but the prelude's.
     pub(super) fn poison(&mut self, tp: &TypedProgram, null: bool) {
-        let keep = tp.prelude_regs();
+        let keep: Vec<Reg> = tp.prelude_regs().collect();
         let kept = |class, idx: usize| keep.contains(&Reg { class, idx: idx as u16 });
         let cap = self.cap;
         let flag = |m: &mut NullMask| if null { m.set_all() } else { m.clear_all() };

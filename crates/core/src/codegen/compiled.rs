@@ -727,32 +727,12 @@ pub(crate) struct TypedProgram {
 }
 
 #[cfg(test)]
-impl TypedProgram {
-    /// The registers the prelude writes — the only ones a register file
-    /// keeps a meaning in from one run to the next.
-    pub(super) fn prelude_regs(&self) -> Vec<Reg> {
-        let reg = |class, idx: &u16| Reg { class, idx: *idx };
-        self.prelude
-            .iter()
-            .map(|ins| match ins {
-                Instr::ConstF { dst, .. } => reg(Class::F, dst),
-                Instr::ConstI { dst, .. } => reg(Class::I, dst),
-                Instr::ConstB { dst, .. } => reg(Class::B, dst),
-                Instr::ConstV { dst, .. } => reg(Class::V, dst),
-                Instr::Null { dst } => *dst,
-                other => panic!("not a prelude instruction: {other:?}"),
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
 impl TypedCtx {
     /// Overwrites every register but the prelude's with what no run should
     /// ever read: NaN, `i64::MIN`, `true`, and φ flags all set or all
     /// clear per `null`.
     pub(super) fn poison(&mut self, tp: &TypedProgram, null: bool) {
-        let keep = tp.prelude_regs();
+        let keep: Vec<Reg> = tp.prelude_regs().collect();
         let kept = |class, idx: usize| keep.contains(&Reg { class, idx: idx as u16 });
         for r in (0..self.f.len()).filter(|&r| !kept(Class::F, r)) {
             self.f[r] = f64::NAN;
@@ -774,6 +754,20 @@ impl TypedCtx {
 }
 
 impl TypedProgram {
+    /// The registers the prelude writes — the only ones a register file
+    /// keeps a meaning in from one run to the next.
+    pub(super) fn prelude_regs(&self) -> impl Iterator<Item = Reg> + '_ {
+        let reg = |class, idx: &u16| Reg { class, idx: *idx };
+        self.prelude.iter().map(move |ins| match ins {
+            Instr::ConstF { dst, .. } => reg(Class::F, dst),
+            Instr::ConstI { dst, .. } => reg(Class::I, dst),
+            Instr::ConstB { dst, .. } => reg(Class::B, dst),
+            Instr::ConstV { dst, .. } => reg(Class::V, dst),
+            Instr::Null { dst } => *dst,
+            other => unreachable!("the compiler puts only constants in a prelude: {other:?}"),
+        })
+    }
+
     /// Creates a register file sized for this program, with every constant
     /// register pre-materialized by the prelude. Called where a kernel's
     /// run state is first shaped, not per run.

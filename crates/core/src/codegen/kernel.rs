@@ -868,15 +868,6 @@ impl KernelProfile {
         }
     }
 
-    /// The share of lanes copied rather than slid (0.0 before any run).
-    pub fn quiet_lane_share(&self) -> f64 {
-        if self.lanes == 0 {
-            0.0
-        } else {
-            (self.lanes - self.slides) as f64 / self.lanes as f64
-        }
-    }
-
     /// Fallback operations per timed invocation (0.0 when untimed).
     pub fn fallback_rate(&self) -> f64 {
         if self.invocations == 0 {

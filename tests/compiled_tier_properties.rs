@@ -524,15 +524,20 @@ fn stepped_session(
     out
 }
 
+/// The range the quiet-run cases cover: the stream plus room for the widest
+/// window to drain, ending on the grid.
+fn sparse_range(events: &[Event<Value>], grid: i64) -> TimeRange {
+    let hi = events.last().expect("non-empty stream").end;
+    TimeRange::new(Time::ZERO, (hi + 300).align_up(grid))
+}
+
 /// All three tiers over `events`, one-shot and as a stepped session: the
 /// buffers byte-identical, the sessions event-identical, and a session
 /// equivalent to the one-shot run. Returns the one-shot events.
 fn assert_tiers_agree(name: &str, q: &Query, events: &[Event<Value>]) -> Vec<Event<Value>> {
     let tiers = [ExecTier::Batched, ExecTier::Compiled, ExecTier::Interpreted]
         .map(|tier| Compiler::new().with_tier(tier).compile(q).expect("compiles"));
-    let grid = tiers[0].grid();
-    let hi = events.last().expect("non-empty stream").end;
-    let range = TimeRange::new(Time::ZERO, (hi + 300).align_up(grid));
+    let range = sparse_range(events, tiers[0].grid());
     let buf = SnapshotBuf::from_events(events, range);
     let runs = tiers.each_ref().map(|cq| cq.run(&[&buf], range));
     assert_eq!(runs[0], runs[1], "{name}: batched vs per-tick diverged");
@@ -555,9 +560,7 @@ fn reference_events(
     events: &[Event<Value>],
     grid: i64,
 ) -> Vec<Event<Value>> {
-    let hi = events.last().expect("non-empty stream").end;
-    let range = TimeRange::new(Time::ZERO, (hi + 300).align_up(grid));
-    tilt_query::reference::evaluate(plan, out, &[events.to_vec()], range)
+    tilt_query::reference::evaluate(plan, out, &[events.to_vec()], sparse_range(events, grid))
 }
 
 proptest! {
