@@ -500,7 +500,7 @@ struct Core {
     ingest_batch: usize,
     /// Key-route overrides installed by migrations: keys not present here
     /// route by [`shard_index`] as always.
-    routes: RwLock<HashMap<u64, usize>>,
+    routes: RwLock<HashMap<u64, usize, KeyHash>>,
     /// Fast-path flag: `false` until the first migration, so services that
     /// never rebalance pay one relaxed load (no lock) per routed event.
     routed: AtomicBool,
@@ -514,7 +514,7 @@ impl Core {
         stats: Arc<SharedStats>,
         registry: Registry,
         spill: Option<Arc<SpillStore>>,
-        routes: HashMap<u64, usize>,
+        routes: HashMap<u64, usize, KeyHash>,
     ) -> Core {
         let shards = config.shards.max(1);
         let ingest_batch = config.ingest_batch.max(1);
@@ -580,14 +580,23 @@ impl Core {
         let mut routed: Vec<Vec<KeyedEvent>> = (0..self.shards).map(|_| Vec::new()).collect();
         let mut n: u64 = 0;
         let mut stalled = false;
+        // The newest event end routed so far, published before every send:
+        // an attach negotiating its frontier right after a shard received a
+        // message sees the end of every event in it (one atomic per
+        // message, not per event).
+        let mut max_end = Time::MIN;
         for ev in events {
             n += 1;
-            self.stats.note_event_end(ev.event.end);
+            max_end = max_end.max(ev.event.end);
             let s = self.route_of(ev.key);
             routed[s].push(ev);
             if routed[s].len() >= self.ingest_batch {
+                self.stats.note_event_end(max_end);
                 stalled |= self.send_batch(s, std::mem::take(&mut routed[s]));
             }
+        }
+        if n > 0 {
+            self.stats.note_event_end(max_end);
         }
         for (s, batch) in routed.into_iter().enumerate() {
             if !batch.is_empty() {
@@ -800,7 +809,7 @@ impl StreamServiceBuilder {
             None => None,
         };
         Ok(StreamService {
-            core: Core::start(cells, config, sinks, stats, registry, spill, HashMap::new()),
+            core: Core::start(cells, config, sinks, stats, registry, spill, HashMap::default()),
         })
     }
 }
@@ -1258,7 +1267,7 @@ impl StreamService {
         stats.restore_counters(&record.counters);
         stats.max_event_end.set_max(record.max_event_end);
         stats.max_promise.set_max(record.max_promise);
-        let routes: HashMap<u64, usize> =
+        let routes: HashMap<u64, usize, KeyHash> =
             record.routes.iter().map(|&(k, s)| (k, s as usize)).collect();
         let core =
             Core::start(cells, record.config, sinks, Arc::clone(&stats), registry, None, routes);
@@ -1414,6 +1423,51 @@ fn shard_index(key: u64, shards: usize) -> usize {
     (z % shards as u64) as usize
 }
 
+/// Spreads a stream key over 64 bits with one widening multiply whose two
+/// halves are folded together, so every key bit reaches both the low bits
+/// (a table's slot) and the high bits (its tag, and a grouping bucket).
+///
+/// This is what the in-memory key tables hash with. It is deliberately
+/// *not* [`shard_index`]'s mix: all keys of one shard agree on that value
+/// modulo the shard count, which would leave a table keyed by it using a
+/// fraction of its slots. Nothing durable or on the wire depends on this
+/// function — it may change freely; `shard_index` may not.
+pub(crate) fn mix_key(key: u64) -> u64 {
+    let wide = u128::from(key) * 0x9E37_79B9_7F4A_7C15_u128;
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+/// [`mix_key`] as a [`std::hash::Hasher`] for the maps keyed by stream key.
+///
+/// The default SipHash costs more than the rest of a lookup on a `u64`
+/// and buys resistance to crafted collisions; this gives that up. A
+/// producer that wants one shard slow can already aim every key at it
+/// through the fixed, public `shard_index`.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix_key(self.0 ^ key);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// The hasher of every map and set keyed by stream key: a shard's live,
+/// retired and spilled keys, and the service's route overrides.
+pub(crate) type KeyHash = std::hash::BuildHasherDefault<KeyHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1468,6 +1522,50 @@ mod tests {
         let mut session = cq.stream_session(Time::ZERO);
         session.push_events(0, events);
         session.flush_to(end).to_events()
+    }
+
+    /// `shard_index` is a format, not an implementation detail: checkpoint
+    /// records, spill bundles, route overrides and remote clients all
+    /// assume a key lives where it says. (The in-memory tables hash with
+    /// `mix_key`, which may change; this may not.)
+    #[test]
+    fn shard_index_is_pinned() {
+        for (key, shards, want) in [
+            (0u64, 2usize, 1usize),
+            (1, 2, 1),
+            (2, 3, 1),
+            (7, 4, 3),
+            (42, 4, 1),
+            (999, 7, 0),
+            (1 << 48, 4, 0),
+            (u64::MAX, 5, 1),
+            (0xDEAD_BEEF, 16, 11),
+            (123_456_789, 1000, 897),
+        ] {
+            assert_eq!(shard_index(key, shards), want, "shard_index({key:#x}, {shards})");
+        }
+    }
+
+    /// The key tables' hash spreads what `shard_index` put on one shard:
+    /// keys that agree modulo the shard count, sequential ids, and ids that
+    /// differ only in their high bits all reach distinct low and high bits.
+    #[test]
+    fn mix_key_spreads_the_keys_of_one_shard() {
+        let resident: Vec<u64> = (0..4096u64).filter(|k| shard_index(*k, 4) == 0).collect();
+        let families: [Vec<u64>; 3] =
+            [resident, (0..1024).collect(), (0..1024u64).map(|i| i << 48).collect()];
+        for keys in &families {
+            for shift in [0u32, 54] {
+                let slots: std::collections::HashSet<u64> =
+                    keys.iter().map(|k| (mix_key(*k) >> shift) & 1023).collect();
+                assert!(
+                    slots.len() * 2 > keys.len().min(1024),
+                    "{} keys reach {} of 1024 slots at shift {shift}",
+                    keys.len(),
+                    slots.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,24 @@
 //! it, so fully unconsumed events are still dropped-and-counted exactly
 //! once).
 //!
+//! **A shard accepts a burst, not an event.** Everything queued when the
+//! worker wakes (up to `MAX_MSGS_PER_CYCLE` messages) is one *receive
+//! burst*. As its batches come off the channel only the arrival pass runs —
+//! what depends on the order events arrive in across keys: the source
+//! check, `max_start`/`max_end` (so every watermark), the ingest-lag sample
+//! and the shard-wide backstop. At the end of the burst the held events are
+//! grouped by key and accepted one key at a time, so a key's state — two
+//! map probes, its sessions' frontiers, its reorder buffers' tails, all
+//! cold after a thousand other keys — is visited once per burst rather than
+//! once per event. Within a key, events are accepted in arrival order,
+//! ties included, so what a key's buffers, sessions and counters end up
+//! holding is what accepting the events one by one leaves there; across
+//! keys inside one burst no order is promised (sink calls and journal
+//! entries of different keys may interleave differently). A burst is never
+//! carried over: it is settled before the emission cycle, before any
+//! message that reads per-key state, and before the worker blocks — an
+//! idle channel delivers bursts of one message, accepted on arrival.
+//!
 //! Attach and detach arrive as in-band control messages, so their position
 //! in each shard's message stream is deterministic relative to event
 //! batches. Detach edits the cell's [`QueryGroup`] incrementally
@@ -49,7 +67,7 @@ use tilt_state::{Dec, Enc, StateError};
 
 use crate::durability::SpillStore;
 use crate::stats::{ControlEvent, QueryCounters, SharedStats, SinkTable};
-use crate::{BackstopPolicy, KeyedEvent, RuntimeConfig};
+use crate::{mix_key, BackstopPolicy, KeyHash, KeyedEvent, RuntimeConfig};
 
 /// Messages flowing from the service handle to a shard worker.
 pub(crate) enum ShardMsg {
@@ -131,11 +149,19 @@ pub(crate) struct CellSpec {
     pub(crate) emit_interval: i64,
 }
 
-/// How many channel messages a shard folds into one watermark
-/// recomputation / emission cycle: after a blocking `recv`, anything
-/// already queued is drained (up to this bound, so sink latency stays
-/// bounded) before `maybe_advance` runs once for the whole batch.
+/// How many channel messages make one *receive burst*: after a blocking
+/// `recv`, anything already queued is taken too, up to this bound (so sink
+/// latency and the events held stay bounded — at most this many messages
+/// of `ingest_batch` events each). The burst is the unit of acceptance:
+/// its events are grouped by key and accepted a key at a time, then
+/// `maybe_advance` runs once for all of it. An idle channel yields bursts
+/// of one message, accepted the moment it arrives.
 const MAX_MSGS_PER_CYCLE: usize = 64;
+
+/// Most hash buckets the grouping pass of a burst spreads keys over
+/// (`2^11`; a burst uses about one per eight events, see
+/// [`Shard::group_burst`]).
+const MAX_BUCKET_BITS: u32 = 11;
 
 /// One buffered out-of-order event plus whether any cell consumed it.
 #[derive(Debug)]
@@ -153,7 +179,9 @@ pub(crate) struct Buffered {
 ///
 /// Streams are mostly in order in practice: the fast path is an O(1)
 /// append, and a displaced event pays a shift bounded by how far out of
-/// order it actually arrived.
+/// order it actually arrived. A key's events are inserted in the order
+/// they arrived — burst grouping reorders events of *different* keys
+/// only — so equal `(start, end)` pairs drain in arrival order.
 #[derive(Debug, Default)]
 pub(crate) struct ReorderBuf {
     events: Vec<Buffered>,
@@ -419,9 +447,9 @@ pub(crate) struct Shard {
     /// widest live cell's state horizon, so a retired-then-revived session
     /// is observationally identical to one that lived through the gap.
     ttl: Option<i64>,
-    keys: HashMap<u64, KeyState>,
+    keys: HashMap<u64, KeyState, KeyHash>,
     /// Evicted and quarantined keys (see [`Retired`]).
-    retired: HashMap<u64, Retired>,
+    retired: HashMap<u64, Retired, KeyHash>,
     /// Per source: the largest event *start* observed on this shard.
     ///
     /// Watermarks are defined over starts, not ends: an event contributes
@@ -448,7 +476,7 @@ pub(crate) struct Shard {
     spill: Option<Arc<SpillStore>>,
     /// Keys currently living in the spill store: no in-memory state at
     /// all, revived verbatim from disk on their next arrival.
-    spilled: HashSet<u64>,
+    spilled: HashSet<u64, KeyHash>,
     sinks: Arc<SinkTable>,
     stats: Arc<SharedStats>,
     /// Recycles intermediate kernel buffers across every advance on this
@@ -465,6 +493,38 @@ pub(crate) struct Shard {
     ingest_lag_scratch: tilt_obs::LocalHistogram,
     /// Same batching for per-event reorder-residency samples.
     residency_scratch: tilt_obs::LocalHistogram,
+    /// The open receive burst: events that passed the arrival pass and
+    /// await [`Shard::settle`], in arrival order. Empty whenever the shard
+    /// blocks, runs an emission cycle, or applies a message that reads
+    /// per-key state.
+    burst: Vec<KeyedEvent>,
+    /// Channel events the arrival pass has taken this burst, refused ones
+    /// included: what `settle` moves off the `queue_depth` gauge.
+    arrived: usize,
+    /// Counter movements of the open burst, published by `settle`.
+    tally: BurstTally,
+    /// Grouping scratch: `(key, position in burst)`, one entry per held
+    /// event, ordered so that a key's events are adjacent and in arrival
+    /// order.
+    order: Vec<(u64, usize)>,
+    /// Grouping scratch: where each hash bucket's stretch of `order` ends.
+    bucket_ends: Vec<usize>,
+    /// Per burst: events settled, and distinct keys among them (the ratio
+    /// is what a key touch is worth).
+    burst_events_scratch: tilt_obs::LocalHistogram,
+    burst_keys_scratch: tilt_obs::LocalHistogram,
+}
+
+/// What one burst's acceptance adds to the shared counters, summed locally
+/// and published once (per event these were two to three atomic RMWs).
+#[derive(Default)]
+struct BurstTally {
+    /// Accepted into a reorder buffer: `reorder_buffered` and the
+    /// `reorder_pending` gauge.
+    buffered: u64,
+    late: u64,
+    quarantined: u64,
+    backstop_dropped: u64,
 }
 
 impl Shard {
@@ -484,8 +544,8 @@ impl Shard {
             cells,
             n_sources,
             ttl: None,
-            keys: HashMap::new(),
-            retired: HashMap::new(),
+            keys: HashMap::default(),
+            retired: HashMap::default(),
             max_start: vec![Time::MIN; n_sources],
             max_end: Time::MIN,
             explicit: vec![Time::MIN; n_sources],
@@ -494,13 +554,20 @@ impl Shard {
             last_wall_sweep: Instant::now(),
             active: Vec::new(),
             spill,
-            spilled: HashSet::new(),
+            spilled: HashSet::default(),
             sinks,
             stats,
             pool: BufPool::new(),
             scratch: Vec::new(),
             ingest_lag_scratch: tilt_obs::LocalHistogram::new(),
             residency_scratch: tilt_obs::LocalHistogram::new(),
+            burst: Vec::new(),
+            arrived: 0,
+            tally: BurstTally::default(),
+            order: Vec::new(),
+            bucket_ends: Vec::new(),
+            burst_events_scratch: tilt_obs::LocalHistogram::new(),
+            burst_keys_scratch: tilt_obs::LocalHistogram::new(),
         };
         shard.refresh_ttl();
         shard
@@ -519,14 +586,18 @@ impl Shard {
         self.ttl = self.cfg.key_ttl.map(|t| t.max(horizon).max(1));
     }
 
-    /// The shard main loop: drain the channel, then flush and exit.
+    /// The shard main loop: take receive bursts off the channel, then flush
+    /// and exit.
     ///
-    /// Watermark recomputation is batched: after each blocking `recv`,
-    /// every message already sitting in the channel (bounded by
-    /// [`MAX_MSGS_PER_CYCLE`]) is folded in before `maybe_advance`
-    /// recomputes cell watermarks and visits active keys once. With a
-    /// wall-clock TTL configured, the blocking receive times out so idle
-    /// shards still get to run their wall-clock sweeps.
+    /// After each blocking `recv`, every message already sitting in the
+    /// channel (bounded by [`MAX_MSGS_PER_CYCLE`]) joins the same burst.
+    /// Event batches only pass the arrival pass ([`Shard::arrive`]) as they
+    /// are received; at the end of the burst the held events are grouped by
+    /// key and accepted ([`Shard::settle`]), and `maybe_advance` recomputes
+    /// cell watermarks and visits active keys once. Nothing is ever held
+    /// across a blocking receive. With a wall-clock TTL configured, the
+    /// blocking receive times out so idle shards still get to run their
+    /// wall-clock sweeps.
     pub(crate) fn run(mut self, rx: std::sync::mpsc::Receiver<ShardMsg>) -> ShardOutput {
         let mut finish_at: Option<Time> = None;
         let wall_tick =
@@ -556,6 +627,7 @@ impl Shard {
                             Err(_) => break,
                         }
                     }
+                    self.settle(false);
                     self.maybe_advance();
                 }
                 None => self.wall_sweep(),
@@ -564,15 +636,21 @@ impl Shard {
         self.flush(finish_at)
     }
 
-    /// Folds one channel message into shard state (no emission).
+    /// Folds one channel message into shard state (no emission). Event
+    /// batches join the open burst; every message that reads or edits
+    /// per-key state settles the burst first, so it sees each key exactly as
+    /// accepting the events received before it, one by one, leaves it.
     fn apply(&mut self, msg: ShardMsg, finish_at: &mut Option<Time>) {
+        // A watermark promise and the final horizon touch no per-key state
+        // and nothing `settle` reads; anything else — including any message
+        // kind added later — closes the burst.
+        let keeps_burst_open =
+            matches!(msg, ShardMsg::Batch(_) | ShardMsg::Watermark { .. } | ShardMsg::FinishAt(_));
+        if !keeps_burst_open {
+            self.settle(false);
+        }
         match msg {
-            ShardMsg::Batch(events) => {
-                self.stats.queue_depth[self.id].sub(events.len() as i64);
-                for ev in events {
-                    self.accept(ev);
-                }
-            }
+            ShardMsg::Batch(events) => self.arrive(events),
             ShardMsg::Watermark { source, time } => {
                 if source < self.n_sources {
                     let w = &mut self.explicit[source];
@@ -673,179 +751,351 @@ impl Shard {
         }
     }
 
-    /// Routes one event into its key's reorder buffer, creating cell
-    /// sessions on first contact and reviving evicted keys.
-    fn accept(&mut self, ev: KeyedEvent) {
-        if ev.source >= self.n_sources {
-            // No registered query reads this source — an attach-first
-            // service fed before its first attach, or an event racing an
-            // in-flight attach that widens the source set. Refuse and
-            // count it like any other event no cell can use; panicking
-            // the shard over a data-plane input would take every other
-            // key down with it.
-            self.stats.late_dropped.inc();
-            return;
-        }
-        self.max_start[ev.source] = self.max_start[ev.source].max(ev.event.start);
-        self.max_end = self.max_end.max(ev.event.end);
-        if self.stats.detailed {
-            // Event-time lag at ingest: how far this arrival trails the
-            // newest start seen on its source (0 = in order). `max_start`
-            // was just raised to at least this event's start, so the
-            // difference is never negative.
-            let lag = self.max_start[ev.source] - ev.event.start;
-            self.ingest_lag_scratch.record(lag as u64);
-        }
-
-        // Spilled keys revive from disk on first contact, *before* any
-        // admission checks: the bundle holds the key's exact pre-eviction
-        // state (sessions, reorder buffers, accumulated output), so a
-        // revived key is byte-identical to one that was never spilled.
-        if !self.spilled.is_empty() && self.spilled.remove(&ev.key) {
-            self.revive_from_spill(ev.key);
-        }
-
-        // Retired keys: quarantined ones refuse all events; evicted ones
-        // revive if the event is usable by at least one cell (arrivals
-        // behind every frontier are unsalvageably late — the sessions that
-        // could have absorbed them are gone).
-        if let Some(r) = self.retired.get(&ev.key) {
-            if r.quarantined {
-                self.stats.quarantine_dropped.inc();
-                return;
-            }
-            let revivable = self.cells.iter().enumerate().any(|(ci, c)| {
-                c.alive
-                    && ev.source < c.n_sources
-                    && match r.frontiers.get(ci).copied().flatten() {
-                        Some(f) => ev.event.start >= f,
-                        None => ev.event.start >= c.root,
-                    }
-            });
-            if !revivable {
-                self.stats.late_dropped.inc();
-                return;
-            }
-            let r = self.retired.remove(&ev.key).expect("checked above");
-            self.stats.revivals.inc();
-            self.stats.live_keys.add(1);
-            self.stats.note_control(ControlEvent::Revive { shard: self.id, key: ev.key });
-            let mut cells: Vec<Option<CellSession>> = Vec::with_capacity(self.cells.len());
-            let mut last_end = self.cfg.start;
-            for (ci, c) in self.cells.iter().enumerate() {
-                let frontier = if c.alive { r.frontiers.get(ci).copied().flatten() } else { None };
-                cells.push(frontier.map(|f| {
-                    last_end = last_end.max(f);
-                    CellSession::open(c, f)
-                }));
-            }
-            self.keys.insert(
-                ev.key,
-                KeyState {
-                    pending: (0..self.n_sources).map(|_| ReorderBuf::default()).collect(),
-                    cells,
-                    out: r.out,
-                    last_end,
-                    last_touch: Instant::now(),
-                    queued: false,
-                },
-            );
-        }
-
-        let n_cells = self.cells.len();
-        let n_sources = self.n_sources;
-        let cells = &self.cells;
-        let state = match self.keys.entry(ev.key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.stats.keys.inc();
-                self.stats.live_keys.add(1);
-                e.insert(KeyState {
-                    pending: (0..n_sources).map(|_| ReorderBuf::default()).collect(),
-                    cells: (0..n_cells).map(|_| None).collect(),
-                    out: Vec::new(),
-                    last_end: self.cfg.start,
-                    last_touch: Instant::now(),
-                    queued: false,
-                })
-            }
-        };
-        Self::sync_key(state, n_cells, n_sources);
-        if self.cfg.wall_clock_ttl.is_some() {
-            // The idleness clock only matters when wall-clock eviction is
-            // on; skip the per-event clock read otherwise.
-            state.last_touch = Instant::now();
-        }
-
-        // The event is admitted if at least one cell can still use it:
-        // a cell with a session accepts anything at or after its pushed
-        // frontier; a cell without one opens a session when the event
-        // starts at or after its join root. Events behind every cell are
-        // dropped and counted once, however many cells are registered.
-        let mut admitted = false;
-        let detailed = self.stats.detailed;
-        for (ci, c) in cells.iter().enumerate() {
-            if !c.alive || ev.source >= c.n_sources {
+    /// The arrival pass over one event batch: everything that depends on the
+    /// order events arrive in *across* keys, and nothing else. The events
+    /// themselves are held for [`Shard::settle`].
+    ///
+    /// * An event on a source no registered query reads is refused here — an
+    ///   attach-first service fed before its first attach, or an event
+    ///   racing an in-flight attach that widens the source set. It is
+    ///   counted like any other event no cell can use; panicking the shard
+    ///   over a data-plane input would take every other key down with it.
+    /// * `max_start` / `max_end`, hence every watermark and every "is a
+    ///   cycle due" decision, and the ingest-lag sample taken against them.
+    /// * The shard-wide backstop ([`RuntimeConfig::max_pending_per_shard`]),
+    ///   whose verdict on an event depends on every event before it, of any
+    ///   key. The `reorder_pending` gauge counts settled events only, so
+    ///   gauge + events held bounds what accepting one at a time would read;
+    ///   while that is under the cap the verdict is "not full" either way.
+    ///   Once it is not, the burst is settled — the gauge is then exact —
+    ///   and an event that does meet a full shard is accepted alone, at
+    ///   once: the same events are dropped (or the same buffers
+    ///   force-drained, at the same point of the stream) as without bursts.
+    fn arrive(&mut self, events: Vec<KeyedEvent>) {
+        self.burst.reserve(events.len());
+        for ev in events {
+            self.arrived += 1;
+            if ev.source >= self.n_sources {
+                self.tally.late += 1;
                 continue;
             }
-            let cell_admits = match &state.cells[ci] {
-                Some(cs) => {
-                    let frontier = cs.pushed_end[ev.source].max(cs.session.watermark());
-                    ev.event.start >= frontier
+            self.max_start[ev.source] = self.max_start[ev.source].max(ev.event.start);
+            self.max_end = self.max_end.max(ev.event.end);
+            if self.stats.detailed {
+                // Event-time lag at ingest: how far this arrival trails the
+                // newest start seen on its source (0 = in order). `max_start`
+                // was just raised to at least this event's start, so the
+                // difference is never negative.
+                let lag = self.max_start[ev.source] - ev.event.start;
+                self.ingest_lag_scratch.record(lag as u64);
+            }
+            let mut shard_full = false;
+            if let Some(cap) = self.cfg.max_pending_per_shard {
+                let pending = self.stats.reorder_pending[self.id].get();
+                if pending + self.burst.len() as i64 >= cap as i64 {
+                    self.settle(false);
+                    shard_full = self.stats.reorder_pending[self.id].get() >= cap as i64;
                 }
-                None => {
-                    if ev.event.start >= c.root {
-                        state.cells[ci] = Some(CellSession::open(c, c.root));
-                        true
-                    } else {
-                        false
+            }
+            self.burst.push(ev);
+            if shard_full {
+                self.settle(true);
+            }
+        }
+    }
+
+    /// Closes the open burst: groups the held events by key, accepts them a
+    /// key at a time ([`Shard::accept_run`]) and publishes the burst's
+    /// counter movements — every destination account first, the
+    /// `queue_depth` the events came from last, so a concurrent reader may
+    /// count an event twice for a moment but never misses one.
+    /// `shard_full` is the arrival pass's backstop verdict; it is only ever
+    /// set for a burst of one event.
+    fn settle(&mut self, shard_full: bool) {
+        let n = self.burst.len();
+        if n > 0 {
+            debug_assert!(!shard_full || n == 1);
+            self.group_burst();
+            let mut keys = 0u64;
+            let mut at = 0;
+            while at < n {
+                let key = self.order[at].0;
+                let mut end = at + 1;
+                while end < n && self.order[end].0 == key {
+                    end += 1;
+                }
+                self.accept_run(key, at..end, shard_full);
+                keys += 1;
+                at = end;
+            }
+            // Every payload was moved out; what is left are husks.
+            self.burst.clear();
+            if self.stats.detailed {
+                self.burst_events_scratch.record(n as u64);
+                self.burst_keys_scratch.record(keys);
+            }
+        }
+        self.publish_tally();
+        if self.arrived > 0 {
+            self.stats.queue_depth[self.id].sub(self.arrived as i64);
+            self.arrived = 0;
+        }
+    }
+
+    /// Adds the open burst's tally to the shared counters and zeroes it.
+    /// Runs at the end of `settle`, and before a force drain, which
+    /// subtracts what it releases from the `reorder_pending` gauge and
+    /// reads it.
+    fn publish_tally(&mut self) {
+        let BurstTally { buffered, late, quarantined, backstop_dropped } =
+            std::mem::take(&mut self.tally);
+        if buffered > 0 {
+            self.stats.reorder_buffered.add(buffered);
+            self.stats.reorder_pending[self.id].add(buffered as i64);
+        }
+        if late > 0 {
+            self.stats.late_dropped.add(late);
+        }
+        if quarantined > 0 {
+            self.stats.quarantine_dropped.add(quarantined);
+        }
+        if backstop_dropped > 0 {
+            self.stats.backstop_dropped.add(backstop_dropped);
+        }
+    }
+
+    /// Fills `order` with one `(key, position in burst)` entry per held
+    /// event such that each key's entries are adjacent and in arrival order
+    /// (which key comes first is unspecified).
+    ///
+    /// One counting pass scatters the entries into hash buckets — about one
+    /// bucket per eight events, so a burst of one message costs what its
+    /// length costs and a burst of one event nothing — keeping arrival order
+    /// within a bucket; each bucket is then sorted by `(key, position)`,
+    /// which, positions being distinct, is the stable order by key. A
+    /// bucket nearly always holds one or two keys already in order, so the
+    /// sort is a scan. All scratch is the shard's and reused.
+    fn group_burst(&mut self) {
+        let n = self.burst.len();
+        let bits = (n / 8).max(1).next_power_of_two().trailing_zeros().min(MAX_BUCKET_BITS);
+        // The top `bits` bits of the mix (0 bits: one bucket).
+        let bucket = |key: u64| ((mix_key(key) >> 1) >> (63 - bits)) as usize;
+        let ends = &mut self.bucket_ends;
+        ends.clear();
+        ends.resize((1usize << bits) + 1, 0);
+        for ev in &self.burst {
+            ends[bucket(ev.key) + 1] += 1;
+        }
+        for b in 1..ends.len() {
+            ends[b] += ends[b - 1];
+        }
+        // `ends[b]` is where bucket `b` starts; scattering advances it to
+        // where the bucket ends.
+        self.order.clear();
+        self.order.resize(n, (0, 0));
+        for (i, ev) in self.burst.iter().enumerate() {
+            let at = &mut ends[bucket(ev.key)];
+            self.order[*at] = (ev.key, i);
+            *at += 1;
+        }
+        let mut start = 0;
+        for &end in &ends[..ends.len() - 1] {
+            self.order[start..end].sort_unstable();
+            start = end;
+        }
+    }
+
+    /// Accepts one key's events of the burst — `order[run]`, in arrival
+    /// order — into its reorder buffers, creating cell sessions on first
+    /// contact and reviving the key if it was spilled or evicted.
+    ///
+    /// The key's standing (spilled, retired, live) and its state are looked
+    /// up once for the run, not once per event; per event, what is decided
+    /// is exactly what accepting it alone decides, in the same order. A
+    /// force drain — the only thing that can change the key's standing
+    /// mid-run — sends the rest of the run through the lookup again.
+    fn accept_run(&mut self, key: u64, run: std::ops::Range<usize>, shard_full: bool) {
+        /// A backstop drain owed after an insert (needs `&mut self`, so it
+        /// runs once the borrow of the key's state has ended).
+        enum Drain {
+            Key { source: usize, excess: usize },
+            Shard,
+        }
+        let mut at = run.start;
+        while at < run.end {
+            // Spilled keys revive from disk on first contact, *before* any
+            // admission checks: the bundle holds the key's exact pre-eviction
+            // state (sessions, reorder buffers, accumulated output), so a
+            // revived key is byte-identical to one that was never spilled.
+            if !self.spilled.is_empty() && self.spilled.remove(&key) {
+                self.revive_from_spill(key);
+            }
+
+            // Retired keys: quarantined ones refuse all events; evicted ones
+            // revive if the event is usable by at least one cell (arrivals
+            // behind every frontier are unsalvageably late — the sessions
+            // that could have absorbed them are gone).
+            if !self.retired.is_empty() {
+                if let Some(r) = self.retired.get(&key) {
+                    if r.quarantined {
+                        self.tally.quarantined += (run.end - at) as u64;
+                        return;
                     }
+                    let ev = &self.burst[self.order[at].1];
+                    let revivable = self.cells.iter().enumerate().any(|(ci, c)| {
+                        c.alive
+                            && ev.source < c.n_sources
+                            && match r.frontiers.get(ci).copied().flatten() {
+                                Some(f) => ev.event.start >= f,
+                                None => ev.event.start >= c.root,
+                            }
+                    });
+                    if !revivable {
+                        self.tally.late += 1;
+                        at += 1;
+                        continue;
+                    }
+                    self.revive(key);
+                }
+            }
+
+            let n_cells = self.cells.len();
+            let n_sources = self.n_sources;
+            let cells = &self.cells;
+            let state = match self.keys.entry(key) {
+                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    self.stats.keys.inc();
+                    self.stats.live_keys.add(1);
+                    e.insert(KeyState {
+                        pending: (0..n_sources).map(|_| ReorderBuf::default()).collect(),
+                        cells: (0..n_cells).map(|_| None).collect(),
+                        out: Vec::new(),
+                        last_end: self.cfg.start,
+                        last_touch: Instant::now(),
+                        queued: false,
+                    })
                 }
             };
-            if cell_admits {
-                admitted = true;
-            } else if detailed {
-                // Per-query late attribution: this cell's members each
-                // lost the event to their lateness bound, whether or not
-                // another cell still admits it. The service-wide
-                // `late_dropped` counts it only when nobody does.
-                for qc in &c.counters {
-                    qc.late.inc();
+            Self::sync_key(state, n_cells, n_sources);
+            if self.cfg.wall_clock_ttl.is_some() {
+                // The idleness clock only matters when wall-clock eviction
+                // is on; skip the clock read otherwise.
+                state.last_touch = Instant::now();
+            }
+
+            let detailed = self.stats.detailed;
+            let mut owed: Option<Drain> = None;
+            while at < run.end && owed.is_none() {
+                let held = &mut self.burst[self.order[at].1];
+                at += 1;
+                let (source, start, end) = (held.source, held.event.start, held.event.end);
+
+                // The event is admitted if at least one cell can still use
+                // it: a cell with a session accepts anything at or after its
+                // pushed frontier; a cell without one opens a session when
+                // the event starts at or after its join root. Events behind
+                // every cell are dropped and counted once, however many
+                // cells are registered.
+                let mut admitted = false;
+                for (ci, c) in cells.iter().enumerate() {
+                    if !c.alive || source >= c.n_sources {
+                        continue;
+                    }
+                    let cell_admits = match &state.cells[ci] {
+                        Some(cs) => start >= cs.pushed_end[source].max(cs.session.watermark()),
+                        None => {
+                            if start >= c.root {
+                                state.cells[ci] = Some(CellSession::open(c, c.root));
+                                true
+                            } else {
+                                false
+                            }
+                        }
+                    };
+                    if cell_admits {
+                        admitted = true;
+                    } else if detailed {
+                        // Per-query late attribution: this cell's members
+                        // each lost the event to their lateness bound,
+                        // whether or not another cell still admits it. The
+                        // service-wide `late_dropped` counts it only when
+                        // nobody does.
+                        for qc in &c.counters {
+                            qc.late.inc();
+                        }
+                    }
+                }
+                if !admitted {
+                    self.tally.late += 1;
+                    continue;
+                }
+                state.last_end = state.last_end.max(end);
+
+                // Reorder-buffer backstop: bound what a stalled watermark
+                // can pin.
+                let key_full = self
+                    .cfg
+                    .max_pending_per_key
+                    .is_some_and(|cap| state.pending[source].len() >= cap);
+                if (key_full || shard_full) && self.cfg.backstop == BackstopPolicy::DropNewest {
+                    self.tally.backstop_dropped += 1;
+                    continue;
+                }
+
+                let payload = std::mem::take(&mut held.event.payload);
+                state.pending[source].insert(Event { start, end, payload });
+                self.tally.buffered += 1;
+                if !state.queued {
+                    state.queued = true;
+                    self.active.push(key);
+                }
+                if key_full {
+                    let cap = self.cfg.max_pending_per_key.expect("key_full implies a cap");
+                    let excess = state.pending[source].len().saturating_sub(cap / 2);
+                    owed = Some(Drain::Key { source, excess });
+                } else if shard_full {
+                    owed = Some(Drain::Shard);
+                }
+            }
+            if let Some(drain) = owed {
+                self.publish_tally();
+                match drain {
+                    Drain::Key { source, excess } => self.force_drain_buf(key, source, excess),
+                    Drain::Shard => self.force_drain_shard(),
                 }
             }
         }
-        if !admitted {
-            self.stats.late_dropped.inc();
-            return;
-        }
-        state.last_end = state.last_end.max(ev.event.end);
+    }
 
-        // Reorder-buffer backstop: bound what a stalled watermark can pin.
-        let key_full =
-            self.cfg.max_pending_per_key.is_some_and(|cap| state.pending[ev.source].len() >= cap);
-        let shard_full = self
-            .cfg
-            .max_pending_per_shard
-            .is_some_and(|cap| self.stats.reorder_pending[self.id].get() >= cap as i64);
-        if (key_full || shard_full) && self.cfg.backstop == BackstopPolicy::DropNewest {
-            self.stats.backstop_dropped.inc();
-            return;
+    /// Brings an evicted key back: a fresh session per cell it had one in,
+    /// rooted at that cell's eviction frontier, and the output its
+    /// tombstone carried.
+    fn revive(&mut self, key: u64) {
+        let r = self.retired.remove(&key).expect("caller found the tombstone");
+        self.stats.revivals.inc();
+        self.stats.live_keys.add(1);
+        self.stats.note_control(ControlEvent::Revive { shard: self.id, key });
+        let mut cells: Vec<Option<CellSession>> = Vec::with_capacity(self.cells.len());
+        let mut last_end = self.cfg.start;
+        for (ci, c) in self.cells.iter().enumerate() {
+            let frontier = if c.alive { r.frontiers.get(ci).copied().flatten() } else { None };
+            cells.push(frontier.map(|f| {
+                last_end = last_end.max(f);
+                CellSession::open(c, f)
+            }));
         }
-
-        state.pending[ev.source].insert(ev.event);
-        let buffered = state.pending[ev.source].len();
-        self.stats.reorder_buffered.inc();
-        self.stats.reorder_pending[self.id].add(1);
-        if !state.queued {
-            state.queued = true;
-            self.active.push(ev.key);
-        }
-        if key_full {
-            let cap = self.cfg.max_pending_per_key.expect("key_full implies a cap");
-            self.force_drain_buf(ev.key, ev.source, buffered.saturating_sub(cap / 2));
-        } else if shard_full {
-            self.force_drain_shard();
-        }
+        self.keys.insert(
+            key,
+            KeyState {
+                pending: (0..self.n_sources).map(|_| ReorderBuf::default()).collect(),
+                cells,
+                out: r.out,
+                last_end,
+                last_touch: Instant::now(),
+                queued: false,
+            },
+        );
     }
 
     /// One emission cycle's plan: each cell's watermark, emission target,
@@ -884,6 +1134,7 @@ impl Shard {
     /// (and the kernels' run state the cut-short run was holding is
     /// dropped with it: the next key's kernels shape theirs afresh).
     fn maybe_advance(&mut self) {
+        debug_assert!(self.burst.is_empty(), "an emission cycle never sees a held event");
         let plans = self.cell_plans();
         let shard_wm = plans.iter().filter(|p| p.alive).map(|p| p.wm).min().unwrap_or(Time::MIN);
         self.stats.shard_watermark[self.id].set(shard_wm.ticks());
@@ -892,6 +1143,8 @@ impl Shard {
         // cycle granularity instead of paying atomics per event.
         self.ingest_lag_scratch.flush_into(&self.stats.ingest_lag[self.id]);
         self.residency_scratch.flush_into(&self.stats.reorder_residency[self.id]);
+        self.burst_events_scratch.flush_into(&self.stats.burst_events[self.id]);
+        self.burst_keys_scratch.flush_into(&self.stats.burst_keys[self.id]);
         if let Some(ttl) = self.cfg.wall_clock_ttl {
             if self.last_wall_sweep.elapsed() >= ttl / 2 {
                 self.wall_sweep();
@@ -1845,6 +2098,7 @@ impl Shard {
     /// empty timeline still surface their tail; quarantined keys return
     /// what they had.
     fn flush(mut self, finish_at: Option<Time>) -> ShardOutput {
+        debug_assert!(self.burst.is_empty(), "the run loop settles before it can exit");
         // Spilled keys rejoin for the final flush: their revival here is
         // what keeps spills == revivals and lets queries that emit on an
         // empty timeline surface the spilled keys' tails too.
@@ -1970,6 +2224,8 @@ impl Shard {
         // thread exits after this, and the final snapshot must see them.
         self.ingest_lag_scratch.flush_into(&self.stats.ingest_lag[self.id]);
         self.residency_scratch.flush_into(&self.stats.reorder_residency[self.id]);
+        self.burst_events_scratch.flush_into(&self.stats.burst_events[self.id]);
+        self.burst_keys_scratch.flush_into(&self.stats.burst_keys[self.id]);
         if let Some(start) = flush_start {
             self.stats.flush_ns[self.id].record(start.elapsed().as_nanos() as u64);
         }
@@ -2217,8 +2473,9 @@ mod tests {
     }
 
     /// One receive burst as [`Shard::run`] folds it: every message applied,
-    /// then one emission cycle. Accounts the events as `send_batch` and
-    /// `ingest` do, so the conservation identity can be read.
+    /// the burst settled, then one emission cycle. Accounts the events as
+    /// `send_batch` and `ingest` do, so the conservation identity can be
+    /// read.
     fn cycle(shard: &mut Shard, stats: &SharedStats, msgs: Vec<Vec<KeyedEvent>>) {
         let mut finish_at = None;
         for events in msgs {
@@ -2226,6 +2483,7 @@ mod tests {
             stats.events_in.add(events.len() as u64);
             shard.apply(ShardMsg::Batch(events), &mut finish_at);
         }
+        shard.settle(false);
         shard.maybe_advance();
     }
 

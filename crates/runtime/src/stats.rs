@@ -274,10 +274,12 @@ macro_rules! service_scalars {
             /// The largest explicit watermark promise made on any source
             /// (feeds attach-frontier negotiation).
             pub(crate) max_promise: Arc<Gauge>,
-            /// Per shard: events currently queued (sent, not yet received).
+            /// Per shard: events sent to the shard and not yet accepted —
+            /// in its channel, or in the receive burst it is accepting
+            /// (a burst leaves this gauge in one step, when it is settled).
             pub(crate) queue_depth: Vec<Arc<Gauge>>,
             /// Per shard: events currently held in reorder buffers (gauge;
-            /// the backstop caps this).
+            /// the backstop caps this). Written by the shard thread only.
             pub(crate) reorder_pending: Vec<Arc<Gauge>>,
             /// Per shard: the low-watermark the shard last propagated
             /// (minimum over its live cells' watermarks).
@@ -297,6 +299,11 @@ macro_rules! service_scalars {
             pub(crate) advance_ns: Vec<Arc<Histogram>>,
             /// Per shard: wall nanoseconds per shutdown-flush drain.
             pub(crate) flush_ns: Vec<Arc<Histogram>>,
+            /// Per shard: events in each receive burst the shard accepted.
+            pub(crate) burst_events: Vec<Arc<Histogram>>,
+            /// Per shard: distinct keys in each receive burst. Events over
+            /// keys is how many events one visit to a key's state serves.
+            pub(crate) burst_keys: Vec<Arc<Histogram>>,
         }
 
         impl SharedStats {
@@ -336,6 +343,8 @@ macro_rules! service_scalars {
                     reorder_residency: per_shard_hist("tilt_reorder_residency_ticks"),
                     advance_ns: per_shard_hist("tilt_advance_ns"),
                     flush_ns: per_shard_hist("tilt_flush_ns"),
+                    burst_events: per_shard_hist("tilt_burst_events"),
+                    burst_keys: per_shard_hist("tilt_burst_keys"),
                     registry: r,
                 }
             }
@@ -351,8 +360,14 @@ macro_rules! service_scalars {
             }
 
             pub(crate) fn snapshot(&self) -> RuntimeStats {
+                // The two gauges an event passes through on its way in are
+                // read back to back: a shard moves a burst from one to the
+                // other in two adjacent steps, and a snapshot that reads
+                // anything in between counts those events twice.
                 let queue_depths: Vec<usize> =
                     self.queue_depth.iter().map(|d| d.get().max(0) as usize).collect();
+                let reorder_pending: Vec<usize> =
+                    self.reorder_pending.iter().map(|d| d.get().max(0) as usize).collect();
                 let shard_watermarks: Vec<Time> =
                     self.shard_watermark.iter().map(|w| Time::new(w.get())).collect();
                 let min_watermark = shard_watermarks.iter().copied().min().unwrap_or(Time::MIN);
@@ -377,11 +392,7 @@ macro_rules! service_scalars {
                         .iter()
                         .map(|t| Time::new(*t))
                         .collect(),
-                    reorder_pending: self
-                        .reorder_pending
-                        .iter()
-                        .map(|d| d.get().max(0) as usize)
-                        .collect(),
+                    reorder_pending,
                     queue_depths,
                     shard_watermarks,
                     min_watermark,
@@ -433,8 +444,9 @@ macro_rules! service_scalars {
             /// [`crate::RuntimeConfig::max_pending_per_key`] and
             /// [`crate::RuntimeConfig::max_pending_per_shard`]).
             pub reorder_pending: Vec<usize>,
-            /// Events sitting in each shard's ingest queue (backpressure
-            /// signal).
+            /// Events sent to each shard and not yet accepted: those in its
+            /// ingest queue (the backpressure signal) plus the receive burst
+            /// it is working through, at most 64 messages' worth.
             pub queue_depths: Vec<usize>,
             /// Each shard's current low-watermark.
             pub shard_watermarks: Vec<Time>,

@@ -164,6 +164,21 @@ fn metrics_toggle_never_changes_output() {
     // the real toggle invariant.
     assert_eq!(on.stats.events_in, off.stats.events_in);
     assert_eq!(on.stats.late_dropped, off.stats.late_dropped);
+    // The burst histograms are part of the detailed layer: every event is
+    // in exactly one receive burst, and a burst has no more keys than events.
+    let burst = |out: &ServiceOutput, name: &str| -> (u64, u64) {
+        let per_shard = out.metrics.samples.iter().filter(|s| s.name == name);
+        per_shard.fold((0, 0), |(count, sum), s| match &s.value {
+            tilt_obs::SampleValue::Histogram(h) => (count + h.count(), sum + h.sum),
+            _ => panic!("{name} is a histogram"),
+        })
+    };
+    let (bursts, events) = burst(&on, "tilt_burst_events");
+    let (key_samples, keys) = burst(&on, "tilt_burst_keys");
+    assert_eq!(events, on.stats.events_in);
+    assert_eq!(key_samples, bursts);
+    assert!(bursts > 0 && bursts <= keys && keys <= events, "{bursts} {keys} {events}");
+    assert_eq!(burst(&off, "tilt_burst_events"), (0, 0));
 }
 
 /// `ForceDrain` backstop under attach/detach churn: forced drains must

@@ -78,6 +78,9 @@ fn lateness_needed(arrivals: &[KeyedEvent]) -> i64 {
     worst
 }
 
+/// One run's output, coalesced, indexed by key.
+type PerKeyCoalesced = Vec<Vec<Event<Value>>>;
+
 fn replay(cq: &CompiledQuery, events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
     let mut session = cq.stream_session(Time::ZERO);
     session.push_events(0, events);
@@ -191,7 +194,7 @@ proptest! {
         let end = Time::new(hi.ticks() + window);
         let cq = window_query(window, agg);
 
-        let mut reference: Option<(Vec<Vec<Event<Value>>>, Vec<(&'static str, i64)>)> = None;
+        let mut reference: Option<(PerKeyCoalesced, Vec<(&'static str, i64)>)> = None;
         for shards in [1usize, 2, 4] {
             for chunk in [1usize, 4096] {
                 let runtime = Single::start(
@@ -207,7 +210,7 @@ proptest! {
                     runtime.ingest(call.iter().cloned());
                 }
                 let out = runtime.finish_at(end);
-                let per_key: Vec<Vec<Event<Value>>> =
+                let per_key: PerKeyCoalesced =
                     (0..streams.len()).map(|k| coalesce(&out.per_key[&(k as u64)])).collect();
                 let counters: Vec<(&'static str, i64)> = out
                     .stats
