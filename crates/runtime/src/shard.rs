@@ -773,6 +773,7 @@ impl Shard {
     ///   force-drained, at the same point of the stream) as without bursts.
     fn arrive(&mut self, events: Vec<KeyedEvent>) {
         self.burst.reserve(events.len());
+        let detailed = self.stats.detailed;
         for ev in events {
             self.arrived += 1;
             if ev.source >= self.n_sources {
@@ -781,7 +782,7 @@ impl Shard {
             }
             self.max_start[ev.source] = self.max_start[ev.source].max(ev.event.start);
             self.max_end = self.max_end.max(ev.event.end);
-            if self.stats.detailed {
+            if detailed {
                 // Event-time lag at ingest: how far this arrival trails the
                 // newest start seen on its source (0 = in order). `max_start`
                 // was just raised to at least this event's start, so the
