@@ -758,3 +758,112 @@ fn batched_tier_word_boundary_runs() {
         }
     }
 }
+
+/// Runs `q` over `events` on a fresh, profiled batched compile after
+/// checking that all three tiers agree byte for byte; returns the profiled
+/// query so its counters describe exactly that one pass.
+fn profiled_pass(q: &Query, events: &[Event<Value>]) -> tilt_core::CompiledQuery {
+    let cq = Compiler::new().compile(q).expect("compiles");
+    cq.set_profiling(true);
+    let range =
+        TimeRange::new(Time::ZERO, (events.last().expect("events").end + 8).align_up(cq.grid()));
+    let input = SnapshotBuf::from_events(events, range);
+    let out = cq.run(&[&input], range);
+    for tier in [ExecTier::Compiled, ExecTier::Interpreted] {
+        let other = Compiler::new().with_tier(tier).compile(q).expect("compiles");
+        assert_eq!(out, other.run(&[&input], range), "batched vs {tier:?} diverged");
+    }
+    cq
+}
+
+/// What the kernel profiles promise about the hot loops, on three fixed
+/// plans. A numeric filter fused into a strided window sum runs its fused
+/// map once per event, never again on eviction (Subtract-on-Evict reuses
+/// the cached mapped value; a re-mapping evictor reads ≈ 2 per event). An
+/// every-tick sliding sum over one event per 150–249 ticks slides its
+/// window only where an event enters or leaves it, plus once per run to
+/// find the first quiet stretch — `slides ≤ 2·events + runs` — and copies
+/// the lanes in between (a per-lane slide reads 64 per event). A `Str`
+/// filter stays correct, off the batched tier and visible in the fallback
+/// counters.
+#[test]
+fn kernel_profiles_count_map_runs_and_slides() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut draw = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let n = 20_000usize;
+    let dense: Vec<Event<Value>> = (1..=n as i64)
+        .map(|t| Event::point(Time::new(t), Value::Float(draw() as f64 / (1u64 << 31) as f64)))
+        .collect();
+    let mut t = 0i64;
+    let sparse: Vec<Event<Value>> = (0..n)
+        .map(|_| {
+            t += 150 + (draw() % 100) as i64;
+            Event::point(Time::new(t), Value::Float((draw() % 64) as f64 * 0.25))
+        })
+        .collect();
+    let words: Vec<Event<Value>> = (1..=n as i64)
+        .map(|t| Event::point(Time::new(t), Value::str(["hot", "cold", "warm"][(t % 3) as usize])))
+        .collect();
+
+    // Filter → strided window sum (4-tick panes, the YSB shape).
+    let mut b = Query::builder();
+    let x = b.input("x", DataType::Float);
+    let scaled =
+        b.temporal("scaled", TDom::every_tick(), Expr::at(x).mul(Expr::c(2.5)).sub(Expr::c(0.3)));
+    let hot = b.temporal(
+        "hot",
+        TDom::every_tick(),
+        Expr::if_else(Expr::at(scaled).gt(Expr::c(0.2)), Expr::at(scaled), Expr::null()),
+    );
+    let wsum = b.temporal("wsum", TDom::unbounded(4), Expr::reduce_window(ReduceOp::Sum, hot, 64));
+    let window_sum = b.finish(wsum).expect("well-formed");
+    let cq = profiled_pass(&window_sum, &dense);
+    assert!(cq.fully_typed());
+    assert_eq!(cq.fallback_ops(), 0);
+    assert_eq!(cq.batched_kernels(), cq.num_kernels(), "every numeric kernel clears the gate");
+    let map_runs: u64 = cq.kernel_profiles().iter().map(|k| k.map_runs).sum();
+    assert!(map_runs > 0, "the filter must be fused into the window's map");
+    let rate = map_runs as f64 / n as f64;
+    assert!(rate <= 1.05, "fused map ran {rate:.3} times per event");
+
+    // Every-tick sliding sum over a sparse stream.
+    let mut b = Query::builder();
+    let x = b.input("x", DataType::Float);
+    let out = b.temporal("wsum", TDom::every_tick(), Expr::reduce_window(ReduceOp::Sum, x, 64));
+    let cq = profiled_pass(&b.finish(out).expect("well-formed"), &sparse);
+    assert!(cq.fully_typed());
+    assert_eq!(cq.fallback_ops(), 0);
+    assert_eq!(cq.batched_kernels(), cq.num_kernels());
+    let profile = cq.kernel_profiles();
+    let slides: u64 = profile.iter().map(|k| k.slides).sum();
+    let runs: u64 = profile.iter().map(|k| k.invocations).sum();
+    assert!(slides > 0, "the batched tier must slide somewhere");
+    assert!(
+        slides <= 2 * n as u64 + runs,
+        "{slides} slides for {n} events in {runs} runs: the window slid between change points"
+    );
+
+    // A `Str` filter under a mean: fallback ops visible, kept off the
+    // batched tier, its map still run once per event.
+    let mut b = Query::builder();
+    let s = b.input("s", DataType::Str);
+    let flagged = b.temporal(
+        "flagged",
+        TDom::every_tick(),
+        Expr::if_else(Expr::at(s).eq(Expr::c("hot")), Expr::c(1.0), Expr::c(0.0)),
+    );
+    let out = b.temporal(
+        "smoothed",
+        TDom::every_tick(),
+        Expr::reduce_window(ReduceOp::Mean, flagged, 32),
+    );
+    let cq = profiled_pass(&b.finish(out).expect("well-formed"), &words);
+    assert!(!cq.fully_typed());
+    assert!(cq.fallback_ops() > 0, "Str comparisons must show in the fallback counter");
+    assert_eq!(cq.batched_kernels(), 0, "Str bodies stay off the batched tier");
+    let rate = cq.map_runs() as f64 / n as f64;
+    assert!(rate <= 1.05, "fused map ran {rate:.3} times per event");
+}

@@ -255,6 +255,64 @@ fn attach_before_ingest_equals_standalone() {
     }
 }
 
+/// Tenants churning through a live service: after each of eight chunks a
+/// tenant attaches, and each leaves two chunks later. Every attach
+/// frontier clears the watermark seen just before it and none falls behind
+/// an earlier one; the books count every attach and detach; detaching a
+/// tenant that served keys reclaims its sessions; and the query that was
+/// there all along is identical to a churn-free run, losing nothing.
+#[test]
+fn tenant_churn_keeps_frontiers_ordered_and_the_survivor_intact() {
+    let events: Vec<KeyedEvent> = (1..=400i64)
+        .flat_map(|t| {
+            (0..16u64).map(move |k| {
+                let v = ((t as u64 * 7 + k * 13) % 64) as f64 * 0.25;
+                KeyedEvent::new(k, 0, Event::point(Time::new(t), Value::Float(v)))
+            })
+        })
+        .collect();
+    let end = Time::new(420);
+    for shards in [1usize, 2] {
+        let mut builder = StreamService::builder(config(shards, 0, Time::ZERO));
+        let survivor = builder.register(window_query(16, 0));
+        let service = builder.start().expect("register");
+        let mut tenants = std::collections::VecDeque::new();
+        let mut frontiers = Vec::new();
+        let (mut attached, mut detached) = (0u64, 0u64);
+        for chunk in events.chunks(events.len() / 8) {
+            service.ingest(chunk.iter().cloned());
+            let watermark = service.stats().min_watermark;
+            let tenant = service.attach(window_query(16, 0), QuerySettings::default()).unwrap();
+            attached += 1;
+            assert!(
+                tenant.frontier() >= watermark,
+                "shards {shards}: frontier {:?} behind watermark {watermark:?}",
+                tenant.frontier()
+            );
+            frontiers.push(tenant.frontier());
+            tenants.push_back(tenant);
+            if tenants.len() > 2 {
+                service.detach(tenants.pop_front().unwrap()).unwrap();
+                detached += 1;
+            }
+        }
+        assert!(frontiers.windows(2).all(|w| w[0] <= w[1]), "frontiers regressed: {frontiers:?}");
+        let out = service.finish_at(end);
+        let s = &out.stats;
+        assert_eq!((s.attached, s.detached), (attached, detached), "shards {shards}");
+        assert!(s.sessions_reclaimed > 0, "shards {shards}: detach must reclaim sessions");
+        assert_eq!(s.late_dropped, 0, "shards {shards}: in-order churn loses nothing");
+        let solo = standalone(&window_query(16, 0), &events, config(shards, 0, Time::ZERO), end);
+        assert_eq!(solo.len(), out.per_query[survivor.index()].len());
+        for (k, want) in &solo {
+            assert!(
+                streams_equivalent(&coalesce(want), &coalesce(&out.per_query[survivor.index()][k])),
+                "shards {shards} key {k}: churn changed the survivor's output"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -311,36 +311,53 @@ fn shared_service_eviction_matches_standalone_services() {
 
 /// A deliberately panicking kernel on one key leaves every other key's
 /// output intact at every shard count, and the poisoning is visible in
-/// `RuntimeStats` instead of killing the shard.
+/// `RuntimeStats` instead of killing the shard: once the key is
+/// quarantined, every later event for it is refused and counted.
 #[test]
 fn poisoned_key_is_quarantined_and_others_are_unaffected() {
     silence_poison_panics();
     let keys = 10u64;
     let poison_key = 4u64;
     let n = 100i64;
+    let phase = move |ticks: std::ops::RangeInclusive<i64>| {
+        ticks.flat_map(move |t| {
+            (0..keys).map(move |k| {
+                let v = if k == poison_key && t == 50 { -1.0 } else { (t % 13) as f64 };
+                KeyedEvent::new(k, 0, Event::point(Time::new(t), Value::Float(v)))
+            })
+        })
+    };
     for shards in [1usize, 2, 4] {
         let cq = poisonable_sum(6);
         let runtime = Single::start(
             Arc::clone(&cq),
             RuntimeConfig { shards, emit_interval: 8, ..RuntimeConfig::default() },
         );
-        runtime.ingest((1..=n).flat_map(|t| {
-            (0..keys).map(move |k| {
-                let v = if k == poison_key && t == 50 { -1.0 } else { (t % 13) as f64 };
-                KeyedEvent::new(k, 0, Event::point(Time::new(t), Value::Float(v)))
-            })
-        }));
-        let out = runtime.finish_at(Time::new(n + 6));
+        runtime.ingest(phase(1..=n));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while runtime.stats().keys_quarantined == 0 {
+            assert!(std::time::Instant::now() < deadline, "shards={shards}: never quarantined");
+            std::thread::yield_now();
+        }
+        runtime.ingest(phase(n + 1..=2 * n));
+        let out = runtime.finish_at(Time::new(2 * n + 6));
         assert_eq!(
             out.stats.keys_quarantined, 1,
             "shards={shards}: exactly the poisoned key is quarantined"
         );
+        assert!(
+            out.stats.quarantine_dropped >= n as u64,
+            "shards={shards}: post-quarantine events must be refused and counted (got {})",
+            out.stats.quarantine_dropped
+        );
+        assert_eq!(out.stats.conservation_balance(), 0, "shards={shards}");
         assert_eq!(out.stats.keys, keys, "all keys were seen");
         assert_eq!(out.per_key.len(), keys as usize, "every key reports output");
 
-        let clean: Vec<Event<Value>> =
-            (1..=n).map(|t| Event::point(Time::new(t), Value::Float((t % 13) as f64))).collect();
-        let expected = replay(&cq, &clean, Time::new(n + 6));
+        let clean: Vec<Event<Value>> = (1..=2 * n)
+            .map(|t| Event::point(Time::new(t), Value::Float((t % 13) as f64)))
+            .collect();
+        let expected = replay(&cq, &clean, Time::new(2 * n + 6));
         for k in (0..keys).filter(|&k| k != poison_key) {
             assert!(
                 streams_equivalent(&coalesce(&expected), &coalesce(&out.per_key[&k])),

@@ -148,6 +148,57 @@ fn check_shared_vs_standalone(
     Ok(())
 }
 
+/// The multi-tenant YSB set — YSB, a second tenant registering the
+/// identical query, and the factor query (peak pane count per minute) whose
+/// pane-count prefix is structurally YSB's — shares one ingest, one reorder
+/// buffer and one pane kernel. Over a bounded-disorder stream every event
+/// is buffered once for all three queries, nothing is late, and the shared
+/// service skips at least half as many kernel runs as it makes
+/// (`kernels_saved / kernels_run ≥ 0.5`). The ratio is fixed by the query
+/// set, not by the schedule: saved and run kernels scale together per
+/// advance.
+#[test]
+fn ysb_tenant_and_factor_set_skips_half_its_kernel_runs() {
+    use tilt_workloads::ysb;
+    let window = ysb::window_ticks(1_000);
+    let displacement = 512usize;
+    let events = ysb::generate(40_000, 100, 1);
+    let arrivals = ysb::keyed(&ysb::shuffle_bounded(&events, displacement, 2));
+    let end = ysb::extent(&events, ysb::FACTOR * window).end;
+    let compile = |(plan, out): (tilt_query::LogicalPlan, tilt_query::NodeId)| {
+        Arc::new(Compiler::new().compile(&tilt_query::lower(&plan, out).unwrap()).unwrap())
+    };
+    let ysb_query = compile(ysb::plan(window));
+    let queries =
+        [Arc::clone(&ysb_query), ysb_query, compile(ysb::factor_plan(window, ysb::FACTOR))];
+    let views = events.iter().filter(|e| e.event_type == 0).count() as i64;
+    for shards in [1usize, 2] {
+        let mut builder = StreamService::builder(RuntimeConfig {
+            shards,
+            allowed_lateness: 2 * displacement as i64 + 2,
+            emit_interval: window,
+            ..RuntimeConfig::default()
+        });
+        let handles: Vec<_> = queries.iter().map(|cq| builder.register(Arc::clone(cq))).collect();
+        let service = builder.start().unwrap();
+        service.ingest(arrivals.iter().cloned());
+        let out = service.finish_at(end);
+        let s = &out.stats;
+        assert_eq!(s.late_dropped, 0, "shards={shards}: lateness absorbs the shuffle");
+        assert_eq!(s.reorder_buffered, events.len() as u64, "shards={shards}: buffered once");
+        for h in &handles[..2] {
+            let counted = ysb::count_views(out.per_query[h.index()].values(), end, window);
+            assert_eq!(counted, views, "shards={shards}: every view counted");
+        }
+        assert!(
+            s.kernels_saved as f64 >= 0.5 * s.kernels_run as f64,
+            "shards={shards}: {} kernel runs saved for {} made",
+            s.kernels_saved,
+            s.kernels_run
+        );
+    }
+}
+
 /// One shard worker owns one pool, and with it the run state of every
 /// kernel it runs — here the kernels of two *cells* (queries with different
 /// emission cadences never share one), whose register files differ in

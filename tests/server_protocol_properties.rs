@@ -867,6 +867,56 @@ fn ingest_splits_a_credit_window_that_exceeds_one_frame() {
     server.stop();
 }
 
+/// Shard backpressure reaches the remote producer. One shard with the
+/// smallest legal queue (two messages of 256 events) serves an every-tick
+/// window over 64-tick events, so each event it accepts becomes 64 ticks
+/// of output for the subscriber; the producer sends a credit window of
+/// 4096 events — 16 messages — per frame. The shard cannot keep up, the
+/// server answers `Busy` instead of `Credit`, and both sides count it:
+/// `busy` in the producer's report, `credit_stalls` on the server. Nothing
+/// is lost or misread on the way: conservation is exact and no frame fails
+/// to decode.
+#[test]
+fn a_starved_shard_pushes_back_on_the_remote_producer() {
+    const LEN: i64 = 64;
+    let events: Vec<KeyedEvent> = (0..8_192i64)
+        .map(|i| {
+            let t = Time::new(i * LEN);
+            let v = Value::Float((i % 16) as f64 * 0.25);
+            KeyedEvent::new((i % 4) as u64, 0, Event::new(t, t + LEN, v))
+        })
+        .collect();
+    let config = RuntimeConfig {
+        shards: 1,
+        allowed_lateness: 0,
+        emit_interval: 1,
+        channel_capacity: 512,
+        ingest_batch: 256,
+        start: Time::ZERO,
+        ..RuntimeConfig::default()
+    };
+    let server = Server::start(config, vec![("w".into(), window_query(128, 0))]).expect("starts");
+    let producer = Client::connect(server.addr()).expect("producer connects");
+    let q = producer.attach("w", None, None).expect("attach");
+    let consumer = Client::connect(server.addr()).expect("consumer connects");
+    let sub = consumer.subscribe(q).expect("subscribe");
+    let reader = std::thread::spawn(move || sub.collect_per_key());
+
+    let report = producer.ingest(events).expect("ingest");
+    producer.shutdown(None).expect("shutdown");
+    let output = reader.join().expect("subscriber thread");
+    let stats = producer.stats().expect("final stats");
+    server.stop();
+
+    assert_eq!(output.len(), 4, "every key's output reached the subscriber");
+    assert!(report.busy > 0, "no Busy reply in {} frames", report.frames);
+    assert!(stats.get("credit_stalls").unwrap_or(0) > 0, "server counted no credit stall");
+    assert_eq!(stats.get("decode_errors"), Some(0));
+    assert_eq!(stats.get("conservation_balance"), Some(0));
+    assert_eq!(stats.get("events_in"), Some(report.events as i64), "every event arrived");
+    assert!(stats.get("bytes_in").unwrap_or(0) > 0 && stats.get("bytes_out").unwrap_or(0) > 0);
+}
+
 // ───────────────────────── fan-out and teardown ────────────────────────
 
 #[test]

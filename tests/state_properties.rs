@@ -158,11 +158,19 @@ fn check_checkpoint_restore(
     }
     let service = builder.start().expect("register");
     service.ingest(prefix.iter().cloned());
-    service.checkpoint(&path).map_err(|e| format!("checkpoint failed: {e}"))?;
+    let bytes = service.checkpoint(&path).map_err(|e| format!("checkpoint failed: {e}"))?;
     drop(service); // crash: nothing after the checkpoint survives
+    if bytes == 0 {
+        return Err("checkpoint reported an empty snapshot".into());
+    }
 
     let restored =
         StreamService::restore(&path, queries).map_err(|e| format!("restore failed: {e}"))?;
+    // The books resume from the dead service's count, not from zero.
+    let resumed = restored.stats().events_in;
+    if resumed != prefix.len() as u64 {
+        return Err(format!("events_in resumed at {resumed}, not at {}", prefix.len()));
+    }
     restored.ingest(suffix.iter().cloned());
     let out = restored.finish_at(end);
     let _ = std::fs::remove_file(&path);
@@ -180,6 +188,11 @@ fn check_checkpoint_restore(
             s.events_in,
             prefix.len() + suffix.len()
         ));
+    }
+    // Restore reads at least the snapshot back off disk (the write side is
+    // counted after serialization, so the restored books show 0 written).
+    if s.state_bytes_read < bytes {
+        return Err(format!("restore read {} of {bytes} snapshot bytes", s.state_bytes_read));
     }
     if s.conservation_balance() != 0 {
         return Err(format!(
@@ -361,6 +374,7 @@ fn spill_and_revival_are_transparent() {
             "shards={shards}: every spill revives exactly once (re-arrival or final flush)"
         );
         assert_eq!(s.keys_quarantined, 0, "shards={shards}: spill must not quarantine");
+        assert_eq!(s.late_dropped, 0, "shards={shards}: spill must not drop");
         assert_eq!(s.conservation_balance(), 0, "shards={shards}: conservation across spill");
         assert_eq!(s.spilled_pending, 0, "shards={shards}: nothing left on disk accounting");
         assert_same_outputs(&want, &out.per_query, 16, &format!("shards {shards} spill"))
@@ -435,8 +449,9 @@ fn rebalance_moves_load_and_preserves_output() {
     let service = builder.start().unwrap();
     service.ingest(first.iter().cloned());
     // Pile everything onto shard 0…
+    let mut piled = 0u64;
     for k in 0..12u64 {
-        service.migrate_key(k, 0);
+        piled += u64::from(service.migrate_key(k, 0));
         assert_eq!(service.shard_of(k), 0, "route override must stick");
     }
     // …then let the balancer undo the skew.
@@ -446,6 +461,8 @@ fn rebalance_moves_load_and_preserves_output() {
     let out = service.finish_at(end);
     assert_eq!(out.stats.conservation_balance(), 0);
     assert_eq!(out.stats.keys_quarantined, 0);
+    assert_eq!(out.stats.late_dropped, 0);
+    assert_eq!(out.stats.migrations, piled + moved as u64, "every move is counted");
     assert_same_outputs(&want, &out.per_query, 12, "rebalance").unwrap_or_else(|e| panic!("{e}"));
 }
 
