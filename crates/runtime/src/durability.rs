@@ -199,37 +199,18 @@ impl ServiceRecord {
             journal_capacity,
             tombstone_output_cap,
         };
-        let n_q = d.count(9)?;
-        let mut live = Vec::with_capacity(n_q);
-        let mut frontiers = Vec::with_capacity(n_q);
-        for _ in 0..n_q {
-            live.push(d.flag()?);
-            frontiers.push(d.time()?);
-        }
-        let n_cells = d.count(29)?;
-        let mut cells = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            let alive = d.flag()?;
-            let nq = d.count(8)?;
-            let mut qids = Vec::with_capacity(nq);
-            for _ in 0..nq {
-                qids.push(d.u64()? as usize);
-            }
-            let root = d.time()?;
-            let lateness = d.i64()?;
-            let emit_interval = d.i64()?;
-            cells.push(CellRecord { alive, qids, root, lateness, emit_interval });
-        }
-        let n_routes = d.count(12)?;
-        let mut routes = Vec::with_capacity(n_routes);
-        for _ in 0..n_routes {
-            routes.push((d.u64()?, d.u32()?));
-        }
-        let n_counters = d.count(8)?;
-        let mut counters = Vec::with_capacity(n_counters);
-        for _ in 0..n_counters {
-            counters.push(d.u64()?);
-        }
+        let (live, frontiers) = d.seq(9, |d| Ok((d.flag()?, d.time()?)))?.into_iter().unzip();
+        let cells = d.seq(29, |d| {
+            Ok(CellRecord {
+                alive: d.flag()?,
+                qids: d.seq(8, |d| Ok(d.u64()? as usize))?,
+                root: d.time()?,
+                lateness: d.i64()?,
+                emit_interval: d.i64()?,
+            })
+        })?;
+        let routes = d.seq(12, |d| Ok((d.u64()?, d.u32()?)))?;
+        let counters = d.seq(8, |d| d.u64())?;
         let max_event_end = d.i64()?;
         let max_promise = d.i64()?;
         d.finish()?;

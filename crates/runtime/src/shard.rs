@@ -1710,17 +1710,7 @@ impl Shard {
     }
 
     fn decode_out(d: &mut Dec<'_>) -> Result<Vec<Vec<Event<Value>>>, StateError> {
-        let n_slots = d.count(4)?;
-        let mut out = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let n = d.count(17)?;
-            let mut evs = Vec::with_capacity(n);
-            for _ in 0..n {
-                evs.push(d.event()?);
-            }
-            out.push(evs);
-        }
-        Ok(out)
+        Ok(d.seq(4, |d| d.seq(17, |d| d.event()))?)
     }
 
     /// Decodes the payload written by [`Shard::encode_key_state`]. Every
@@ -1731,44 +1721,24 @@ impl Shard {
         let mut d = Dec::new(payload);
         let last_end = d.time()?;
         let queued = d.flag()?;
-        let n_src = d.count(4)?;
-        let mut pending = Vec::with_capacity(n_src);
-        for _ in 0..n_src {
-            let n = d.count(18)?;
-            let mut events: Vec<Buffered> = Vec::with_capacity(n);
-            for _ in 0..n {
-                let event = d.event()?;
-                let taken = d.flag()?;
-                if let Some(prev) = events.last() {
-                    if (event.start, event.end) < (prev.event.start, prev.event.end) {
-                        return Err(StateError::Corrupt("reorder buffer events out of order"));
-                    }
-                }
-                events.push(Buffered { event, taken });
-            }
-            pending.push(ReorderBuf { events });
+        let pending =
+            d.seq(4, |d| d.seq(18, |d| Ok(Buffered { event: d.event()?, taken: d.flag()? })))?;
+        let span = |b: &Buffered| (b.event.start, b.event.end);
+        if pending.iter().any(|events| events.windows(2).any(|w| span(&w[1]) < span(&w[0]))) {
+            return Err(StateError::Corrupt("reorder buffer events out of order"));
         }
-        let n_cells = d.count(1)?;
-        let mut cells = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
+        let pending = pending.into_iter().map(|events| ReorderBuf { events }).collect();
+        let cells = d.seq(1, |d| {
             if !d.flag()? {
-                cells.push(None);
-                continue;
+                return Ok(None);
             }
-            let watermark = d.time()?;
-            let nh = d.count(12)?;
-            let mut histories = Vec::with_capacity(nh);
-            for _ in 0..nh {
-                histories.push(d.ssbuf()?);
-            }
-            let np = d.count(8)?;
-            let mut pushed_end = Vec::with_capacity(np);
-            for _ in 0..np {
-                pushed_end.push(d.time()?);
-            }
-            let dirty = d.flag()?;
-            cells.push(Some(DecodedSession { watermark, histories, pushed_end, dirty }));
-        }
+            Ok(Some(DecodedSession {
+                watermark: d.time()?,
+                histories: d.seq(12, |d| d.ssbuf())?,
+                pushed_end: d.seq(8, |d| d.time())?,
+                dirty: d.flag()?,
+            }))
+        })?;
         let out = Self::decode_out(&mut d)?;
         d.finish()?;
         Ok(DecodedKey { last_end, queued, pending, cells, out })
@@ -1930,11 +1900,7 @@ impl Shard {
         for _ in 0..n_retired {
             let key = d.u64()?;
             let quarantined = d.flag()?;
-            let nf = d.count(1)?;
-            let mut frontiers = Vec::with_capacity(nf);
-            for _ in 0..nf {
-                frontiers.push(d.opt_i64()?.map(Time::new));
-            }
+            let frontiers = d.seq(1, |d| Ok(d.opt_i64()?.map(Time::new)))?;
             let out = Self::decode_out(&mut d)?;
             if self.retired.insert(key, Retired { frontiers, out, quarantined }).is_some() {
                 return Err(StateError::Corrupt("duplicate retired key in shard record"));
