@@ -21,7 +21,7 @@
 //! Every enum-touching operation counts into
 //! [`TypedCtx::fallback_ops`]; a fully numeric plan compiles with zero `V`
 //! registers ([`TypedProgram::is_fully_typed`]) and its counter stays zero —
-//! the `kernel_hot` bench guardrail pins this. Compiled and interpreted
+//! `tests/compiled_tier_properties.rs` pins this. Compiled and interpreted
 //! tiers are *byte-identical* on well-typed data: the differential property
 //! suite (`tests/compiled_tier_properties.rs`) compares them span by span.
 //!
@@ -2306,7 +2306,8 @@ mod bench_probe {
     #[test]
     #[ignore]
     fn probe_eval_speed() {
-        // ~45-node numeric body, mirroring kernel_hot's pointwise plan.
+        // A ~45-node numeric body: the normalization/clamping math of the
+        // paper's signal-processing applications, fused into one kernel.
         let x = Expr::at(TObjId(0));
         let scaled = x.clone().mul(Expr::c(1.0001)).add(Expr::c(0.5));
         let wrapped = Expr::if_else(

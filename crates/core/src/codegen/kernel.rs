@@ -825,9 +825,9 @@ impl Profiler for Kernel {
     }
 }
 
-/// A frozen per-kernel profile: what `kernel_hot --json` and the service
-/// exposition report per kernel instead of the old aggregate-only
-/// fallback count.
+/// A frozen per-kernel profile ([`crate::CompiledQuery::kernel_profiles`]):
+/// per-kernel counters instead of the old aggregate-only fallback count,
+/// held to their hot-loop invariants by `tests/compiled_tier_properties.rs`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelProfile {
     /// The kernel's human-readable name (its object's query name).

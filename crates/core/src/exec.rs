@@ -43,8 +43,8 @@ pub enum ExecTier {
     Compiled,
     /// The closure-tree interpreter over dynamic `Value`s only — the
     /// reference tier, kept selectable for differential testing and the
-    /// `kernel_hot` tier-vs-tier bench. Every read materializes a `Value`
-    /// from the source column.
+    /// ladder's `core.exec.interp_mev_s` reading. Every read materializes a
+    /// `Value` from the source column.
     Interpreted,
 }
 
@@ -186,8 +186,8 @@ impl CompiledQuery {
 
     /// Whether every kernel lowered to the typed tier with *zero* fallback
     /// surface — no boxed registers, no dynamic operations, no custom
-    /// reductions. Fully numeric plans satisfy this; the `kernel_hot`
-    /// bench guardrail pins it.
+    /// reductions. Fully numeric plans satisfy this;
+    /// `tests/compiled_tier_properties.rs` pins it.
     pub fn fully_typed(&self) -> bool {
         self.tier != ExecTier::Interpreted && self.kernels.iter().all(Kernel::is_fully_typed)
     }
@@ -212,8 +212,8 @@ impl CompiledQuery {
     /// far. The map-once-per-element invariant bounds this by the number
     /// of elements accumulated into windows — Subtract-on-Evict re-uses
     /// cached mapped values instead of re-running maps, so this grows
-    /// linearly with input, never with input × window size. The
-    /// `kernel_hot` bench guardrail pins the ratio.
+    /// linearly with input, never with input × window size.
+    /// `tests/compiled_tier_properties.rs` holds the ratio to ≤ 1.05.
     pub fn map_runs(&self) -> u64 {
         self.kernels.iter().map(Kernel::map_runs).sum()
     }

@@ -1,5 +1,5 @@
-//! A dependency-free JSON value: enough to write the bench binaries'
-//! `--json` reports and for the `guardrail` binary to read them back.
+//! A dependency-free JSON value: enough to write the metrics exposition
+//! and the `benchmark/` ladder's result files, and to read them back.
 //!
 //! The workspace builds offline (no serde), and the reports are our own —
 //! flat objects of numbers, strings, booleans, and arrays — so a small

@@ -29,10 +29,9 @@
 //!   kernels implement: one relaxed `bool` load decides whether a code
 //!   path pays for timing at all.
 //!
-//! The [`json`] module (a dependency-free JSON value used by the bench
-//! harness since PR 3) lives here so that exposition, bench reports, and
-//! the guardrail checker all speak the same format; `tilt_bench::json`
-//! re-exports it unchanged.
+//! The [`json`] module (a dependency-free JSON value) lives here so that
+//! the metrics exposition and the `benchmark/` ladder's reports speak the
+//! same format.
 
 pub mod journal;
 pub mod json;
@@ -638,7 +637,7 @@ impl MetricsSnapshot {
     /// `name{labels}`. Histogram entries carry `count`, `sum`, `max`,
     /// `p50`/`p95`/`p99`, `mean`, and a `buckets` array of
     /// `[upper_bound, count]` pairs for the occupied buckets — the shape
-    /// the `guardrail` checker audits for sanity.
+    /// `tests/observability_properties.rs` audits for sanity.
     pub fn to_json(&self) -> Json {
         let mut counters = std::collections::BTreeMap::new();
         let mut gauges = std::collections::BTreeMap::new();
@@ -869,7 +868,7 @@ mod tests {
         let p99 = hist.get("p99").and_then(Json::as_i64).unwrap();
         let max = hist.get("max").and_then(Json::as_i64).unwrap();
         assert!(p50 <= p99 && p99 <= max);
-        // Round-trips through the parser (the guardrail's read path).
+        // Round-trips through the parser (how a report is read back).
         assert_eq!(json::parse(&j.to_string()).unwrap(), j);
     }
 }

@@ -561,7 +561,7 @@ service_scalars! {
         spills: "tilt_state_spills_total",
         /// Spilled keys revived from disk — by a later arrival or by the
         /// final flush. Every spilled key is eventually revived exactly
-        /// once (the `durability` bench guardrail asserts
+        /// once (`tests/state_properties.rs` asserts
         /// `spills == spill_revivals` at shutdown).
         spill_revivals: "tilt_state_revivals_total",
         /// Keys migrated between shards
@@ -584,8 +584,8 @@ service_scalars! {
     }
     counters {
         /// Reorder-pending decrements that had to be clamped at zero
-        /// (always 0 unless accounting is broken; the bench guardrail
-        /// asserts on it).
+        /// (always 0 unless accounting is broken;
+        /// `tests/observability_properties.rs` asserts on it).
         reorder_underflow: "tilt_reorder_underflow_total",
     }
     gauges {
@@ -778,9 +778,9 @@ impl RuntimeStats {
     /// Zero at any quiescent point (in particular on the final snapshot a
     /// `finish` returns, where the pending, spilled, and queue terms are
     /// zero). A positive balance means events vanished unaccounted;
-    /// negative means something was double-counted. The bench guardrail
-    /// asserts 0. (`tombstone_dropped` counts *output* events, which are
-    /// not part of this partition.)
+    /// negative means something was double-counted. Every differential
+    /// suite under `tests/` asserts 0. (`tombstone_dropped` counts *output*
+    /// events, which are not part of this partition.)
     pub fn conservation_balance(&self) -> i64 {
         let accounted = self.events_consumed
             + self.late_dropped

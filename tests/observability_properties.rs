@@ -448,10 +448,11 @@ fn service_journal_kinds(out: &ServiceOutput) -> Vec<String> {
 /// The < 5 % observability-overhead bar: the full metrics layer through
 /// the service (lag/latency histograms, journal, per-query attribution)
 /// against base counters only, on out-of-order YSB; and the per-kernel
-/// profiler against an unprofiled twin on a sliding sum. Rounds alternate
-/// the two sides in one process, and which side goes first, so frequency
-/// drift on a shared machine cannot favour either; each side keeps its
-/// best round, and instrumented / plain must stay ≥ 0.95.
+/// profiler against an unprofiled twin on a sliding sum. Twelve rounds
+/// alternate the two sides in one process, and which side goes first, so
+/// frequency drift on a shared machine cannot favour either; each side
+/// keeps its best round (fewer rounds make the best-of ratio flake on a
+/// noisy runner), and instrumented / plain must stay ≥ 0.95.
 ///
 /// Release builds only: an unoptimized build measures a different program
 /// (its per-event cost is dominated by code the optimizer removes), so its
