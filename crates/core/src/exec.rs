@@ -8,8 +8,13 @@
 //! partition — re-reading the boundary-resolved lookback region of the
 //! shared, read-only input buffers — and the partition outputs are
 //! concatenated (Fig. 6).
+//!
+//! Batched streaming runs those partitions one at a time as events arrive:
+//! a [`SharedStreamSession`] keeps each input's boundary-resolved lookback
+//! and turns every advance into one partition run. It is a
+//! [`SharedGroupSession`] over a group of one query, so single-query and
+//! multi-query streaming are one implementation (`crate::sharing`).
 
-use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -21,6 +26,7 @@ use crate::codegen::{lower, lower_typed, Kernel, KernelProfile, Scratch};
 use crate::error::Result;
 use crate::ir::{typecheck, Query, TObjId};
 use crate::opt::Optimizer;
+use crate::sharing::{QueryGroup, SharedGroupSession};
 
 /// Which kernel-body execution tier the compiler emits (see
 /// [`crate::codegen`]).
@@ -270,8 +276,13 @@ impl CompiledQuery {
     /// Like [`CompiledQuery::run`], drawing every intermediate kernel
     /// buffer (and the returned output buffer) from `pool` — intermediates
     /// go back before the call returns, and callers can
-    /// [`BufPool::put`] the output back once consumed. Streaming sessions
-    /// route every advance through one long-lived pool this way.
+    /// [`BufPool::put`] the output back once consumed; `run_parallel`
+    /// gives each worker one pool for all its partitions this way.
+    /// Intermediates are parked in the pool's slot table and the kernels'
+    /// run state is this thread's `codegen::Scratch`: a call allocates
+    /// nothing but what neither can recycle. The scratch is taken for the
+    /// length of the call, so a kernel that panics takes it along — the
+    /// next call starts from an empty one, never from a half-written one.
     pub fn run_pooled(
         &self,
         inputs: &[&SnapshotBuf<Value>],
@@ -284,27 +295,11 @@ impl CompiledQuery {
             "query expects {} inputs",
             self.query.inputs().len()
         );
-        self.run_on(&|i| inputs[i], range, pool)
-    }
-
-    /// [`CompiledQuery::run_pooled`] with input `i` looked up through
-    /// `input` (declaration order), so sessions run straight off their
-    /// histories. Intermediates are parked in the pool's slot table and the
-    /// kernels' run state is this thread's [`Scratch`]: a call allocates
-    /// nothing but what neither can recycle. The scratch is taken for the
-    /// length of the call, so a kernel that panics takes it along — the
-    /// next call starts from an empty one, never from a half-written one.
-    fn run_on<'b>(
-        &'b self,
-        input: &dyn Fn(usize) -> &'b SnapshotBuf<Value>,
-        range: TimeRange,
-        pool: &mut BufPool<Value>,
-    ) -> SnapshotBuf<Value> {
         let input_of = |obj| self.query.inputs().iter().position(|o| *o == obj);
         // The query output may simply be an input (identity query).
         if let Some(idx) = input_of(self.query.output()) {
             let mut out = pool.take(range.start);
-            input(idx).slice_into(range, &mut out);
+            inputs[idx].slice_into(range, &mut out);
             return out;
         }
 
@@ -326,7 +321,7 @@ impl CompiledQuery {
             let krange = TimeRange::new(range.start.saturating_add(-ext.lookback()), kend);
             let mut out = pool.take(krange.start);
             let bufs = |obj| match input_of(obj) {
-                Some(i) => Some(input(i)),
+                Some(i) => Some(inputs[i]),
                 None => store[obj.index()].as_ref(),
             };
             kernel.run_with(&bufs, krange, &mut out, &mut scratch);
@@ -435,109 +430,69 @@ impl CompiledQuery {
             + 2 * self.grid
     }
 
-    /// Opens a batched streaming session starting at `start` (used by the
-    /// latency-bounded-throughput experiment, Fig. 9).
-    pub fn stream_session(&self, start: Time) -> StreamSession<'_> {
-        StreamSessionIn::new(self, start)
-    }
-
-    /// Opens a streaming session that *owns* its handle on the compiled
-    /// query. Worker threads (e.g. the shards of `tilt-runtime`) hold many
-    /// such sessions over one shared compilation, amortizing compile-once
-    /// across millions of independent key streams.
+    /// Opens a batched streaming session starting at `start` — the mode the
+    /// latency-bounded-throughput experiment of Fig. 9 drives
+    /// (`examples/paper_figures.rs`). The session owns an `Arc` handle on
+    /// the compiled query, so worker threads (e.g. the shards of
+    /// `tilt-runtime`) hold many sessions over one compilation.
     pub fn shared_stream_session(self: &Arc<Self>, start: Time) -> SharedStreamSession {
-        StreamSessionIn::new(Arc::clone(self), start)
+        let group = QueryGroup::new(vec![Arc::clone(self)]).expect("one query is a valid group");
+        SharedStreamSession { session: Arc::new(group).shared_session(start), pool: BufPool::new() }
     }
 }
 
-/// Incremental batched execution: events arrive in batches, each
-/// [`StreamSessionIn::advance_to`] call processes one batch interval.
+/// Incremental batched execution of one query: events arrive in batches,
+/// and each [`SharedStreamSession::advance_to`] processes one batch
+/// interval as a partition of Fig. 6.
 ///
-/// The session keeps just enough input history (the boundary-resolved
-/// lookback) to evaluate windows that straddle batch boundaries — the
-/// streaming analogue of the duplicated partition edges of Fig. 6.
-///
-/// The type is generic over how it holds the compiled query: borrowed
-/// ([`StreamSession`], the original single-query API) or shared
-/// ([`SharedStreamSession`], an `Arc` handle that lets long-lived worker
-/// threads own sessions without borrowing).
+/// It is a [`SharedGroupSession`] over a group of one, so a single query
+/// and a group member stream through the same code. The session also owns
+/// the pool its advances draw kernel buffers from. The kernels' run state
+/// is recycled too, but not from here: it belongs to the thread that
+/// advances the session (see `codegen::Scratch`).
 #[derive(Debug)]
-pub struct StreamSessionIn<C: Borrow<CompiledQuery>> {
-    cq: C,
-    histories: Vec<SnapshotBuf<Value>>,
-    watermark: Time,
-    keep: i64,
-    /// How far emission trails `advance_to`'s `upto`: the query's aligned
-    /// input lookahead.
-    lookahead: i64,
-    /// Recycles intermediate kernel buffers across advances (the
-    /// single-query analogue of the pool group sessions thread through
-    /// `advance_to_with`). The kernels' run state is recycled too, but
-    /// not from here: it belongs to the thread that advances the session
-    /// (see `codegen::Scratch`), shared with every other session it drives.
+pub struct SharedStreamSession {
+    session: SharedGroupSession,
     pool: BufPool<Value>,
 }
 
-/// A streaming session borrowing its compiled query.
-pub type StreamSession<'a> = StreamSessionIn<&'a CompiledQuery>;
-
-/// A streaming session sharing ownership of its compiled query.
-pub type SharedStreamSession = StreamSessionIn<Arc<CompiledQuery>>;
-
-impl<C: Borrow<CompiledQuery>> StreamSessionIn<C> {
-    fn new(cq: C, start: Time) -> Self {
-        let q = cq.borrow();
-        let keep = q.boundary.max_input_lookback(&q.query) + q.grid;
-        let lookahead = q.boundary.aligned_input_lookahead(&q.query);
-        let histories = q.query.inputs().iter().map(|_| SnapshotBuf::new(start)).collect();
-        StreamSessionIn { cq, histories, watermark: start, keep, lookahead, pool: BufPool::new() }
-    }
-
+impl SharedStreamSession {
     /// The current watermark (everything up to it has been emitted).
     pub fn watermark(&self) -> Time {
-        self.watermark
+        self.session.watermark()
     }
 
-    /// Appends events to input `idx`. Events must be in order and start at
-    /// or after the previous end of that input's history.
+    /// Appends events to input `idx` (see
+    /// [`SharedGroupSession::push_events`]).
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range or events regress in time.
     pub fn push_events(&mut self, idx: usize, events: &[Event<Value>]) {
-        push_history(&mut self.histories[idx], events);
+        self.session.push_events(idx, events);
     }
 
-    /// Advances the input watermark to `upto` — a promise that every event
-    /// starting before `upto` has been pushed — and returns the *finalized*
-    /// output prefix.
+    /// Advances the input watermark to `upto` and returns the *finalized*
+    /// output prefix: everything through the last grid tick `e` with
+    /// `e + lookahead ≤ upto` (see [`SharedGroupSession::advance_to_with`]).
+    /// The returned buffer may be empty when the horizon has not advanced;
+    /// call [`SharedStreamSession::flush_to`] at end-of-stream to force the
+    /// tail out.
     ///
-    /// Emission stops at the last grid tick `e` with `e + lookahead ≤ upto`,
-    /// where the lookahead is the query's *aligned* one
-    /// ([`Boundary::aligned_input_lookahead`]): the output through a grid
-    /// tick `e` is computed by evaluation ticks at or before `e`, and those
-    /// read nothing after `e` unless the query shifts into the future. A
-    /// tumbling window ending at `e` therefore comes out of
-    /// `advance_to(e)`, not one window later. The returned buffer may be
-    /// empty when the horizon has not advanced; call
-    /// [`StreamSession::flush_to`] at end-of-stream to force the tail out.
+    /// # Panics
+    ///
+    /// Panics unless `upto` is past the watermark.
     pub fn advance_to(&mut self, upto: Time) -> SnapshotBuf<Value> {
-        assert!(upto > self.watermark, "advance_to must move forward");
-        let target = Time::new(upto.ticks() - self.lookahead).align_down(self.cq.borrow().grid);
-        if target <= self.watermark {
-            return SnapshotBuf::new(self.watermark);
-        }
-        self.emit_range(target)
+        let outs = self.session.advance_to_with(upto, &mut self.pool);
+        the_output(outs)
     }
 
     /// Emits everything up to `end` unconditionally (end-of-stream flush:
     /// missing future input reads as φ, exactly like the tail of a one-shot
     /// run).
     pub fn flush_to(&mut self, end: Time) -> SnapshotBuf<Value> {
-        if end <= self.watermark {
-            return SnapshotBuf::new(self.watermark);
-        }
-        self.emit_range(end)
+        let outs = self.session.flush_to_with(end, &mut self.pool);
+        the_output(outs)
     }
 
     /// Hands a consumed output buffer's allocation back for the next
@@ -545,47 +500,11 @@ impl<C: Borrow<CompiledQuery>> StreamSessionIn<C> {
     pub fn recycle(&mut self, buf: SnapshotBuf<Value>) {
         self.pool.put(buf);
     }
-
-    fn emit_range(&mut self, target: Time) -> SnapshotBuf<Value> {
-        for hist in &mut self.histories {
-            if hist.end() < target {
-                hist.push_raw(target, Value::Null);
-            }
-        }
-        let histories = &self.histories;
-        let out = self.cq.borrow().run_on(
-            &|i| &histories[i],
-            TimeRange::new(self.watermark, target),
-            &mut self.pool,
-        );
-        self.watermark = target;
-        for hist in &mut self.histories {
-            trim_history(hist, self.watermark, self.keep);
-        }
-        out
-    }
 }
 
-/// Appends in-order events to a session input history, φ-filling gaps.
-///
-/// Single-query sessions ([`StreamSessionIn`]) and multi-query group
-/// sessions (`sharing::GroupSessionIn`) must encode histories identically —
-/// the group's correctness guarantee is observational identity with a
-/// standalone session — so both call this one function, which is the
-/// buffer's own event append ([`SnapshotBuf::from_events`] uses it too).
-pub(crate) fn push_history(hist: &mut SnapshotBuf<Value>, events: &[Event<Value>]) {
-    hist.extend_from_events(events, None);
-}
-
-/// Amortized history trim shared by single- and multi-query sessions:
-/// keeps `keep` ticks of lookback behind `watermark`, dropping the dead
-/// prefix — in place, the columns keep their allocations — only once it
-/// grows past `4 × max(keep, 16)` ticks.
-pub(crate) fn trim_history(hist: &mut SnapshotBuf<Value>, watermark: Time, keep: i64) {
-    let cutoff = watermark.saturating_add(-keep);
-    if cutoff - hist.start() > 4 * keep.max(16) {
-        hist.trim_start(cutoff);
-    }
+/// The one member's output of a group of one.
+fn the_output(mut outs: Vec<SnapshotBuf<Value>>) -> SnapshotBuf<Value> {
+    outs.pop().expect("a group of one has one output")
 }
 
 fn gcd(a: i64, b: i64) -> i64 {
@@ -692,10 +611,10 @@ mod tests {
         let range = TimeRange::new(Time::new(0), Time::new(n));
         let events = price_events(n);
         let input = SnapshotBuf::from_events(&events, range);
-        let cq = Compiler::new().compile(&q).unwrap();
+        let cq = Arc::new(Compiler::new().compile(&q).unwrap());
         let oneshot = cq.run(&[&input], range);
 
-        let mut session = cq.stream_session(Time::new(0));
+        let mut session = cq.shared_stream_session(Time::new(0));
         let mut out_events = Vec::new();
         let batch = 50usize;
         for chunk in events.chunks(batch) {
@@ -737,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_matches_borrowed_session_and_is_send() {
+    fn shared_session_outlives_its_arc_and_is_send() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompiledQuery>();
         fn assert_send<T: Send>() {}
@@ -745,32 +664,30 @@ mod tests {
 
         let q = trend_query();
         let events = price_events(300);
+        let end = Time::new(330);
         let cq = Arc::new(Compiler::new().compile(&q).unwrap());
+        let range = TimeRange::new(Time::ZERO, end);
+        let oneshot = cq.run(&[&SnapshotBuf::from_events(&events, range)], range).to_events();
         let mut shared = cq.shared_stream_session(Time::new(0));
-        let mut borrowed = cq.stream_session(Time::new(0));
         let mut a = Vec::new();
-        let mut b = Vec::new();
         for chunk in events.chunks(64) {
             let upto = chunk.last().unwrap().end;
             shared.push_events(0, chunk);
-            borrowed.push_events(0, chunk);
             if upto > shared.watermark() {
                 a.extend(shared.advance_to(upto).to_events());
-                b.extend(borrowed.advance_to(upto).to_events());
             }
         }
         // A shared session can outlive the `Arc` binding it was made from
         // and move to another thread.
-        drop(borrowed);
         drop(cq);
         let tail = std::thread::spawn(move || {
-            let out = shared.flush_to(Time::new(330)).to_events();
+            let out = shared.flush_to(end).to_events();
             (shared, out)
         });
         let (_shared, tail_events) = tail.join().unwrap();
         a.extend(tail_events);
         assert!(!a.is_empty());
-        assert!(streams_equivalent(&a[..b.len()], &b));
+        assert!(streams_equivalent(&a, &oneshot));
     }
 
     #[test]

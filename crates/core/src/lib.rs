@@ -11,14 +11,18 @@
 //!    pipeline breakers (paper §5.2);
 //! 4. [`codegen`] — temporal expressions are lowered to loop kernels over
 //!    snapshot buffers with incremental reduction state (paper §6.1).
-//!    Kernel bodies carry two execution tiers: typed register bytecode
-//!    over unboxed `f64`/`i64`/`bool` files (the default, with per-subtree
-//!    fallback to boxed `Value` operations for `Str`/`Tuple` and custom
-//!    reductions) and the closure-tree `Value` interpreter
-//!    ([`ExecTier::Interpreted`]), kept byte-identical for differential
-//!    testing;
+//!    Kernel bodies carry three execution tiers ([`ExecTier`]): typed
+//!    register bytecode over unboxed `f64`/`i64`/`bool` files run over
+//!    runs of grid ticks at once (batched, the default) or once per tick
+//!    (per-tick, with per-subtree fallback to boxed `Value` operations for
+//!    `Str`/`Tuple` and custom reductions), and the closure-tree `Value`
+//!    interpreter, all kept byte-identical for differential testing;
 //! 5. [`exec`] — kernels run serially, data-parallel over boundary-resolved
-//!    partitions, or in batched streaming mode (paper §6.2).
+//!    partitions, or in batched streaming mode (paper §6.2);
+//! 6. [`sharing`] — queries over the same streams merge into a
+//!    [`QueryGroup`] that executes shared kernel prefixes once. Streaming
+//!    goes through a group session; one query streams as a group of one
+//!    ([`SharedStreamSession`]).
 //!
 //! # Quick start
 //!
@@ -55,8 +59,5 @@ pub mod sharing;
 
 pub use codegen::KernelProfile;
 pub use error::{CompileError, Result};
-pub use exec::{
-    CompiledQuery, Compiler, ExecStats, ExecTier, SharedStreamSession, StreamSession,
-    StreamSessionIn,
-};
-pub use sharing::{GroupSession, GroupSessionIn, QueryGroup, SharedGroupSession};
+pub use exec::{CompiledQuery, Compiler, ExecStats, ExecTier, SharedStreamSession};
+pub use sharing::{QueryGroup, SharedGroupSession};

@@ -17,18 +17,19 @@
 //!    Because fingerprints are recursive over dependencies, the shared
 //!    set is automatically closed under prefixes: if two kernels match,
 //!    their entire upstream chains match too;
-//! 3. [`GroupSessionIn`] is the streaming executor for a group: one input
-//!    history per source (kept once, not once per query), each distinct
-//!    node executed once per advance over the union of its consumers'
-//!    boundary-resolved extents, and per-query outputs sliced from the
-//!    shared buffers.
+//! 3. [`SharedGroupSession`] is the streaming executor for a group, and the
+//!    only one: one input history per source (kept once, not once per
+//!    query), each distinct node executed once per advance over the union
+//!    of its consumers' boundary-resolved extents, and per-query outputs
+//!    sliced from the shared buffers. A single query streams through a
+//!    group of one ([`crate::SharedStreamSession`]).
 //!
 //! Sharing is *observationally invisible*: a query's output through a
-//! group session equals its output through its own [`StreamSession`](crate::StreamSession)
-//! — the differential property tests in the
-//! workspace root pin this down.
+//! group session equals the semantic oracle's (`tilt_query::reference`)
+//! over the same events — `tests/workload_oracle.rs` runs two queries that
+//! share a prefix through one group session on every tier and compares
+//! each with it.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -415,7 +416,7 @@ impl QueryGroup {
     /// from scratch (group construction is cheap next to streaming), but
     /// live per-key sessions are untouched — their state is only input
     /// histories and a watermark, both independent of the member set, so
-    /// [`GroupSessionIn::migrate_group`] can move them to the new group
+    /// [`SharedGroupSession::migrate_group`] can move them to the new group
     /// in place.
     ///
     /// # Errors
@@ -514,45 +515,34 @@ impl QueryGroup {
         self.nodes.iter().filter(|n| n.instances > 1).count()
     }
 
-    /// Opens a streaming session borrowing this group.
-    pub fn session(&self, start: Time) -> GroupSession<'_> {
-        GroupSessionIn::new(self, start)
-    }
-
-    /// Opens a streaming session that owns an `Arc` handle on this group
-    /// (for worker threads holding many sessions over one shared plan).
+    /// Opens a streaming session over this group. The session owns an `Arc`
+    /// handle on it, so worker threads can hold many sessions over one
+    /// shared plan.
     pub fn shared_session(self: &Arc<Self>, start: Time) -> SharedGroupSession {
-        GroupSessionIn::new(Arc::clone(self), start)
+        let histories = (0..self.n_sources).map(|_| SnapshotBuf::new(start)).collect();
+        SharedGroupSession { group: Arc::clone(self), histories, watermark: start }
     }
 }
 
-/// Incremental batched execution of a [`QueryGroup`]: the multi-query
-/// analogue of [`crate::StreamSessionIn`].
+/// Incremental batched execution of a [`QueryGroup`] (paper §6.2): each
+/// [`SharedGroupSession::advance_to_with`] is one partition run of Fig. 6
+/// over the events that arrived since the last one.
 ///
-/// One input history per group source feeds every member query; each
-/// [`GroupSessionIn::advance_to`] executes every *distinct* kernel once and
-/// returns one finalized output buffer per member query, in registration
-/// order.
+/// One input history per group source feeds every member query and keeps
+/// just enough of it (the widest member's boundary-resolved lookback) to
+/// evaluate windows that straddle advances — the streaming analogue of the
+/// duplicated partition edges. Each advance executes every *distinct*
+/// kernel once and returns one finalized output buffer per member query,
+/// in registration order. A single query's session
+/// ([`crate::SharedStreamSession`]) is a group of one.
 #[derive(Debug)]
-pub struct GroupSessionIn<G: Borrow<QueryGroup>> {
-    group: G,
+pub struct SharedGroupSession {
+    group: Arc<QueryGroup>,
     histories: Vec<SnapshotBuf<Value>>,
     watermark: Time,
 }
 
-/// A group session borrowing its [`QueryGroup`].
-pub type GroupSession<'a> = GroupSessionIn<&'a QueryGroup>;
-
-/// A group session sharing ownership of its [`QueryGroup`].
-pub type SharedGroupSession = GroupSessionIn<Arc<QueryGroup>>;
-
-impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
-    fn new(group: G, start: Time) -> Self {
-        let g = group.borrow();
-        let histories = (0..g.n_sources).map(|_| SnapshotBuf::new(start)).collect();
-        GroupSessionIn { group, histories, watermark: start }
-    }
-
+impl SharedGroupSession {
     /// The current watermark (everything up to it has been emitted).
     pub fn watermark(&self) -> Time {
         self.watermark
@@ -561,35 +551,34 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
     /// The per-source input histories, in source order. Together with the
     /// watermark these are a session's *entire* streaming state (state
     /// depends only on absorbed input, never on the member set — see
-    /// [`GroupSessionIn::migrate_group`]), which is what makes sessions
+    /// [`SharedGroupSession::migrate_group`]), which is what makes sessions
     /// serializable: a durability layer persists `(histories, watermark)`
-    /// and rebuilds with [`GroupSessionIn::from_parts`].
+    /// and rebuilds with [`SharedGroupSession::from_parts`].
     pub fn histories(&self) -> &[SnapshotBuf<Value>] {
         &self.histories
     }
 
     /// Rebuilds a session from previously captured state: the inverse of
-    /// reading [`GroupSessionIn::histories`] and
-    /// [`GroupSessionIn::watermark`]. Histories short of the group's
+    /// reading [`SharedGroupSession::histories`] and
+    /// [`SharedGroupSession::watermark`]. Histories short of the group's
     /// source count are padded rooted at the watermark (exactly as
-    /// [`GroupSessionIn::migrate_group`] would), so state captured under
-    /// an older group edit restores against the current one.
+    /// [`SharedGroupSession::migrate_group`] would), so state captured
+    /// under an older group edit restores against the current one.
     ///
     /// Fails (rather than panicking later) if a history violates the
     /// snapshot-buffer invariants.
     pub fn from_parts(
-        group: G,
+        group: Arc<QueryGroup>,
         mut histories: Vec<SnapshotBuf<Value>>,
         watermark: Time,
     ) -> std::result::Result<Self, String> {
         for (i, h) in histories.iter().enumerate() {
             h.check_invariants().map_err(|e| format!("history {i}: {e}"))?;
         }
-        let n = group.borrow().n_sources;
-        while histories.len() < n {
+        while histories.len() < group.n_sources {
             histories.push(SnapshotBuf::new(watermark));
         }
-        Ok(GroupSessionIn { group, histories, watermark })
+        Ok(SharedGroupSession { group, histories, watermark })
     }
 
     /// Moves this session onto a different (typically edited) group without
@@ -604,50 +593,55 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
     /// the new histories are rooted at the current watermark (that source
     /// contributed nothing so far). Extra histories from a shrunk group are
     /// retained and ignored.
-    pub fn migrate_group(&mut self, group: G) {
-        let n = group.borrow().n_sources;
-        while self.histories.len() < n {
+    pub fn migrate_group(&mut self, group: Arc<QueryGroup>) {
+        while self.histories.len() < group.n_sources {
             self.histories.push(SnapshotBuf::new(self.watermark));
         }
         self.group = group;
     }
 
     /// Appends events to group source `idx` (feeding every member query that
-    /// declares that input position). Events must be in order and start at
-    /// or after the previous end of that source's history.
+    /// declares that input position), φ-filling gaps. Events must be in
+    /// order and start at or after the previous end of that source's
+    /// history.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range or events regress in time.
     pub fn push_events(&mut self, idx: usize, events: &[Event<Value>]) {
-        crate::exec::push_history(&mut self.histories[idx], events);
+        self.histories[idx].extend_from_events(events, None);
     }
 
-    /// Advances the input watermark to `upto` and returns each member
+    /// Advances the input watermark to `upto` — a promise that every event
+    /// starting before `upto` has been pushed — and returns each member
     /// query's finalized output prefix, in registration order.
     ///
     /// Emission stops at the last multiple `e` of the group grid with
-    /// `e + lookahead ≤ upto` ([`QueryGroup::max_input_lookahead`], the
-    /// most demanding member's), so every returned prefix is final — and a
-    /// member window ending at `e` is in it as soon as `upto` reaches `e`.
-    /// Buffers may be empty when the horizon has not advanced.
-    pub fn advance_to(&mut self, upto: Time) -> Vec<SnapshotBuf<Value>> {
-        let mut pool = BufPool::new();
-        self.advance_to_with(upto, &mut pool)
-    }
-
-    /// Like [`GroupSessionIn::advance_to`], drawing every intermediate
-    /// kernel buffer from `pool` (and returning it there before the call
-    /// ends). Long-lived workers holding many sessions pass one shared pool
-    /// so per-advance allocation churn amortizes away; the returned output
-    /// buffers can be [`BufPool::put`] back once consumed.
+    /// `e + lookahead ≤ upto`, where the lookahead is the most demanding
+    /// member's *aligned* one ([`QueryGroup::max_input_lookahead`]): the
+    /// output through a grid tick `e` is computed by evaluation ticks at or
+    /// before `e`, and those read nothing after `e` unless a query shifts
+    /// into the future. A tumbling window ending at `e` therefore comes out
+    /// of an advance to `e`, not one window later. Buffers may be empty when
+    /// the horizon has not advanced; [`SharedGroupSession::flush_to_with`]
+    /// forces the tail out at end-of-stream.
+    ///
+    /// Every intermediate kernel buffer is drawn from `pool` and returned
+    /// there before the call ends. Long-lived workers holding many sessions
+    /// pass one shared pool so per-advance allocation churn amortizes away;
+    /// the returned output buffers can be [`BufPool::put`] back once
+    /// consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `upto` is past the watermark.
     pub fn advance_to_with(
         &mut self,
         upto: Time,
         pool: &mut BufPool<Value>,
     ) -> Vec<SnapshotBuf<Value>> {
         assert!(upto > self.watermark, "advance_to must move forward");
-        let g = self.group.borrow();
+        let g = &self.group;
         let target = Time::new(upto.ticks() - g.lookahead).align_down(g.grid);
         if target <= self.watermark {
             let wm = self.watermark;
@@ -657,29 +651,23 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
     }
 
     /// Emits everything up to `end` unconditionally (end-of-stream flush:
-    /// missing future input reads as φ).
-    pub fn flush_to(&mut self, end: Time) -> Vec<SnapshotBuf<Value>> {
-        let mut pool = BufPool::new();
-        self.flush_to_with(end, &mut pool)
-    }
-
-    /// Like [`GroupSessionIn::flush_to`], drawing intermediates from `pool`
-    /// (see [`GroupSessionIn::advance_to_with`]).
+    /// missing future input reads as φ, exactly like the tail of a one-shot
+    /// run), drawing buffers from `pool` as
+    /// [`SharedGroupSession::advance_to_with`] does.
     pub fn flush_to_with(
         &mut self,
         end: Time,
         pool: &mut BufPool<Value>,
     ) -> Vec<SnapshotBuf<Value>> {
         if end <= self.watermark {
-            let g = self.group.borrow();
             let wm = self.watermark;
-            return (0..g.num_queries()).map(|_| pool.take(wm)).collect();
+            return (0..self.group.num_queries()).map(|_| pool.take(wm)).collect();
         }
         self.emit_range(end, pool)
     }
 
     fn emit_range(&mut self, target: Time, pool: &mut BufPool<Value>) -> Vec<SnapshotBuf<Value>> {
-        let g = self.group.borrow();
+        let g = &self.group;
         for hist in &mut self.histories {
             if hist.end() < target {
                 hist.push_raw(target, Value::Null);
@@ -758,9 +746,16 @@ impl<G: Borrow<QueryGroup>> GroupSessionIn<G> {
             .collect();
         pool.put_slots(node_bufs);
 
+        // Keep `g.keep` ticks of lookback behind the new watermark. The dead
+        // prefix is dropped in place (the columns keep their allocations),
+        // and only once it has grown past `4 × max(keep, 16)` ticks, so the
+        // cost amortizes over advances.
         self.watermark = target;
+        let cutoff = target.saturating_add(-g.keep);
         for hist in &mut self.histories {
-            crate::exec::trim_history(hist, target, g.keep);
+            if cutoff - hist.start() > 4 * g.keep.max(16) {
+                hist.trim_start(cutoff);
+            }
         }
         outs
     }
@@ -950,35 +945,38 @@ mod tests {
     }
 
     #[test]
-    fn group_session_matches_standalone_sessions() {
+    fn group_session_matches_standalone_runs() {
         // The core differential property, deterministically: pane + factor
-        // through one group session vs each through its own StreamSession,
-        // chunked identically, must agree per query.
+        // through one group session, stepped in 64-event chunks, vs each
+        // through its own one-shot run over the same range.
         let pane = Arc::new(Compiler::new().compile(&pane_query()).unwrap());
         let factor = Arc::new(Compiler::new().compile(&factor_query()).unwrap());
-        let group = QueryGroup::new(vec![Arc::clone(&pane), Arc::clone(&factor)]).unwrap();
+        let group =
+            Arc::new(QueryGroup::new(vec![Arc::clone(&pane), Arc::clone(&factor)]).unwrap());
         let events = int_events(500);
         let end = Time::new(540);
 
-        let mut gs = group.session(Time::ZERO);
+        let mut pool = BufPool::new();
+        let mut gs = group.shared_session(Time::ZERO);
         let mut outs: Vec<Vec<Event<Value>>> = vec![Vec::new(); 2];
         for chunk in events.chunks(64) {
             gs.push_events(0, chunk);
             let upto = chunk.last().unwrap().end;
             if upto > gs.watermark() {
-                for (qi, buf) in gs.advance_to(upto).into_iter().enumerate() {
+                for (qi, buf) in gs.advance_to_with(upto, &mut pool).into_iter().enumerate() {
                     outs[qi].extend(buf.to_events());
                 }
             }
         }
-        for (qi, buf) in gs.flush_to(end).into_iter().enumerate() {
+        for (qi, buf) in gs.flush_to_with(end, &mut pool).into_iter().enumerate() {
             outs[qi].extend(buf.to_events());
         }
 
+        let range = TimeRange::new(Time::ZERO, end);
+        let input = SnapshotBuf::from_events(&events, range);
         for (qi, cq) in [pane, factor].iter().enumerate() {
-            let mut session = cq.stream_session(Time::ZERO);
-            session.push_events(0, &events);
-            let expected = session.flush_to(end).to_events();
+            let expected = cq.run(&[&input], range).to_events();
+            assert!(!expected.is_empty());
             assert!(
                 streams_equivalent(&coalesce(&expected), &coalesce(&outs[qi])),
                 "query {qi}: expected {expected:?}, got {:?}",
@@ -1007,6 +1005,7 @@ mod tests {
 
         let events = int_events(300);
         let end = Time::new(360);
+        let mut pool = BufPool::new();
         // Reference: the pane query through an unedited 1-member group.
         let mut plain = base.shared_session(Time::ZERO);
         let mut expected: Vec<Event<Value>> = Vec::new();
@@ -1019,8 +1018,8 @@ mod tests {
             plain.push_events(0, chunk);
             edited.push_events(0, chunk);
             if upto > plain.watermark() {
-                expected.extend(plain.advance_to(upto).remove(0).to_events());
-                got.extend(edited.advance_to(upto).remove(0).to_events());
+                expected.extend(plain.advance_to_with(upto, &mut pool).remove(0).to_events());
+                got.extend(edited.advance_to_with(upto, &mut pool).remove(0).to_events());
             }
             if i == 1 {
                 edited.migrate_group(Arc::clone(&grown));
@@ -1029,8 +1028,8 @@ mod tests {
                 edited.migrate_group(Arc::clone(&shrunk));
             }
         }
-        expected.extend(plain.flush_to(end).remove(0).to_events());
-        got.extend(edited.flush_to(end).remove(0).to_events());
+        expected.extend(plain.flush_to_with(end, &mut pool).remove(0).to_events());
+        got.extend(edited.flush_to_with(end, &mut pool).remove(0).to_events());
         assert!(
             streams_equivalent(&coalesce(&expected), &coalesce(&got)),
             "group edits disturbed a live session's output"
@@ -1045,11 +1044,11 @@ mod tests {
             Arc::new(Compiler::new().compile(&b.finish(x).unwrap()).unwrap())
         };
         let pane = Arc::new(Compiler::new().compile(&pane_query()).unwrap());
-        let group = QueryGroup::new(vec![ident, pane]).unwrap();
+        let group = Arc::new(QueryGroup::new(vec![ident, pane]).unwrap());
         let events = int_events(40);
-        let mut gs = group.session(Time::ZERO);
+        let mut gs = group.shared_session(Time::ZERO);
         gs.push_events(0, &events);
-        let outs = gs.flush_to(Time::new(60));
+        let outs = gs.flush_to_with(Time::new(60), &mut BufPool::new());
         assert!(streams_equivalent(&coalesce(&events), &coalesce(&outs[0].to_events())));
     }
 }

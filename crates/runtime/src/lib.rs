@@ -1516,10 +1516,10 @@ mod tests {
             .collect()
     }
 
-    /// In-order replay of one key through a borrowed StreamSession — the
+    /// In-order replay of one key through a single-query session — the
     /// ground truth the service must reproduce.
-    fn replay(cq: &CompiledQuery, events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
-        let mut session = cq.stream_session(Time::ZERO);
+    fn replay(cq: &Arc<CompiledQuery>, events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
+        let mut session = cq.shared_stream_session(Time::ZERO);
         session.push_events(0, events);
         session.flush_to(end).to_events()
     }
@@ -2107,7 +2107,7 @@ mod tests {
         );
         let out = service.finish_at(Time::new(64));
         // Ground truth: replay both sources in order.
-        let mut session = cq.stream_session(Time::ZERO);
+        let mut session = cq.shared_stream_session(Time::ZERO);
         session.push_events(
             0,
             &(1..=60).map(|t| Event::point(Time::new(t), Value::Float(1.0))).collect::<Vec<_>>(),

@@ -61,7 +61,7 @@ use std::sync::mpsc::{RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tilt_core::sharing::{GroupSessionIn, QueryGroup, SharedGroupSession};
+use tilt_core::sharing::{QueryGroup, SharedGroupSession};
 use tilt_data::{BufPool, Event, SnapshotBuf, Time, Value};
 use tilt_state::{Dec, Enc, StateError};
 
@@ -420,7 +420,7 @@ struct DecodedKey {
     out: Vec<Vec<Event<Value>>>,
 }
 
-/// One cell session's durable state: everything `GroupSessionIn` needs to
+/// One cell session's durable state: everything `SharedGroupSession` needs to
 /// rebuild, plus the shard-side push frontiers and dirty flag.
 struct DecodedSession {
     watermark: Time,
@@ -1778,7 +1778,7 @@ impl Shard {
                 continue;
             }
             let session =
-                GroupSessionIn::from_parts(Arc::clone(&cell.group), ds.histories, ds.watermark)
+                SharedGroupSession::from_parts(Arc::clone(&cell.group), ds.histories, ds.watermark)
                     .map_err(|_| StateError::Corrupt("session state violates group invariants"))?;
             let mut pushed_end = ds.pushed_end;
             pushed_end.resize(cell.n_sources, ds.watermark);

@@ -9,6 +9,8 @@
 //! enough history (the boundary-resolved lookback) to evaluate the sliding
 //! μ+3σ threshold across batch boundaries.
 
+use std::sync::Arc;
+
 use tilt_core::Compiler;
 use tilt_data::Time;
 use tilt_workloads::apps;
@@ -18,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}: {}", app.name, app.description);
 
     let query = tilt_query::lower(&app.plan, app.output)?;
-    let compiled = Compiler::new().compile(&query)?;
+    let compiled = Arc::new(Compiler::new().compile(&query)?);
     println!(
         "sliding window {} ticks; session retains {} ticks of history per input",
         apps::FRAUD_WINDOW,
@@ -26,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let events = (app.dataset)(20_000, 7);
-    let mut session = compiled.stream_session(Time::ZERO);
+    let mut session = compiled.shared_stream_session(Time::ZERO);
     let mut flagged = 0usize;
     let mut batches = 0usize;
     let mut examples = Vec::new();

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Contrast with `fraud_detection.rs`, which runs the same query on a
-//! single in-order stream through one `StreamSession`.
+//! single in-order stream through one `SharedStreamSession`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -19,6 +19,7 @@
 //! Figs. 7b and 8 and the service rungs are the ladder's workloads
 //! (`bash benchmark/run.sh`).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use tilt_core::ir::{DataType, Expr};
@@ -167,12 +168,12 @@ fn fig9(cfg: &Cfg) {
     for app in all_apps() {
         let events = (app.dataset)(cfg.events, 1);
         let q = tilt_query::lower(&app.plan, app.output).expect("app lowers");
-        let cq = Compiler::new().compile(&q).expect("app compiles");
+        let cq = Arc::new(Compiler::new().compile(&q).expect("app compiles"));
         for &batch in batch_sizes {
             let batch = batch.min(events.len());
             // TiLT: a streaming session fed one batch at a time.
             let tilt = best_meps(events.len(), 1, || {
-                let mut session = cq.stream_session(Time::ZERO);
+                let mut session = cq.shared_stream_session(Time::ZERO);
                 let mut out = 0usize;
                 let mut last = Time::ZERO;
                 for chunk in events.chunks(batch) {

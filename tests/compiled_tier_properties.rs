@@ -503,12 +503,12 @@ const POWERS: [f64; 5] = [0.5, 1.0, 2.0, -1.0, -2.0];
 /// advanced there, then flushed to `end`: the advances of a long quiet run
 /// end inside it.
 fn stepped_session(
-    cq: &tilt_core::CompiledQuery,
+    cq: &Arc<tilt_core::CompiledQuery>,
     events: &[Event<Value>],
     step: i64,
     end: Time,
 ) -> Vec<Event<Value>> {
-    let mut session = cq.stream_session(Time::ZERO);
+    let mut session = cq.shared_stream_session(Time::ZERO);
     let mut out = Vec::new();
     let mut pushed = 0;
     let mut upto = Time::new(step);
@@ -536,7 +536,7 @@ fn sparse_range(events: &[Event<Value>], grid: i64) -> TimeRange {
 /// equivalent to the one-shot run. Returns the one-shot events.
 fn assert_tiers_agree(name: &str, q: &Query, events: &[Event<Value>]) -> Vec<Event<Value>> {
     let tiers = [ExecTier::Batched, ExecTier::Compiled, ExecTier::Interpreted]
-        .map(|tier| Compiler::new().with_tier(tier).compile(q).expect("compiles"));
+        .map(|tier| Arc::new(Compiler::new().with_tier(tier).compile(q).expect("compiles")));
     let range = sparse_range(events, tiers[0].grid());
     let buf = SnapshotBuf::from_events(events, range);
     let runs = tiers.each_ref().map(|cq| cq.run(&[&buf], range));

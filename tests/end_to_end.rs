@@ -3,6 +3,8 @@
 //! reference evaluator and the baseline engines, on every benchmark
 //! application.
 
+use std::sync::Arc;
+
 use tilt_core::ir::print_query;
 use tilt_core::Compiler;
 use tilt_data::{streams_close, Event, SnapshotBuf, Time, TimeRange, Value};
@@ -17,7 +19,7 @@ fn five_way_agreement_on_every_app() {
         let events = (app.dataset)(n, 13);
         let hi = events.iter().map(|e| e.end).max().unwrap();
         let q = tilt_query::lower(&app.plan, app.output).unwrap();
-        let fused = Compiler::new().compile(&q).unwrap();
+        let fused = Arc::new(Compiler::new().compile(&q).unwrap());
         let unfused = Compiler::unoptimized().compile(&q).unwrap();
         let range = TimeRange::new(Time::ZERO, hi.align_up(fused.grid()));
 
@@ -52,7 +54,7 @@ fn five_way_agreement_on_every_app() {
 
         // Batched streaming (three different batch sizes).
         for batch in [37usize, 128, 5000] {
-            let mut session = fused.stream_session(Time::ZERO);
+            let mut session = fused.shared_stream_session(Time::ZERO);
             let mut streamed: Vec<Event<Value>> = Vec::new();
             for chunk in events.chunks(batch) {
                 session.push_events(0, chunk);

@@ -29,8 +29,8 @@ fn window_query(window: i64, agg: u8) -> Arc<CompiledQuery> {
     Arc::new(Compiler::new().compile(&q).unwrap())
 }
 
-fn replay(cq: &CompiledQuery, events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
-    let mut session = cq.stream_session(Time::ZERO);
+fn replay(cq: &Arc<CompiledQuery>, events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
+    let mut session = cq.shared_stream_session(Time::ZERO);
     session.push_events(0, events);
     session.flush_to(end).to_events()
 }

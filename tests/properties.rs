@@ -10,6 +10,8 @@
 //!   above and below a coarse node) release, from a session stepped along
 //!   the grid, exactly the final output through `e − aligned lookahead`.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use tilt_core::ir::{DataType, Expr};
 use tilt_core::Compiler;
@@ -239,7 +241,9 @@ proptest! {
 
     /// Mixed precisions: reference == one-shot `run` == a session stepped
     /// along the grid, which after every `advance_to(e)` has released
-    /// exactly the final output through `align_down(e − lookahead)`.
+    /// exactly the final output through `align_down(e − lookahead)`; and
+    /// flushed at an end off the grid, a fresh session and a stepped one
+    /// both equal the one-shot run over that range.
     #[test]
     fn mixed_precision_sessions_release_exactly_the_final_prefix(
         events in arb_events(),
@@ -250,7 +254,7 @@ proptest! {
         let (plan, out) = build_plan(&stages, join_tail);
         let q = tilt_query::lower(&plan, out).unwrap();
         let hi = events.last().map_or(Time::new(10), |e| e.end) + 10;
-        for cq in [Compiler::new().compile(&q).unwrap(), Compiler::unoptimized().compile(&q).unwrap()] {
+        for cq in [Compiler::new(), Compiler::unoptimized()].map(|c| Arc::new(c.compile(&q).unwrap())) {
             let grid = cq.grid();
             let range = TimeRange::new(Time::ZERO, hi.align_up(grid));
             let expected =
@@ -264,7 +268,7 @@ proptest! {
 
             let la = cq.boundary().aligned_input_lookahead(cq.query());
             prop_assert!(la <= cq.boundary().max_input_lookahead(cq.query()));
-            let mut session = cq.stream_session(Time::ZERO);
+            let mut session = cq.shared_stream_session(Time::ZERO);
             let mut got: Vec<Event<Value>> = Vec::new();
             let mut pushed = 0;
             let mut e = Time::ZERO;
@@ -289,6 +293,42 @@ proptest! {
             prop_assert!(
                 streams_close(&expected, &got, 1e-6),
                 "session vs reference: {:?}\n vs {:?}\nplan: {:?}", got, expected, stages
+            );
+
+            // An end off the grid (whenever the grid is coarser than a
+            // tick): the output tail past the last grid tick. The reference
+            // fills that tail where kernels emit φ, so these two flushes
+            // are held to the one-shot run over the same range instead.
+            let off = TimeRange::new(Time::ZERO, Time::new(range.end.ticks() - 1));
+            let want = cq.run(&[&SnapshotBuf::from_events(&events, off)], off).to_events();
+            let mut fresh = cq.shared_stream_session(Time::ZERO);
+            fresh.push_events(0, &events);
+            let flushed = fresh.flush_to(off.end).to_events();
+            prop_assert!(
+                streams_close(&want, &flushed, 1e-6),
+                "fresh session flushed at {}: {:?}\n vs one-shot {:?}\nplan: {:?}",
+                off.end, flushed, want, stages
+            );
+            let mut stepped = cq.shared_stream_session(Time::ZERO);
+            let mut got: Vec<Event<Value>> = Vec::new();
+            let mut pushed = 0;
+            let mut e = Time::ZERO;
+            for step in steps.iter().cycle() {
+                e += step * grid;
+                if e >= off.end {
+                    break;
+                }
+                let upto = pushed + events[pushed..].partition_point(|ev| ev.start < e);
+                stepped.push_events(0, &events[pushed..upto]);
+                pushed = upto;
+                got.extend(stepped.advance_to(e).to_events());
+            }
+            stepped.push_events(0, &events[pushed..]);
+            got.extend(stepped.flush_to(off.end).to_events());
+            prop_assert!(
+                streams_close(&want, &got, 1e-6),
+                "stepped session flushed at {}: {:?}\n vs one-shot {:?}\nplan: {:?}",
+                off.end, got, want, stages
             );
         }
     }

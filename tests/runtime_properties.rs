@@ -1,7 +1,7 @@
 //! Property tests for `tilt-runtime`: randomly generated keyed workloads,
 //! scrambled into bounded out-of-order arrival, must produce exactly the
-//! output of an in-order `StreamSession` replay, key by key — independent
-//! of shard count, interleaving, and aggregation.
+//! output of an in-order single-query session replay, key by key —
+//! independent of shard count, interleaving, and aggregation.
 
 use std::sync::Arc;
 
@@ -81,8 +81,8 @@ fn lateness_needed(arrivals: &[KeyedEvent]) -> i64 {
 /// One run's output, coalesced, indexed by key.
 type PerKeyCoalesced = Vec<Vec<Event<Value>>>;
 
-fn replay(cq: &CompiledQuery, events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
-    let mut session = cq.stream_session(Time::ZERO);
+fn replay(cq: &Arc<CompiledQuery>, events: &[Event<Value>], end: Time) -> Vec<Event<Value>> {
+    let mut session = cq.shared_stream_session(Time::ZERO);
     session.push_events(0, events);
     session.flush_to(end).to_events()
 }
