@@ -437,7 +437,11 @@ impl CompiledQuery {
     /// `tilt-runtime`) hold many sessions over one compilation.
     pub fn shared_stream_session(self: &Arc<Self>, start: Time) -> SharedStreamSession {
         let group = QueryGroup::new(vec![Arc::clone(self)]).expect("one query is a valid group");
-        SharedStreamSession { session: Arc::new(group).shared_session(start), pool: BufPool::new() }
+        SharedStreamSession {
+            session: Arc::new(group).shared_session(start),
+            pool: BufPool::new(),
+            outs: Vec::with_capacity(1),
+        }
     }
 }
 
@@ -454,6 +458,9 @@ impl CompiledQuery {
 pub struct SharedStreamSession {
     session: SharedGroupSession,
     pool: BufPool<Value>,
+    /// The group's output list, empty between calls and reused by each:
+    /// an advance allocates no list of one.
+    outs: Vec<SnapshotBuf<Value>>,
 }
 
 impl SharedStreamSession {
@@ -483,16 +490,16 @@ impl SharedStreamSession {
     ///
     /// Panics unless `upto` is past the watermark.
     pub fn advance_to(&mut self, upto: Time) -> SnapshotBuf<Value> {
-        let outs = self.session.advance_to_with(upto, &mut self.pool);
-        the_output(outs)
+        self.session.advance_into(upto, &mut self.pool, &mut self.outs);
+        self.the_output()
     }
 
     /// Emits everything up to `end` unconditionally (end-of-stream flush:
     /// missing future input reads as φ, exactly like the tail of a one-shot
     /// run).
     pub fn flush_to(&mut self, end: Time) -> SnapshotBuf<Value> {
-        let outs = self.session.flush_to_with(end, &mut self.pool);
-        the_output(outs)
+        self.session.emit_range(end, &mut self.pool, &mut self.outs);
+        self.the_output()
     }
 
     /// Hands a consumed output buffer's allocation back for the next
@@ -500,11 +507,11 @@ impl SharedStreamSession {
     pub fn recycle(&mut self, buf: SnapshotBuf<Value>) {
         self.pool.put(buf);
     }
-}
 
-/// The one member's output of a group of one.
-fn the_output(mut outs: Vec<SnapshotBuf<Value>>) -> SnapshotBuf<Value> {
-    outs.pop().expect("a group of one has one output")
+    /// The one member's output of a group of one.
+    fn the_output(&mut self) -> SnapshotBuf<Value> {
+        self.outs.pop().expect("a group of one has one output")
+    }
 }
 
 fn gcd(a: i64, b: i64) -> i64 {

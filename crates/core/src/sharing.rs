@@ -640,14 +640,9 @@ impl SharedGroupSession {
         upto: Time,
         pool: &mut BufPool<Value>,
     ) -> Vec<SnapshotBuf<Value>> {
-        assert!(upto > self.watermark, "advance_to must move forward");
-        let g = &self.group;
-        let target = Time::new(upto.ticks() - g.lookahead).align_down(g.grid);
-        if target <= self.watermark {
-            let wm = self.watermark;
-            return (0..g.num_queries()).map(|_| pool.take(wm)).collect();
-        }
-        self.emit_range(target, pool)
+        let mut outs = Vec::with_capacity(self.group.num_queries());
+        self.advance_into(upto, pool, &mut outs);
+        outs
     }
 
     /// Emits everything up to `end` unconditionally (end-of-stream flush:
@@ -659,14 +654,39 @@ impl SharedGroupSession {
         end: Time,
         pool: &mut BufPool<Value>,
     ) -> Vec<SnapshotBuf<Value>> {
-        if end <= self.watermark {
-            let wm = self.watermark;
-            return (0..self.group.num_queries()).map(|_| pool.take(wm)).collect();
-        }
-        self.emit_range(end, pool)
+        let mut outs = Vec::with_capacity(self.group.num_queries());
+        self.emit_range(end, pool, &mut outs);
+        outs
     }
 
-    fn emit_range(&mut self, target: Time, pool: &mut BufPool<Value>) -> Vec<SnapshotBuf<Value>> {
+    /// [`SharedGroupSession::advance_to_with`], appending the outputs to
+    /// `outs`: a single-query session reuses one list across advances
+    /// instead of allocating one per advance.
+    pub(crate) fn advance_into(
+        &mut self,
+        upto: Time,
+        pool: &mut BufPool<Value>,
+        outs: &mut Vec<SnapshotBuf<Value>>,
+    ) {
+        assert!(upto > self.watermark, "advance_to must move forward");
+        let target = Time::new(upto.ticks() - self.group.lookahead).align_down(self.group.grid);
+        self.emit_range(target, pool, outs);
+    }
+
+    /// Emits `(watermark, target]` and appends one output per member to
+    /// `outs` — an empty buffer each when `target` is not past the
+    /// watermark.
+    pub(crate) fn emit_range(
+        &mut self,
+        target: Time,
+        pool: &mut BufPool<Value>,
+        outs: &mut Vec<SnapshotBuf<Value>>,
+    ) {
+        if target <= self.watermark {
+            let wm = self.watermark;
+            outs.extend((0..self.group.num_queries()).map(|_| pool.take(wm)));
+            return;
+        }
         let g = &self.group;
         for hist in &mut self.histories {
             if hist.end() < target {
@@ -717,33 +737,29 @@ impl SharedGroupSession {
         // allocates nothing. A node nothing else consumes whose kernel ran
         // over exactly the output range *is* the standalone output: its
         // buffer is handed over, not copied.
-        let outs = g
-            .outputs
-            .iter()
-            .map(|out| {
-                if let OutputRef::Node(ni) = *out {
-                    let whole = node_bufs[ni].as_ref().is_some_and(|buf| buf.range() == range);
-                    if whole && g.nodes[ni].instances == 1 {
-                        return node_bufs[ni].take().expect("node computed");
-                    }
+        outs.extend(g.outputs.iter().map(|out| {
+            if let OutputRef::Node(ni) = *out {
+                let whole = node_bufs[ni].as_ref().is_some_and(|buf| buf.range() == range);
+                if whole && g.nodes[ni].instances == 1 {
+                    return node_bufs[ni].take().expect("node computed");
                 }
-                let mut sliced = pool.take(range.start);
-                match *out {
-                    OutputRef::Source(i) => self.histories[i].slice_into(range, &mut sliced),
-                    OutputRef::Node(ni) => {
-                        let node = &g.nodes[ni];
-                        let p = g.queries[node.query].kernels()[node.kernel].precision;
-                        output_slice_into(
-                            node_bufs[ni].as_ref().expect("node computed"),
-                            range,
-                            p,
-                            &mut sliced,
-                        );
-                    }
+            }
+            let mut sliced = pool.take(range.start);
+            match *out {
+                OutputRef::Source(i) => self.histories[i].slice_into(range, &mut sliced),
+                OutputRef::Node(ni) => {
+                    let node = &g.nodes[ni];
+                    let p = g.queries[node.query].kernels()[node.kernel].precision;
+                    output_slice_into(
+                        node_bufs[ni].as_ref().expect("node computed"),
+                        range,
+                        p,
+                        &mut sliced,
+                    );
                 }
-                sliced
-            })
-            .collect();
+            }
+            sliced
+        }));
         pool.put_slots(node_bufs);
 
         // Keep `g.keep` ticks of lookback behind the new watermark. The dead
@@ -757,7 +773,6 @@ impl SharedGroupSession {
                 hist.trim_start(cutoff);
             }
         }
-        outs
     }
 }
 
