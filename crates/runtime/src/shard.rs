@@ -48,6 +48,14 @@
 //! tombstone outputs down (the reclamation counted in
 //! `RuntimeStats::sessions_reclaimed`).
 //!
+//! **One key lifecycle.** The emission cycle, both evictions
+//! ([`Shard::retire`]), a force drain and the final flush run a key's
+//! kernels through [`Exec::visit`], under one `catch_unwind`, and differ
+//! only in what feeds the sessions and which step each takes. Events enter
+//! a session only in [`CellSession::push_new`], kernels run and output
+//! leaves only in [`Exec::emit`], and a key is torn down after a panic only
+//! in [`Shard::quarantine`].
+//!
 //! Keys never migrate between shards, so shards share nothing and run
 //! synchronization-free, the runtime analogue of the paper's §6.2
 //! partition workers. The hardening mechanisms of PR 3 — idle eviction
@@ -55,7 +63,7 @@
 //! reorder-buffer backstop caps, and per-key panic quarantine — all
 //! operate per key, across every cell the key touches.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{RecvTimeoutError, SyncSender};
 use std::sync::Arc;
@@ -370,6 +378,60 @@ impl CellSession {
             dirty: false,
         }
     }
+
+    /// Where the session's `source` input stands: no event starting before
+    /// this can enter it any more.
+    fn frontier(&self, source: usize) -> Time {
+        self.pushed_end[source].max(self.session.watermark())
+    }
+
+    /// Pushes the events of `batch` — one source's, in time order — that
+    /// are new to this session (starting at or after its frontier) and
+    /// marks them taken. The only place events enter a session: a reorder
+    /// buffer's matured prefix and a force drain's batch both come through
+    /// here. Returns whether any did.
+    fn push_new(
+        &mut self,
+        source: usize,
+        batch: &mut [Buffered],
+        scratch: &mut Vec<Event<Value>>,
+    ) -> bool {
+        let mut frontier = self.frontier(source);
+        scratch.clear();
+        for b in batch {
+            if b.event.start < frontier {
+                continue;
+            }
+            b.taken = true;
+            frontier = b.event.end;
+            scratch.push(b.event.clone());
+        }
+        if scratch.is_empty() {
+            return false;
+        }
+        self.session.push_events(source, scratch);
+        self.pushed_end[source] = frontier;
+        self.dirty = true;
+        scratch.clear();
+        true
+    }
+}
+
+/// What a visit runs on one cell session ([`Exec::emit`]).
+enum Step {
+    /// Advance the watermark to this time: the windows it finalizes leave.
+    Advance(Time),
+    /// Flush through this time, missing input read as φ.
+    Flush(Time),
+}
+
+/// What a visit feeds a key's sessions before they step.
+enum Feed<'b> {
+    /// Each cell's matured prefix of the reorder buffers under this plan.
+    Matured(&'b [CellPlan]),
+    /// A force drain's batch of one source, pushed ahead of the watermark;
+    /// only the sessions it feeds step.
+    Batch(usize, &'b mut [Buffered]),
 }
 
 /// Per-key state: the shared reorder buffers plus one session per cell the
@@ -391,6 +453,62 @@ struct KeyState {
     last_touch: Instant,
     /// Whether the key is already on the shard's active-visit queue.
     queued: bool,
+}
+
+impl KeyState {
+    /// A key with empty reorder buffers, carrying `out`, with a session in
+    /// each live cell it has a frontier for, reopened there (`frontiers` is
+    /// empty for a key seen for the first time).
+    fn new(
+        cells: &[Cell],
+        n_sources: usize,
+        start: Time,
+        frontiers: &[Option<Time>],
+        out: Vec<Vec<Event<Value>>>,
+    ) -> KeyState {
+        let mut last_end = start;
+        let sessions: Vec<Option<CellSession>> = cells
+            .iter()
+            .enumerate()
+            .map(|(ci, c)| {
+                let f = frontiers.get(ci).copied().flatten().filter(|_| c.alive)?;
+                last_end = last_end.max(f);
+                Some(CellSession::open(c, f))
+            })
+            .collect();
+        KeyState {
+            pending: (0..n_sources).map(|_| ReorderBuf::default()).collect(),
+            cells: sessions,
+            out,
+            last_end,
+            last_touch: Instant::now(),
+            queued: false,
+        }
+    }
+
+    /// Grows the per-source and per-cell vectors to the current roster.
+    fn sync(&mut self, n_cells: usize, n_sources: usize) {
+        if self.pending.len() < n_sources {
+            self.pending.resize_with(n_sources, ReorderBuf::default);
+        }
+        if self.cells.len() < n_cells {
+            self.cells.resize_with(n_cells, || None);
+        }
+    }
+
+    /// Events held in the reorder buffers.
+    fn pending_len(&self) -> usize {
+        self.pending.iter().map(ReorderBuf::len).sum()
+    }
+}
+
+/// Where a quarantined key's events are; all of them are dropped.
+enum Held {
+    /// In its resident state, plus this many a force drain took off its
+    /// reorder buffers without accounting for them (still on the gauge).
+    Resident(usize),
+    /// In its unreadable bundle: this many (0 when unknown).
+    Bundle(usize),
 }
 
 /// A retired key: evicted for idleness (revivable per cell at its
@@ -474,16 +592,17 @@ pub(crate) struct Shard {
     /// The cold store evictions spill to instead of flushing, when the
     /// service was built with one.
     spill: Option<Arc<SpillStore>>,
-    /// Keys currently living in the spill store: no in-memory state at
-    /// all, revived verbatim from disk on their next arrival.
-    spilled: HashSet<u64, KeyHash>,
+    /// Keys currently living in the spill store — no in-memory state at
+    /// all, revived verbatim from disk on their next arrival — and the
+    /// pending events each bundle carries.
+    spilled: HashMap<u64, usize, KeyHash>,
     sinks: Arc<SinkTable>,
     stats: Arc<SharedStats>,
     /// Recycles intermediate kernel buffers across every advance on this
     /// shard (one pool per worker, not per key — no per-key memory). The
     /// kernels' run state is recycled likewise, by `tilt-core`, per
     /// thread: this worker's is reset by every advance of every key, and
-    /// an advance that panics (see `maybe_advance`) discards it.
+    /// an advance that panics (see [`Exec::visit`]) discards it.
     pool: BufPool<Value>,
     /// Scratch for batching drained events into `push_events` calls.
     scratch: Vec<Event<Value>>,
@@ -554,7 +673,7 @@ impl Shard {
             last_wall_sweep: Instant::now(),
             active: Vec::new(),
             spill,
-            spilled: HashSet::default(),
+            spilled: HashMap::default(),
             sinks,
             stats,
             pool: BufPool::new(),
@@ -741,14 +860,19 @@ impl Shard {
         self.refresh_ttl();
     }
 
-    /// Grows a key's per-source and per-cell vectors to the current roster.
-    fn sync_key(state: &mut KeyState, n_cells: usize, n_sources: usize) {
-        if state.pending.len() < n_sources {
-            state.pending.resize_with(n_sources, ReorderBuf::default);
-        }
-        if state.cells.len() < n_cells {
-            state.cells.resize_with(n_cells, || None);
-        }
+    /// The live keys, and apart from them what [`Exec::visit`] runs with.
+    fn split(&mut self) -> (&mut HashMap<u64, KeyState, KeyHash>, Exec<'_>) {
+        let exec = Exec {
+            id: self.id,
+            cells: &self.cells,
+            n_sources: self.n_sources,
+            pool: &mut self.pool,
+            scratch: &mut self.scratch,
+            residency: &mut self.residency_scratch,
+            sinks: &self.sinks,
+            stats: &self.stats,
+        };
+        (&mut self.keys, exec)
     }
 
     /// The arrival pass over one event batch: everything that depends on the
@@ -928,8 +1052,9 @@ impl Shard {
             // admission checks: the bundle holds the key's exact pre-eviction
             // state (sessions, reorder buffers, accumulated output), so a
             // revived key is byte-identical to one that was never spilled.
-            if !self.spilled.is_empty() && self.spilled.remove(&key) {
-                self.revive_from_spill(key);
+            let spilled = if self.spilled.is_empty() { None } else { self.spilled.remove(&key) };
+            if let Some(pending) = spilled {
+                self.revive_from_spill(key, pending);
             }
 
             // Retired keys: quarantined ones refuse all events; evicted ones
@@ -968,17 +1093,10 @@ impl Shard {
                 std::collections::hash_map::Entry::Vacant(e) => {
                     self.stats.keys.inc();
                     self.stats.live_keys.add(1);
-                    e.insert(KeyState {
-                        pending: (0..n_sources).map(|_| ReorderBuf::default()).collect(),
-                        cells: (0..n_cells).map(|_| None).collect(),
-                        out: Vec::new(),
-                        last_end: self.cfg.start,
-                        last_touch: Instant::now(),
-                        queued: false,
-                    })
+                    e.insert(KeyState::new(cells, n_sources, self.cfg.start, &[], Vec::new()))
                 }
             };
-            Self::sync_key(state, n_cells, n_sources);
+            state.sync(n_cells, n_sources);
             if self.cfg.wall_clock_ttl.is_some() {
                 // The idleness clock only matters when wall-clock eviction
                 // is on; skip the clock read otherwise.
@@ -1004,7 +1122,7 @@ impl Shard {
                         continue;
                     }
                     let cell_admits = match &state.cells[ci] {
-                        Some(cs) => start >= cs.pushed_end[source].max(cs.session.watermark()),
+                        Some(cs) => start >= cs.frontier(source),
                         None => {
                             if start >= c.root {
                                 state.cells[ci] = Some(CellSession::open(c, c.root));
@@ -1077,26 +1195,8 @@ impl Shard {
         self.stats.revivals.inc();
         self.stats.live_keys.add(1);
         self.stats.note_control(ControlEvent::Revive { shard: self.id, key });
-        let mut cells: Vec<Option<CellSession>> = Vec::with_capacity(self.cells.len());
-        let mut last_end = self.cfg.start;
-        for (ci, c) in self.cells.iter().enumerate() {
-            let frontier = if c.alive { r.frontiers.get(ci).copied().flatten() } else { None };
-            cells.push(frontier.map(|f| {
-                last_end = last_end.max(f);
-                CellSession::open(c, f)
-            }));
-        }
-        self.keys.insert(
-            key,
-            KeyState {
-                pending: (0..self.n_sources).map(|_| ReorderBuf::default()).collect(),
-                cells,
-                out: r.out,
-                last_end,
-                last_touch: Instant::now(),
-                queued: false,
-            },
-        );
+        let state = KeyState::new(&self.cells, self.n_sources, self.cfg.start, &r.frontiers, r.out);
+        self.keys.insert(key, state);
     }
 
     /// One emission cycle's plan: each cell's watermark, emission target,
@@ -1130,10 +1230,8 @@ impl Shard {
     /// O(active keys), not O(total keys). A visited key is re-queued while
     /// it still has buffered input or pushed-but-unemitted history; with a
     /// sink it is additionally re-queued while its eager advances keep
-    /// producing output. Kernel execution runs under `catch_unwind`: a
-    /// panicking key is quarantined instead of unwinding the shard thread
-    /// (and the kernels' run state the cut-short run was holding is
-    /// dropped with it: the next key's kernels shape theirs afresh).
+    /// producing output. A key whose kernels panic is quarantined instead
+    /// of unwinding the shard thread ([`Exec::visit`]).
     fn maybe_advance(&mut self) {
         debug_assert!(self.burst.is_empty(), "an emission cycle never sees a held event");
         let plans = self.cell_plans();
@@ -1184,162 +1282,33 @@ impl Shard {
             self.cells.iter().filter(|c| c.alive).map(|c| c.emitted).min().unwrap_or(self.emitted);
 
         let eager = self.sinks.any();
-        let mut visit = std::mem::take(&mut self.active);
-        let mut panicked_keys: Vec<u64> = Vec::new();
-        {
-            let id = self.id;
-            let keys = &mut self.keys;
-            let cells = &self.cells;
-            let pool = &mut self.pool;
-            let scratch = &mut self.scratch;
-            let residency = &mut self.residency_scratch;
-            let sinks = &self.sinks;
-            let stats = &self.stats;
-            let n_cells = cells.len();
-            let n_sources = self.n_sources;
-            for key in visit.drain(..) {
-                let Some(state) = keys.get_mut(&key) else { continue };
-                state.queued = false;
-                Self::sync_key(state, n_cells, n_sources);
-                let mut revisit = false;
-                let panicked = catch_unwind(AssertUnwindSafe(|| {
-                    // Inside the containment boundary: a Panic policy here
-                    // exercises the same quarantine path a kernel bug would.
-                    tilt_fault::fail_point!("runtime.kernel.exec");
-                    Self::drain_and_release(id, state, cells, &plans, scratch, residency, stats);
-                    let mut emitted_any = false;
-                    for (ci, cell) in cells.iter().enumerate() {
-                        let plan = &plans[ci];
-                        if !plan.due {
-                            continue;
-                        }
-                        let Some(cs) = state.cells[ci].as_mut() else { continue };
-                        if (cs.dirty || eager) && plan.target > cs.session.watermark() {
-                            let bufs = cs.session.advance_to_with(plan.wm, pool);
-                            cs.dirty = false;
-                            cell.note_kernels(stats);
-                            for (mi, buf) in bufs.into_iter().enumerate() {
-                                let emitted = buf.to_events();
-                                pool.put(buf);
-                                emitted_any |= !emitted.is_empty();
-                                Self::deliver(
-                                    key,
-                                    cell.qids[mi],
-                                    emitted,
-                                    &mut state.out,
-                                    sinks,
-                                    stats,
-                                );
-                            }
-                        }
-                    }
-                    revisit = state.cells.iter().flatten().any(|cs| cs.dirty)
-                        || state.pending.iter().any(|p| !p.is_empty())
-                        || (eager && emitted_any);
-                }))
-                .is_err();
-                if panicked {
-                    panicked_keys.push(key);
-                } else if revisit {
-                    if let Some(state) = keys.get_mut(&key) {
-                        state.queued = true;
-                        self.active.push(key);
-                    }
-                }
-            }
-        }
-        for key in panicked_keys {
-            self.quarantine(key);
+        let step = |ci: usize, _: &Cell, cs: &CellSession| {
+            let p = &plans[ci];
+            (p.due && (cs.dirty || eager) && p.target > cs.session.watermark())
+                .then_some(Step::Advance(p.wm))
+        };
+        let mut active = std::mem::take(&mut self.active);
+        let mut panicked: Vec<u64> = Vec::new();
+        let (keys, mut exec) = self.split();
+        active.retain(|&key| {
+            let Some(state) = keys.get_mut(&key) else { return false };
+            let Some(emitted) = exec.visit(key, state, Feed::Matured(&plans), step) else {
+                panicked.push(key);
+                return false;
+            };
+            state.queued = state.cells.iter().flatten().any(|cs| cs.dirty)
+                || state.pending.iter().any(|p| !p.is_empty())
+                || (eager && emitted);
+            state.queued
+        });
+        self.active = active;
+        for key in panicked {
+            self.quarantine(key, Held::Resident(0));
         }
         if let Some(start) = cycle_start {
             self.stats.advance_ns[self.id].record(start.elapsed().as_nanos() as u64);
         }
         self.sweep_idle();
-    }
-
-    /// Moves every matured pending event into the sessions of the cells it
-    /// is new to, then releases the prefix no cell still needs. Events
-    /// released without any cell having taken them are counted as
-    /// late-dropped, once.
-    fn drain_and_release(
-        shard_id: usize,
-        state: &mut KeyState,
-        cells: &[Cell],
-        plans: &[CellPlan],
-        scratch: &mut Vec<Event<Value>>,
-        residency: &mut tilt_obs::LocalHistogram,
-        stats: &SharedStats,
-    ) {
-        for (source, pending) in state.pending.iter_mut().enumerate() {
-            if pending.is_empty() {
-                continue;
-            }
-            for (ci, cell) in cells.iter().enumerate() {
-                if !plans[ci].alive || source >= cell.n_sources {
-                    continue;
-                }
-                let Some(cs) = state.cells[ci].as_mut() else { continue };
-                let mut frontier = cs.pushed_end[source].max(cs.session.watermark());
-                scratch.clear();
-                for b in pending.matured_mut(plans[ci].wm) {
-                    if b.event.start < frontier {
-                        continue;
-                    }
-                    b.taken = true;
-                    frontier = b.event.end;
-                    scratch.push(b.event.clone());
-                }
-                if !scratch.is_empty() {
-                    cs.session.push_events(source, scratch);
-                    cs.pushed_end[source] = frontier;
-                    cs.dirty = true;
-                    scratch.clear();
-                }
-            }
-            // Release below the slowest consumer of *this source*: cells
-            // without a session for this key can never use the buffered
-            // prefix (their join root postdates it), and cells whose
-            // group does not read this source never will either.
-            let release_to = state
-                .cells
-                .iter()
-                .enumerate()
-                .filter(|(ci, cs)| {
-                    plans.get(*ci).is_some_and(|p| p.alive)
-                        && cs.is_some()
-                        && source < cells[*ci].n_sources
-                })
-                .map(|(ci, _)| plans[ci].wm)
-                .min();
-            let upto = release_to.unwrap_or(Time::MAX);
-            let (released, untaken) = if stats.detailed && upto < Time::MAX {
-                // Reorder-buffer residency: ticks each event waited past
-                // its start before the watermark released it. The final
-                // flush (upto == MAX) is excluded — its "residency" would
-                // measure the shutdown horizon, not buffering.
-                pending
-                    .release_with(upto, |b| residency.record((upto - b.event.start).max(0) as u64))
-            } else {
-                pending.release(upto)
-            };
-            if released > 0 {
-                stats.sub_reorder_pending(shard_id, released);
-            }
-            // Conservation: every released event was either consumed by at
-            // least one cell (`taken`) or useful to nobody. Untaken events
-            // are late — unless the key has no consuming cells left at all
-            // (every interested query detached), in which case the events
-            // were in bound and their drop is detach reclamation, not
-            // lateness.
-            stats.events_consumed.add((released - untaken) as u64);
-            if untaken > 0 {
-                if release_to.is_some() {
-                    stats.late_dropped.add(untaken as u64);
-                } else {
-                    stats.detach_dropped.add(untaken as u64);
-                }
-            }
-        }
     }
 
     /// Retires keys idle past the event-time TTL: each cell session is
@@ -1366,16 +1335,23 @@ impl Shard {
         }
         // Watermarks cannot move mid-sweep: one plan serves every victim.
         let plans = self.cell_plans();
-        for key in victims {
-            self.evict(key, &plans);
-        }
+        let step = |ci: usize, _: &Cell, cs: &CellSession| {
+            let p = &plans[ci];
+            (p.target > cs.session.watermark()).then_some(Step::Advance(p.wm))
+        };
+        self.retire(victims, &plans, false, step);
     }
 
     /// Retires keys with no traffic for longer than the *wall-clock* TTL,
     /// regardless of event-time progress — the escape hatch for shards
     /// whose sources went silent entirely (the event-time sweep needs the
     /// watermark to move, and a dead stream's final events sit in the
-    /// reorder buffer forever).
+    /// reorder buffer forever). Everything buffered is pushed through the
+    /// sessions, each flushed through its full output tail (its pushed
+    /// frontier plus the state horizon), so for traffic that simply stopped
+    /// the output is unchanged; in-bound stragglers arriving after the eviction land
+    /// behind the frontier and are late-dropped — the trade wall-clock
+    /// reclamation makes that event-time eviction never has to.
     fn wall_sweep(&mut self) {
         let Some(ttl) = self.cfg.wall_clock_ttl else { return };
         self.last_wall_sweep = Instant::now();
@@ -1388,253 +1364,114 @@ impl Shard {
         if victims.is_empty() {
             return;
         }
-        // At wall eviction every cell is treated as fully matured: one
-        // shared plan serves every victim's final drain.
-        let final_plans: Vec<CellPlan> = self
-            .cells
-            .iter()
-            .map(|c| CellPlan { alive: c.alive, wm: Time::MAX, target: Time::MAX, due: c.alive })
-            .collect();
+        let plans = self.matured_plans();
+        let step = |_: usize, cell: &Cell, cs: &CellSession| {
+            let wm = cs.session.watermark();
+            let pushed = cs.pushed_end.iter().copied().max().unwrap_or(wm);
+            let tail = pushed.saturating_add(cell.group.state_horizon());
+            (tail > wm).then_some(Step::Flush(tail))
+        };
+        self.retire(victims, &plans, true, step);
+    }
+
+    /// The plan under which every live cell is fully matured: a wall-clock
+    /// eviction's and the final flush's.
+    fn matured_plans(&self) -> Vec<CellPlan> {
+        let plan =
+            |c: &Cell| CellPlan { alive: c.alive, wm: Time::MAX, target: Time::MAX, due: c.alive };
+        self.cells.iter().map(plan).collect()
+    }
+
+    /// Retires idle keys, or spills them when the service has a cold store.
+    /// A victim's sessions take `step` once more, after `plans` fed them
+    /// what matured — emitting the output they would eventually have
+    /// emitted anyway — and the key is replaced by a [`Retired`] tombstone
+    /// holding each session's final watermark as its frontier. A panic
+    /// quarantines the key instead.
+    fn retire(
+        &mut self,
+        victims: Vec<u64>,
+        plans: &[CellPlan],
+        wall: bool,
+        step: impl Fn(usize, &Cell, &CellSession) -> Option<Step> + Copy,
+    ) {
         for key in victims {
-            self.evict_wall(key, &final_plans);
-        }
-    }
-
-    /// Wall-clock eviction of one key: everything still buffered is pushed
-    /// through the sessions (the wall TTL, not the watermark, declares the
-    /// stream over), each session is flushed through its full remaining
-    /// output tail (pushed frontier + state horizon — everything the real
-    /// events can ever influence), and the key is tombstoned there. For
-    /// traffic that simply stopped this is output-identical to a surviving
-    /// session; in-bound stragglers arriving after the eviction are
-    /// late-dropped (they land behind the frontier) — the trade wall-clock
-    /// reclamation makes that event-time eviction never has to.
-    fn evict_wall(&mut self, key: u64, final_plans: &[CellPlan]) {
-        if self.try_spill(key) {
-            return;
-        }
-        let Some(mut state) = self.keys.remove(&key) else { return };
-        let id = self.id;
-        let sinks = Arc::clone(&self.sinks);
-        let stats = Arc::clone(&self.stats);
-        let cells = &self.cells;
-        let pool = &mut self.pool;
-        let scratch = &mut self.scratch;
-        let residency = &mut self.residency_scratch;
-        let n_cells = cells.len();
-        let n_sources = self.n_sources;
-        let panicked = catch_unwind(AssertUnwindSafe(|| {
-            Self::sync_key(&mut state, n_cells, n_sources);
-            Self::drain_and_release(id, &mut state, cells, final_plans, scratch, residency, &stats);
-            for (ci, cell) in cells.iter().enumerate() {
-                if !cell.alive {
-                    continue;
-                }
-                let Some(cs) = state.cells[ci].as_mut() else { continue };
-                let tail = cs
-                    .pushed_end
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(cs.session.watermark())
-                    .saturating_add(cell.group.state_horizon());
-                if tail > cs.session.watermark() {
-                    let bufs = cs.session.flush_to_with(tail, pool);
-                    cs.dirty = false;
-                    cell.note_kernels(&stats);
-                    for (mi, buf) in bufs.into_iter().enumerate() {
-                        let emitted = buf.to_events();
-                        pool.put(buf);
-                        Self::deliver(key, cell.qids[mi], emitted, &mut state.out, &sinks, &stats);
-                    }
-                }
+            if self.try_spill(key) {
+                continue;
             }
-        }))
-        .is_err();
-        self.stats.live_keys.sub(1);
-        self.cap_tombstone_out(&mut state.out);
-        if panicked {
-            self.note_flush_panic(key, &state);
-            self.retired
-                .insert(key, Retired { frontiers: Vec::new(), out: state.out, quarantined: true });
-            return;
-        }
-        self.stats.evictions.inc();
-        self.stats.wall_evictions.inc();
-        self.stats.note_control(ControlEvent::Evict { shard: self.id, key, wall: true });
-        let frontiers =
-            state.cells.iter().map(|cs| cs.as_ref().map(|cs| cs.session.watermark())).collect();
-        self.retired.insert(key, Retired { frontiers, out: state.out, quarantined: false });
-    }
-
-    /// Accounts a key whose drain/flush panicked mid-eviction: it is
-    /// quarantined, and whatever its reorder buffers still hold is
-    /// discarded — subtracted from the pending gauge and counted as
-    /// quarantine drops so event conservation survives the panic.
-    fn note_flush_panic(&self, key: u64, state: &KeyState) {
-        let remaining: usize = state.pending.iter().map(ReorderBuf::len).sum();
-        if remaining > 0 {
-            self.stats.sub_reorder_pending(self.id, remaining);
-            self.stats.quarantine_dropped.add(remaining as u64);
-        }
-        self.stats.keys_quarantined.inc();
-        self.stats.note_control(ControlEvent::Quarantine {
-            shard: self.id,
-            key,
-            dropped: remaining as u64,
-        });
-    }
-
-    /// Evicts one idle key: advance each cell session through its current
-    /// horizon (the output it would eventually have emitted anyway), then
-    /// replace the key with a [`Retired`] tombstone holding per-cell
-    /// frontiers (each session's final watermark).
-    fn evict(&mut self, key: u64, plans: &[CellPlan]) {
-        if self.try_spill(key) {
-            return;
-        }
-        let Some(mut state) = self.keys.remove(&key) else { return };
-        let sinks = Arc::clone(&self.sinks);
-        let stats = Arc::clone(&self.stats);
-        let cells = &self.cells;
-        let pool = &mut self.pool;
-        let panicked = catch_unwind(AssertUnwindSafe(|| {
-            for (ci, cell) in cells.iter().enumerate() {
-                if !plans[ci].alive {
-                    continue;
-                }
-                let Some(cs) = state.cells.get_mut(ci).and_then(Option::as_mut) else { continue };
-                if plans[ci].target > cs.session.watermark() {
-                    let bufs = cs.session.advance_to_with(plans[ci].wm, pool);
-                    cell.note_kernels(&stats);
-                    for (mi, buf) in bufs.into_iter().enumerate() {
-                        let emitted = buf.to_events();
-                        pool.put(buf);
-                        Self::deliver(key, cell.qids[mi], emitted, &mut state.out, &sinks, &stats);
-                    }
-                }
+            let (keys, mut exec) = self.split();
+            let Some(state) = keys.get_mut(&key) else { continue };
+            if exec.visit(key, state, Feed::Matured(plans), step).is_none() {
+                self.quarantine(key, Held::Resident(0));
+                continue;
             }
-        }))
-        .is_err();
-        self.stats.live_keys.sub(1);
-        self.cap_tombstone_out(&mut state.out);
-        if panicked {
-            self.note_flush_panic(key, &state);
-            self.retired
-                .insert(key, Retired { frontiers: Vec::new(), out: state.out, quarantined: true });
-            return;
+            let Some(mut state) = self.keys.remove(&key) else { continue };
+            self.stats.live_keys.sub(1);
+            self.stats.evictions.inc();
+            if wall {
+                self.stats.wall_evictions.inc();
+            }
+            self.stats.note_control(ControlEvent::Evict { shard: self.id, key, wall });
+            let frontiers =
+                state.cells.iter().map(|cs| cs.as_ref().map(|cs| cs.session.watermark())).collect();
+            self.cap_tombstone_out(&mut state.out);
+            self.retired.insert(key, Retired { frontiers, out: state.out, quarantined: false });
         }
-        self.stats.evictions.inc();
-        self.stats.note_control(ControlEvent::Evict { shard: self.id, key, wall: false });
-        let frontiers =
-            state.cells.iter().map(|cs| cs.as_ref().map(|cs| cs.session.watermark())).collect();
-        self.retired.insert(key, Retired { frontiers, out: state.out, quarantined: false });
     }
 
-    /// Retires a key whose kernel execution panicked: its sessions (in an
-    /// unknown state) and buffers are dropped, its accumulated output is
-    /// kept for shutdown, and all further events for it are refused.
-    fn quarantine(&mut self, key: u64) {
-        let Some(mut state) = self.keys.remove(&key) else { return };
-        let pending: usize = state.pending.iter().map(ReorderBuf::len).sum();
-        if pending > 0 {
-            self.stats.sub_reorder_pending(self.id, pending);
-            // The discarded buffer contents are quarantine drops, not
-            // lateness: conservation still partitions `events_in`.
-            self.stats.quarantine_dropped.add(pending as u64);
-        }
-        self.stats.keys_quarantined.inc();
-        self.stats.live_keys.sub(1);
-        self.stats.note_control(ControlEvent::Quarantine {
-            shard: self.id,
-            key,
-            dropped: pending as u64,
-        });
-        self.cap_tombstone_out(&mut state.out);
-        self.retired
-            .insert(key, Retired { frontiers: Vec::new(), out: state.out, quarantined: true });
+    /// Quarantines a key whose kernels panicked, or whose bundle could not
+    /// be read back. Whatever it still held — its reorder buffers, a force
+    /// drain's batch, a spill bundle's pending events — is dropped and
+    /// counted as `quarantine_dropped`, and its sessions (in an unknown
+    /// state) go with it. Its accumulated output is kept for shutdown in a
+    /// tombstone that refuses every later event.
+    fn quarantine(&mut self, key: u64, held: Held) {
+        let (resident, spilled, mut out) = match held {
+            Held::Resident(batch) => {
+                let state = self.keys.remove(&key).expect("a resident key");
+                self.stats.live_keys.sub(1);
+                (state.pending_len() + batch, 0, state.out)
+            }
+            Held::Bundle(pending) => (0, pending, Vec::new()),
+        };
+        self.stats.note_quarantine(self.id, key, resident, spilled);
+        self.cap_tombstone_out(&mut out);
+        self.retired.insert(key, Retired { frontiers: Vec::new(), out, quarantined: true });
     }
 
     /// Force-drains the `excess` oldest buffered events of one key/source
     /// into every accepting cell session ahead of the watermark
     /// ([`BackstopPolicy::ForceDrain`]), emitting what matures. The key
     /// keeps its output streams but loses lateness tolerance behind the
-    /// drained frontier.
+    /// drained frontier. Runs once per overflowing arrival: allocates
+    /// nothing but the batch.
     fn force_drain_buf(&mut self, key: u64, source: usize, excess: usize) {
         if excess == 0 {
             return;
         }
-        let Some(state) = self.keys.get_mut(&key) else { return };
-        // The victim may be any key on the shard, and its roster vectors
-        // are only re-synced on its own accept/visit paths — an attach that
-        // grew the cell roster since this key last saw traffic would leave
-        // `state.cells` short and the drain loop below indexing past it
-        // (a caught panic that spuriously quarantined a healthy key,
-        // discarding its share of the reorder buffer).
-        Self::sync_key(state, self.cells.len(), self.n_sources);
-        let id = self.id;
-        let sinks = Arc::clone(&self.sinks);
-        let stats = Arc::clone(&self.stats);
-        let cells = &self.cells;
-        let pool = &mut self.pool;
-        let scratch = &mut self.scratch;
-        let panicked = catch_unwind(AssertUnwindSafe(|| {
-            let mut drained = state.pending[source].drain_oldest(excess);
-            stats.sub_reorder_pending(id, drained.len());
-            stats.backstop_forced.add(drained.len() as u64);
-            stats.note_control(ControlEvent::BackstopDrain {
-                shard: id,
-                key,
-                drained: drained.len() as u64,
-            });
-            // The force-drain pushes ahead of the watermark by design, so
-            // no per-cycle watermark plan is needed — liveness and arity
-            // on the cell itself decide who receives the events. (This
-            // runs once per overflowing arrival; keep it allocation-free.)
-            for (ci, cell) in cells.iter().enumerate() {
-                if !cell.alive || source >= cell.n_sources {
-                    continue;
-                }
-                let Some(cs) = state.cells[ci].as_mut() else { continue };
-                let mut frontier = cs.pushed_end[source].max(cs.session.watermark());
-                scratch.clear();
-                for b in drained.iter_mut() {
-                    if b.event.start < frontier {
-                        continue;
-                    }
-                    b.taken = true;
-                    frontier = b.event.end;
-                    scratch.push(b.event.clone());
-                }
-                if scratch.is_empty() {
-                    continue;
-                }
-                let upto = frontier;
-                cs.session.push_events(source, scratch);
-                cs.pushed_end[source] = frontier;
-                cs.dirty = true;
-                scratch.clear();
-                if upto > cs.session.watermark() {
-                    let bufs = cs.session.advance_to_with(upto, pool);
-                    cs.dirty = false;
-                    cell.note_kernels(&stats);
-                    for (mi, buf) in bufs.into_iter().enumerate() {
-                        let emitted = buf.to_events();
-                        pool.put(buf);
-                        Self::deliver(key, cell.qids[mi], emitted, &mut state.out, &sinks, &stats);
-                    }
-                }
-            }
-            let untaken = drained.iter().filter(|b| !b.taken).count();
-            stats.events_consumed.add((drained.len() - untaken) as u64);
-            if untaken > 0 {
-                stats.late_dropped.add(untaken as u64);
-            }
-        }))
-        .is_err();
-        if panicked {
-            self.quarantine(key);
+        let (keys, mut exec) = self.split();
+        let Some(state) = keys.get_mut(&key) else { return };
+        let mut batch = state.pending[source].drain_oldest(excess);
+        let n = batch.len() as u64;
+        exec.stats.backstop_forced.add(n);
+        exec.stats.note_control(ControlEvent::BackstopDrain { shard: exec.id, key, drained: n });
+        let step = |_: usize, _: &Cell, cs: &CellSession| {
+            let upto = cs.pushed_end[source];
+            (upto > cs.session.watermark()).then_some(Step::Advance(upto))
+        };
+        if exec.visit(key, state, Feed::Batch(source, &mut batch), step).is_none() {
+            self.quarantine(key, Held::Resident(batch.len()));
+            return;
         }
+        let untaken = batch.iter().filter(|b| !b.taken).count() as u64;
+        self.stats.events_consumed.add(n - untaken);
+        if untaken > 0 {
+            self.stats.late_dropped.add(untaken);
+        }
+        // The batch stayed on the gauge until its accounts were published,
+        // the order `settle` keeps: a concurrent snapshot may count an
+        // event twice, never miss one.
+        self.stats.sub_reorder_pending(self.id, batch.len());
     }
 
     /// Applies [`BackstopPolicy::ForceDrain`] at the shard level: the
@@ -1764,7 +1601,6 @@ impl Shard {
         if dk.cells.len() > self.cells.len() {
             return Err(StateError::Corrupt("key bundle names a cell past the roster"));
         }
-        let n_pending: usize = dk.pending.iter().map(ReorderBuf::len).sum();
         let mut cells: Vec<Option<CellSession>> = Vec::with_capacity(self.cells.len());
         for (ci, slot) in dk.cells.into_iter().enumerate() {
             let cell = &self.cells[ci];
@@ -1798,7 +1634,8 @@ impl Shard {
             last_touch: Instant::now(),
             queued: false,
         };
-        Self::sync_key(&mut state, self.cells.len(), self.n_sources);
+        state.sync(self.cells.len(), self.n_sources);
+        let n_pending = state.pending_len();
         if dk.queued {
             state.queued = true;
             self.active.push(key);
@@ -1915,10 +1752,10 @@ impl Shard {
     fn migrate_out(&mut self, key: u64) -> Option<Vec<u8>> {
         let state = self.keys.remove(&key)?;
         let payload = Self::encode_key_state(&state);
-        let n_pending: usize = state.pending.iter().map(ReorderBuf::len).sum();
+        let n_pending = state.pending_len();
         if n_pending > 0 {
-            self.stats.sub_reorder_pending(self.id, n_pending);
             self.stats.spilled_pending.add(n_pending as i64);
+            self.stats.sub_reorder_pending(self.id, n_pending);
         }
         self.stats.live_keys.sub(1);
         Some(payload)
@@ -1931,10 +1768,7 @@ impl Shard {
         let installed =
             Self::decode_key_state(&bundle).and_then(|dk| self.install_key_state(key, dk, true));
         if installed.is_err() {
-            self.stats.keys_quarantined.inc();
-            self.stats.note_control(ControlEvent::Quarantine { shard: self.id, key, dropped: 0 });
-            self.retired
-                .insert(key, Retired { frontiers: Vec::new(), out: Vec::new(), quarantined: true });
+            self.quarantine(key, Held::Bundle(0));
         }
     }
 
@@ -1945,9 +1779,8 @@ impl Shard {
         self.keys
             .iter()
             .map(|(k, s)| {
-                let pending: usize = s.pending.iter().map(ReorderBuf::len).sum();
                 let sessions = s.cells.iter().flatten().count();
-                (*k, 1 + pending as u64 + sessions as u64)
+                (*k, 1 + s.pending_len() as u64 + sessions as u64)
             })
             .collect()
     }
@@ -1963,16 +1796,16 @@ impl Shard {
         let payload = Self::encode_key_state(&state);
         match spill.save(key, &payload) {
             Ok(bytes) => {
-                let n_pending: usize = state.pending.iter().map(ReorderBuf::len).sum();
+                let n_pending = state.pending_len();
                 if n_pending > 0 {
-                    self.stats.sub_reorder_pending(self.id, n_pending);
                     self.stats.spilled_pending.add(n_pending as i64);
+                    self.stats.sub_reorder_pending(self.id, n_pending);
                 }
                 self.stats.live_keys.sub(1);
                 self.stats.spills.inc();
                 self.stats.state_bytes_written.add(bytes);
                 self.stats.note_control(ControlEvent::Spill { shard: self.id, key });
-                self.spilled.insert(key);
+                self.spilled.insert(key, n_pending);
                 true
             }
             Err(_) => {
@@ -1984,11 +1817,12 @@ impl Shard {
         }
     }
 
-    /// Loads a spilled key back into memory. The caller has already
-    /// removed the key from the spilled set; an unreadable or corrupt
-    /// bundle quarantines the key so its events are refused and counted
-    /// instead of silently recomputed from an empty session.
-    fn revive_from_spill(&mut self, key: u64) {
+    /// Loads a spilled key, whose bundle carries `pending` buffered events,
+    /// back into memory. The caller has already removed the key from the
+    /// spilled set; an unreadable or corrupt bundle quarantines the key so
+    /// its events are refused and counted instead of silently recomputed
+    /// from an empty session.
+    fn revive_from_spill(&mut self, key: u64, pending: usize) {
         let spill = self.spill.clone().expect("spilled set implies a store");
         let revived = spill.load(key).and_then(|(payload, bytes)| {
             self.stats.state_bytes_read.add(bytes);
@@ -2004,17 +1838,8 @@ impl Shard {
                 // Disk corruption, not a kernel panic: count it apart so
                 // the operator can tell the two quarantine causes apart.
                 self.stats.spill_corrupt.inc();
-                self.stats.keys_quarantined.inc();
                 self.stats.note_control(ControlEvent::SpillCorrupt { shard: self.id, key });
-                self.stats.note_control(ControlEvent::Quarantine {
-                    shard: self.id,
-                    key,
-                    dropped: 0,
-                });
-                self.retired.insert(
-                    key,
-                    Retired { frontiers: Vec::new(), out: Vec::new(), quarantined: true },
-                );
+                self.quarantine(key, Held::Bundle(pending));
             }
         }
     }
@@ -2035,29 +1860,6 @@ impl Shard {
         }
     }
 
-    fn deliver(
-        key: u64,
-        query: usize,
-        events: Vec<Event<Value>>,
-        out: &mut Vec<Vec<Event<Value>>>,
-        sinks: &SinkTable,
-        stats: &SharedStats,
-    ) {
-        if events.is_empty() {
-            return;
-        }
-        stats.add_events_out(query, events.len() as u64);
-        match sinks.get(query) {
-            Some(sink) => sink(key, &events),
-            None => {
-                if out.len() <= query {
-                    out.resize_with(query + 1, Vec::new);
-                }
-                out[query].extend(events);
-            }
-        }
-    }
-
     /// End-of-stream: push everything still pending (the watermarks can no
     /// longer refute it), flush every cell session through the final
     /// horizon, and hand the per-key outputs back. Evicted keys are
@@ -2069,122 +1871,40 @@ impl Shard {
         // Spilled keys rejoin for the final flush: their revival here is
         // what keeps spills == revivals and lets queries that emit on an
         // empty timeline surface the spilled keys' tails too.
-        let spilled: Vec<u64> = std::mem::take(&mut self.spilled).into_iter().collect();
-        for key in spilled {
-            self.revive_from_spill(key);
+        for (key, pending) in std::mem::take(&mut self.spilled) {
+            self.revive_from_spill(key, pending);
         }
         let grid = self.cells.iter().filter(|c| c.alive).map(|c| c.grid).max().unwrap_or(1);
         let horizon = finish_at.unwrap_or_else(|| self.max_end.max(self.cfg.start).align_up(grid));
         self.stats.shard_watermark[self.id].set(horizon.ticks());
         let flush_start = self.stats.detailed.then(Instant::now);
-        let id = self.id;
-        let sinks = Arc::clone(&self.sinks);
-        let stats = Arc::clone(&self.stats);
-        let cells = std::mem::take(&mut self.cells);
-        let pool = &mut self.pool;
-        let scratch = &mut self.scratch;
-        let residency = &mut self.residency_scratch;
-        let n_cells = cells.len();
-        let n_sources = self.n_sources;
-        // At the final horizon every cell is fully matured: one shared
-        // plan drains and flushes everything.
-        let final_plans: Vec<CellPlan> = cells
-            .iter()
-            .map(|c| CellPlan { alive: c.alive, wm: Time::MAX, target: horizon, due: c.alive })
-            .collect();
         let mut per_key: Vec<(u64, Vec<Vec<Event<Value>>>)> =
             Vec::with_capacity(self.keys.len() + self.retired.len());
-        for (key, mut state) in self.keys.drain() {
-            Self::sync_key(&mut state, n_cells, n_sources);
-            let panicked = catch_unwind(AssertUnwindSafe(|| {
-                Self::drain_and_release(
-                    id,
-                    &mut state,
-                    &cells,
-                    &final_plans,
-                    scratch,
-                    residency,
-                    &stats,
-                );
-                for (ci, cell) in cells.iter().enumerate() {
-                    if !cell.alive {
-                        continue;
-                    }
-                    let Some(cs) = state.cells[ci].as_mut() else { continue };
-                    if horizon > cs.session.watermark() {
-                        let bufs = cs.session.flush_to_with(horizon, pool);
-                        cell.note_kernels(&stats);
-                        for (mi, buf) in bufs.into_iter().enumerate() {
-                            let emitted = buf.to_events();
-                            pool.put(buf);
-                            Self::deliver(
-                                key,
-                                cell.qids[mi],
-                                emitted,
-                                &mut state.out,
-                                &sinks,
-                                &stats,
-                            );
-                        }
-                    }
-                }
-            }))
-            .is_err();
-            if panicked {
-                let remaining: usize = state.pending.iter().map(ReorderBuf::len).sum();
-                if remaining > 0 {
-                    stats.sub_reorder_pending(id, remaining);
-                    stats.quarantine_dropped.add(remaining as u64);
-                }
-                stats.keys_quarantined.inc();
-                stats.note_control(ControlEvent::Quarantine {
-                    shard: id,
-                    key,
-                    dropped: remaining as u64,
-                });
+        let keys = std::mem::take(&mut self.keys);
+        let retired = std::mem::take(&mut self.retired);
+        let (n_sources, timeline_start) = (self.n_sources, self.cfg.start);
+        let plans = self.matured_plans();
+        let step = |_: usize, _: &Cell, cs: &CellSession| {
+            (horizon > cs.session.watermark()).then_some(Step::Flush(horizon))
+        };
+        let (_, mut exec) = self.split();
+        let cells = exec.cells;
+        let mut flush_key = |key: u64, mut state: KeyState| {
+            if exec.visit(key, &mut state, Feed::Matured(&plans), step).is_none() {
+                exec.stats.note_quarantine(exec.id, key, state.pending_len(), 0);
             }
-            per_key.push((key, state.out));
-        }
-        for (key, r) in self.retired.drain() {
-            let mut out = r.out;
-            if !r.quarantined {
-                for (ci, cell) in cells.iter().enumerate() {
-                    if !cell.alive {
-                        continue;
-                    }
-                    let Some(frontier) = r.frontiers.get(ci).copied().flatten() else { continue };
-                    if horizon <= frontier {
-                        continue;
-                    }
-                    let mut session = cell.group.shared_session(frontier);
-                    match catch_unwind(AssertUnwindSafe(|| session.flush_to_with(horizon, pool))) {
-                        Ok(bufs) => {
-                            cell.note_kernels(&stats);
-                            for (mi, buf) in bufs.into_iter().enumerate() {
-                                let emitted = buf.to_events();
-                                pool.put(buf);
-                                Self::deliver(
-                                    key,
-                                    cell.qids[mi],
-                                    emitted,
-                                    &mut out,
-                                    &sinks,
-                                    &stats,
-                                );
-                            }
-                        }
-                        Err(_) => {
-                            stats.keys_quarantined.inc();
-                            stats.note_control(ControlEvent::Quarantine {
-                                shard: id,
-                                key,
-                                dropped: 0,
-                            });
-                        }
-                    }
-                }
-            }
-            per_key.push((key, out));
+            (key, state.out)
+        };
+        per_key.extend(keys.into_iter().map(|(key, state)| flush_key(key, state)));
+        // Evicted keys rejoin one at a time, reopened at their frontiers, so
+        // queries that emit on an empty timeline still surface their tails;
+        // quarantined keys return what they had.
+        for (key, r) in retired {
+            per_key.push(if r.quarantined {
+                (key, r.out)
+            } else {
+                flush_key(key, KeyState::new(cells, n_sources, timeline_start, &r.frontiers, r.out))
+            });
         }
         per_key.sort_by_key(|(k, _)| *k);
         // Last chance to publish batched per-event samples: the shard
@@ -2197,6 +1917,166 @@ impl Shard {
             self.stats.flush_ns[self.id].record(start.elapsed().as_nanos() as u64);
         }
         ShardOutput { per_key }
+    }
+}
+
+/// The parts of a shard that running a key's kernels needs, borrowed apart
+/// from the key maps ([`Shard::split`]) so a key is visited where it lives.
+struct Exec<'a> {
+    id: usize,
+    cells: &'a [Cell],
+    n_sources: usize,
+    pool: &'a mut BufPool<Value>,
+    scratch: &'a mut Vec<Event<Value>>,
+    residency: &'a mut tilt_obs::LocalHistogram,
+    sinks: &'a SinkTable,
+    stats: &'a SharedStats,
+}
+
+impl Exec<'_> {
+    /// Runs one key's kernels: brings the key up to the cell roster (a
+    /// force drain's victim may not have seen traffic since it grew), feeds
+    /// its sessions, then runs on each live cell session the step `step`
+    /// picks for it, all under one `catch_unwind`. A panic returns `None` —
+    /// the caller quarantines the key — and drops the kernels' cut-short
+    /// run state with it. Otherwise returns whether any output left.
+    fn visit(
+        &mut self,
+        key: u64,
+        state: &mut KeyState,
+        mut feed: Feed<'_>,
+        step: impl Fn(usize, &Cell, &CellSession) -> Option<Step>,
+    ) -> Option<bool> {
+        catch_unwind(AssertUnwindSafe(|| {
+            // Inside the containment boundary: a Panic policy here
+            // exercises the same quarantine path a kernel bug would.
+            tilt_fault::fail_point!("runtime.kernel.exec");
+            state.sync(self.cells.len(), self.n_sources);
+            if let Feed::Matured(plans) = feed {
+                self.drain_and_release(state, plans);
+            }
+            let cells = self.cells;
+            let mut emitted = false;
+            for (ci, cell) in cells.iter().enumerate() {
+                let Some(cs) = state.cells[ci].as_mut().filter(|_| cell.alive) else { continue };
+                if let Feed::Batch(source, ref mut batch) = feed {
+                    if source >= cell.n_sources || !cs.push_new(source, batch, self.scratch) {
+                        continue;
+                    }
+                }
+                if let Some(step) = step(ci, cell, cs) {
+                    emitted |= self.emit(key, cell, cs, step, &mut state.out);
+                }
+            }
+            emitted
+        }))
+        .ok()
+    }
+
+    /// Runs `step` on one cell session and delivers the events it
+    /// finalizes, to each member query's sink or else onto `out`. The only
+    /// place a session advances or flushes, and the only place output
+    /// leaves the shard. Returns whether any event left.
+    fn emit(
+        &mut self,
+        key: u64,
+        cell: &Cell,
+        cs: &mut CellSession,
+        step: Step,
+        out: &mut Vec<Vec<Event<Value>>>,
+    ) -> bool {
+        let bufs = match step {
+            Step::Advance(wm) => cs.session.advance_to_with(wm, self.pool),
+            Step::Flush(end) => cs.session.flush_to_with(end, self.pool),
+        };
+        cs.dirty = false;
+        cell.note_kernels(self.stats);
+        let mut emitted = false;
+        for (&query, buf) in cell.qids.iter().zip(bufs) {
+            let events = buf.to_events();
+            self.pool.put(buf);
+            if events.is_empty() {
+                continue;
+            }
+            emitted = true;
+            self.stats.add_events_out(query, events.len() as u64);
+            match self.sinks.get(query) {
+                Some(sink) => sink(key, &events),
+                None => {
+                    if out.len() <= query {
+                        out.resize_with(query + 1, Vec::new);
+                    }
+                    out[query].extend(events);
+                }
+            }
+        }
+        emitted
+    }
+
+    /// Moves every matured pending event into the sessions of the cells it
+    /// is new to ([`CellSession::push_new`]), then releases the prefix no
+    /// cell still needs. Events released without any cell having taken
+    /// them are counted as late-dropped, once.
+    fn drain_and_release(&mut self, state: &mut KeyState, plans: &[CellPlan]) {
+        let (cells, stats) = (self.cells, self.stats);
+        for (source, pending) in state.pending.iter_mut().enumerate() {
+            if pending.is_empty() {
+                continue;
+            }
+            for (ci, cell) in cells.iter().enumerate() {
+                if !plans[ci].alive || source >= cell.n_sources {
+                    continue;
+                }
+                if let Some(cs) = state.cells[ci].as_mut() {
+                    cs.push_new(source, pending.matured_mut(plans[ci].wm), self.scratch);
+                }
+            }
+            // Release below the slowest consumer of *this source*: cells
+            // without a session for this key can never use the buffered
+            // prefix (their join root postdates it), and cells whose
+            // group does not read this source never will either.
+            let release_to = state
+                .cells
+                .iter()
+                .enumerate()
+                .filter(|(ci, cs)| {
+                    plans.get(*ci).is_some_and(|p| p.alive)
+                        && cs.is_some()
+                        && source < cells[*ci].n_sources
+                })
+                .map(|(ci, _)| plans[ci].wm)
+                .min();
+            let upto = release_to.unwrap_or(Time::MAX);
+            let (released, untaken) = if stats.detailed && upto < Time::MAX {
+                // Reorder-buffer residency: ticks each event waited past
+                // its start before the watermark released it. The final
+                // flush (upto == MAX) is excluded — its "residency" would
+                // measure the shutdown horizon, not buffering.
+                pending.release_with(upto, |b| {
+                    self.residency.record((upto - b.event.start).max(0) as u64)
+                })
+            } else {
+                pending.release(upto)
+            };
+            // Conservation: every released event was either consumed by at
+            // least one cell (`taken`) or useful to nobody. Untaken events
+            // are late — unless the key has no consuming cells left at all
+            // (every interested query detached), in which case the events
+            // were in bound and their drop is detach reclamation, not
+            // lateness.
+            stats.events_consumed.add((released - untaken) as u64);
+            if untaken > 0 {
+                if release_to.is_some() {
+                    stats.late_dropped.add(untaken as u64);
+                } else {
+                    stats.detach_dropped.add(untaken as u64);
+                }
+            }
+            // The gauge last, as `settle` orders it.
+            if released > 0 {
+                stats.sub_reorder_pending(self.id, released);
+            }
+        }
     }
 }
 

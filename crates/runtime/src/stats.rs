@@ -78,8 +78,9 @@ pub enum ControlEvent {
         /// The revived key.
         key: u64,
     },
-    /// A key's kernel execution panicked; the key is quarantined and its
-    /// pending events were discarded.
+    /// A key's kernel execution panicked, or its spill or migration bundle
+    /// could not be read back; the key is quarantined and its pending
+    /// events were discarded.
     Quarantine {
         /// The shard that owned the key.
         shard: usize,
@@ -721,6 +722,20 @@ impl SharedStats {
         let deficit = self.reorder_pending[shard].sub_clamped(n as i64);
         debug_assert_eq!(deficit, 0, "reorder_pending[{shard}] underflow by {deficit}");
         self.reorder_underflow.add(deficit as u64);
+    }
+
+    /// Accounts one quarantined key: the `resident` events it held in
+    /// `shard`'s reorder buffers and the `spilled` ones its unreadable
+    /// bundle carried become quarantine drops — published before they
+    /// leave their gauges, so a concurrent snapshot never misses them —
+    /// and the key is counted and journaled once.
+    pub(crate) fn note_quarantine(&self, shard: usize, key: u64, resident: usize, spilled: usize) {
+        let dropped = (resident + spilled) as u64;
+        self.quarantine_dropped.add(dropped);
+        self.sub_reorder_pending(shard, resident);
+        self.spilled_pending.sub(spilled as i64);
+        self.keys_quarantined.inc();
+        self.note_control(ControlEvent::Quarantine { shard, key, dropped });
     }
 }
 

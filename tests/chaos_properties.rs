@@ -453,3 +453,43 @@ fn corrupt_spill_bundles_are_quarantined_and_journaled() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A key spilled with events still in its reorder buffers carries them in
+/// the bundle, counted on the `spilled_pending` gauge. When that bundle
+/// cannot be read back, the quarantine must move them from that gauge to
+/// `quarantine_dropped`: the finished service holds no spilled events.
+/// Four keys of 30 events each go silent under a 20 ms wall-clock TTL and
+/// an allowed lateness of 10 000 ticks, so each spills with all of its
+/// events pending; the first revival, at the final flush, fails.
+#[test]
+fn a_corrupt_bundle_drops_the_events_it_carried() {
+    let _scenario = fault::Scenario::setup();
+    let (keys, n) = (4u64, 30i64);
+    let dir = scratch_path("pending");
+    fault::arm("state.spill.read", Policy::ErrorOnce);
+    let mut builder = StreamService::builder(RuntimeConfig {
+        wall_clock_ttl: Some(Duration::from_millis(20)),
+        ..config(1, 10_000)
+    })
+    .spill_to(&dir);
+    builder.register(window_query(6, 0));
+    let service = builder.start().expect("service starts");
+    service.ingest((1..=n).flat_map(|t| {
+        (0..keys).map(move |k| KeyedEvent::new(k, 0, Event::point(Time::new(t), Value::Float(1.0))))
+    }));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.stats().spills < keys {
+        assert!(Instant::now() < deadline, "the silent keys never spilled");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let out = service.finish_at(Time::new(n + 6));
+    fault::disarm("state.spill.read");
+
+    let s = &out.stats;
+    assert_eq!(fault::injected("state.spill.read"), 1, "exactly one revival fails");
+    assert_eq!((s.spill_corrupt, s.keys_quarantined), (1, 1));
+    assert_eq!(s.spilled_pending, 0, "no event is left counted inside a bundle");
+    assert_eq!(s.quarantine_dropped, n as u64, "the bundle's events are quarantine drops");
+    assert_eq!(s.conservation_balance(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

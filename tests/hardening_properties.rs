@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use tilt_core::ir::{DataType, Expr, Query, ReduceOp, TDom};
 use tilt_core::{CompiledQuery, Compiler};
 use tilt_data::{coalesce, streams_equivalent, Event, Time, Value};
-use tilt_runtime::{KeyedEvent, RuntimeConfig, StreamService};
+use tilt_runtime::{BackstopPolicy, KeyedEvent, RuntimeConfig, StreamService};
 
 mod common;
 use common::Single;
@@ -450,6 +450,88 @@ fn poisoned_key_in_shared_service_leaves_other_keys_serving() {
             ),
             "key {k}: healthy key corrupted in the shared runtime"
         );
+    }
+}
+
+/// A kernel panic is contained on every path that runs a key's kernels,
+/// not only the emission cycle: the final flush, a wall-clock eviction,
+/// and a force drain of the per-key or the per-shard backstop. Six keys
+/// feed one shard for 60 ticks, key 3 carries the poison pill, and an
+/// allowed lateness of 10 000 ticks keeps the watermark from maturing
+/// anything, so the pill meets its kernel on the path under test. Each
+/// case quarantines exactly that key, keeps the conservation identity —
+/// whatever the key still held, a force drain's batch included, is
+/// counted as a quarantine drop — and leaves every other key equal to its
+/// in-order replay. All 360 events travel in one channel message, so no
+/// wall-clock sweep can run between two of them.
+///
+/// Event-time eviction cannot be reached this way: a key is only evicted
+/// once the watermark has passed its events, and the emission cycle that
+/// carries it there runs the poisoned window first.
+#[test]
+fn a_kernel_panic_is_contained_on_every_non_cycle_path() {
+    silence_poison_panics();
+    let (keys, poison_key, n) = (6u64, 3u64, 60i64);
+    let value = |t: i64| Value::Float((t % 13) as f64);
+    let base = RuntimeConfig {
+        shards: 1,
+        allowed_lateness: 10_000,
+        emit_interval: 8,
+        ingest_batch: 1024,
+        ..RuntimeConfig::default()
+    };
+    let cases = [
+        ("final flush", base),
+        (
+            "wall-clock eviction",
+            RuntimeConfig { wall_clock_ttl: Some(std::time::Duration::from_millis(20)), ..base },
+        ),
+        (
+            "per-key force drain",
+            RuntimeConfig {
+                max_pending_per_key: Some(8),
+                backstop: BackstopPolicy::ForceDrain,
+                ..base
+            },
+        ),
+        (
+            "per-shard force drain",
+            RuntimeConfig {
+                max_pending_per_shard: Some(40),
+                backstop: BackstopPolicy::ForceDrain,
+                ..base
+            },
+        ),
+    ];
+    let cq = poisonable_sum(6);
+    let end = Time::new(n + 6);
+    let clean: Vec<Event<Value>> = (1..=n).map(|t| Event::point(Time::new(t), value(t))).collect();
+    let expected = coalesce(&replay(&cq, &clean, end));
+    for (case, config) in cases {
+        let wall = config.wall_clock_ttl.is_some();
+        let runtime = Single::start(Arc::clone(&cq), config);
+        runtime.ingest((1..=n).flat_map(|t| {
+            (0..keys).map(move |k| {
+                let v = if k == poison_key && t == 30 { Value::Float(-1.0) } else { value(t) };
+                KeyedEvent::new(k, 0, Event::point(Time::new(t), v))
+            })
+        }));
+        if wall {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while runtime.stats().keys_quarantined == 0 {
+                assert!(std::time::Instant::now() < deadline, "{case}: never quarantined");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        }
+        let out = runtime.finish_at(end);
+        assert_eq!(out.stats.keys_quarantined, 1, "{case}: exactly the poisoned key");
+        assert_eq!(out.stats.conservation_balance(), 0, "{case}: {:#}", out.stats);
+        for k in (0..keys).filter(|&k| k != poison_key) {
+            assert!(
+                streams_equivalent(&expected, &coalesce(&out.per_key[&k])),
+                "{case}: key {k} diverged from its replay"
+            );
+        }
     }
 }
 
