@@ -6,7 +6,8 @@
 //! snapshots must be rejected with a typed error (never a panic, never a
 //! half-started service); migrating keys between shards mid-stream must
 //! leave every output byte-identical; and cold-spilled keys must revive
-//! transparently with spills == revivals.
+//! transparently with spills == revivals; and a roster edited by detach
+//! (a dead cell, a cell that shed a member) must survive a checkpoint.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -17,7 +18,7 @@ use proptest::prelude::*;
 use tilt_core::ir::{DataType, Expr, Query, ReduceOp, TDom};
 use tilt_core::{CompiledQuery, Compiler};
 use tilt_data::{coalesce, streams_equivalent, Event, Time, Value};
-use tilt_runtime::{KeyedEvent, RuntimeConfig, StreamService};
+use tilt_runtime::{KeyedEvent, QuerySettings, RuntimeConfig, StreamService};
 
 /// Per-key random event stream: (gap, len, value) segments, quantized so
 /// float aggregation is exact and comparisons can demand identity.
@@ -273,6 +274,85 @@ fn restore_rejects_wrong_query_roster() {
     let restored = StreamService::restore(&path, &[q]).unwrap();
     restored.finish_at(Time::new(30));
     let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint of an *edited* roster restores it. Of three queries, two
+/// share a cell and one runs alone under a wider lateness bound; the solo
+/// query detaches (its cell dies) and one sharing member detaches (its
+/// cell sheds it), more events arrive, and only then is the service
+/// checkpointed, abandoned, restored with all three compiled queries and
+/// fed the rest. Per key, every query's output, `sessions_reclaimed` and
+/// the conservation identity equal those of a service that never stopped,
+/// at 1, 2 and 4 shards.
+#[test]
+fn checkpoint_restores_an_edited_roster() {
+    let queries = [window_query(4, 0), window_query(6, 1), window_query(3, 2)];
+    let mut rng = 0x5EED_0000_0000_0044u64;
+    let mut next = |m: i64| {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (rng >> 33) as i64 % m
+    };
+    let n_keys = 6;
+    let streams: Vec<Vec<Event<Value>>> = (0..n_keys)
+        .map(|_| {
+            let segments: Vec<(i64, i64, i64)> =
+                (0..40).map(|_| (1 + next(3), 1 + next(3), next(100) - 50)).collect();
+            stream_from_segments(&segments, 0)
+        })
+        .collect();
+    let arrivals = arrival_sequence(&streams, 5);
+    let lateness = lateness_needed(&arrivals) + 2;
+    let third = arrivals.len() / 3;
+    let (before, rest) = arrivals.split_at(third);
+    let (between, after) = rest.split_at(third);
+    let hi = arrivals.iter().map(|ke| ke.event.end).max().unwrap();
+    let end = Time::new(hi.ticks() + 64);
+
+    for shards in [1usize, 2, 4] {
+        let cfg = config(shards, lateness);
+        // Queries 0 and 1 share a cell; query 2 has a cell of its own.
+        let edited = || {
+            let mut builder = StreamService::builder(cfg);
+            let shared = builder.register(Arc::clone(&queries[0]));
+            builder.register(Arc::clone(&queries[1]));
+            let solo = builder.register_with(
+                Arc::clone(&queries[2]),
+                QuerySettings { allowed_lateness: Some(lateness + 4), ..QuerySettings::default() },
+            );
+            let service = builder.start().expect("register");
+            service.ingest(before.iter().cloned());
+            service.detach(solo).expect("detach the solo query");
+            service.detach(shared).expect("detach a sharing member");
+            service.ingest(between.iter().cloned());
+            service
+        };
+
+        let reference = edited();
+        reference.ingest(after.iter().cloned());
+        let want = reference.finish_at(end);
+
+        let path = scratch_path("edited-roster");
+        let service = edited();
+        service.checkpoint(&path).expect("checkpoint");
+        drop(service);
+        let restored = StreamService::restore(&path, &queries).expect("restore");
+        assert_eq!(restored.num_queries(), 1, "shards {shards}: one query survives");
+        restored.ingest(after.iter().cloned());
+        let got = restored.finish_at(end);
+        let _ = std::fs::remove_file(&path);
+
+        let (w, g) = (&want.stats, &got.stats);
+        assert!(w.sessions_reclaimed > 0, "shards {shards}: the dead cell held sessions");
+        assert_eq!(g.sessions_reclaimed, w.sessions_reclaimed, "shards {shards}");
+        assert_eq!(w.conservation_balance(), 0, "shards {shards}: reference");
+        assert_eq!(g.conservation_balance(), 0, "shards {shards}: restored");
+        assert!(
+            want.per_query[1].values().any(|evs| !evs.is_empty()),
+            "shards {shards}: the survivor emits"
+        );
+        assert_same_outputs(&want.per_query, &got.per_query, n_keys, &format!("shards {shards}"))
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 /// Every single-byte corruption and every truncation of a checkpoint is
