@@ -11,11 +11,14 @@
 //! three record kinds.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
+use tilt_core::CompiledQuery;
 use tilt_data::Time;
 use tilt_state::{Dec, Enc, StateError};
 
+use crate::shard::CellSpec;
 use crate::{BackstopPolicy, RuntimeConfig};
 
 /// Checkpoint record carrying the service-wide header (config, query
@@ -79,28 +82,17 @@ impl SpillStore {
     }
 }
 
-/// The service-side mirror of one shard cell: enough to rebuild the
-/// cell's [`crate::shard::CellSpec`] from re-provided compiled queries at
-/// restore. Dead cells are kept (and rebuilt dead) so roster indices in
-/// per-key state stay valid — slots are never reused.
-#[derive(Debug, Clone)]
-pub(crate) struct CellRecord {
-    pub(crate) alive: bool,
-    pub(crate) qids: Vec<usize>,
-    pub(crate) root: Time,
-    pub(crate) lateness: i64,
-    pub(crate) emit_interval: i64,
-}
-
-/// The decoded [`KIND_SERVICE`] record.
+/// The [`KIND_SERVICE`] record: a cut of the service's registry, roster,
+/// route table and counters.
 pub(crate) struct ServiceRecord {
     pub(crate) config: RuntimeConfig,
     /// Liveness per query slot, in registration order.
     pub(crate) live: Vec<bool>,
     /// Join frontier per query slot.
     pub(crate) frontiers: Vec<Time>,
-    /// The full cell roster, dead cells included.
-    pub(crate) cells: Vec<CellRecord>,
+    /// The full cell roster, dead cells included (slots are never reused,
+    /// so roster indices in per-key state stay valid).
+    pub(crate) cells: Vec<Arc<CellSpec>>,
     /// Key-route overrides installed by migrations.
     pub(crate) routes: Vec<(u64, u32)>,
     /// Monotone service counters, in [`crate::stats`]'s fixed durable
@@ -163,7 +155,12 @@ impl ServiceRecord {
         e.into_bytes()
     }
 
-    pub(crate) fn decode(payload: &[u8]) -> Result<ServiceRecord, StateError> {
+    /// Decodes a record, rebuilding each cell's group from `queries`, the
+    /// compiled query of every recorded slot: queries are code, not data.
+    pub(crate) fn decode(
+        payload: &[u8],
+        queries: &[Arc<CompiledQuery>],
+    ) -> Result<ServiceRecord, StateError> {
         let mut d = Dec::new(payload);
         let shards = d.u64()? as usize;
         let allowed_lateness = d.i64()?;
@@ -201,19 +198,26 @@ impl ServiceRecord {
         };
         let (live, frontiers) = d.seq(9, |d| Ok((d.flag()?, d.time()?)))?.into_iter().unzip();
         let cells = d.seq(29, |d| {
-            Ok(CellRecord {
-                alive: d.flag()?,
-                qids: d.seq(8, |d| Ok(d.u64()? as usize))?,
-                root: d.time()?,
-                lateness: d.i64()?,
-                emit_interval: d.i64()?,
-            })
+            Ok((d.flag()?, d.seq(8, |d| Ok(d.u64()? as usize))?, d.time()?, d.i64()?, d.i64()?))
         })?;
         let routes = d.seq(12, |d| Ok((d.u64()?, d.u32()?)))?;
         let counters = d.seq(8, |d| d.u64())?;
         let max_event_end = d.i64()?;
         let max_promise = d.i64()?;
         d.finish()?;
+        let cells = cells
+            .into_iter()
+            .map(|(alive, qids, root, lateness, emit_interval)| {
+                let members = qids
+                    .iter()
+                    .map(|&q| queries.get(q).cloned())
+                    .collect::<Option<_>>()
+                    .ok_or(StateError::Corrupt("cell names an unknown query slot"))?;
+                let spec = CellSpec::new(members, qids, root, lateness, emit_interval)
+                    .map_err(|_| StateError::Corrupt("recorded cell failed to recompile"))?;
+                Ok(Arc::new(CellSpec { alive, ..spec }))
+            })
+            .collect::<Result<_, StateError>>()?;
         Ok(ServiceRecord {
             config,
             live,

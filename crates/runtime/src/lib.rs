@@ -19,7 +19,9 @@
 //!   identical to a standalone service fed only the post-frontier suffix
 //!   (cf. *Shared Arrangements*). [`StreamService::detach`] removes a
 //!   query, reclaiming its per-key sessions and tombstone output
-//!   ([`RuntimeStats::sessions_reclaimed`]);
+//!   ([`RuntimeStats::sessions_reclaimed`]). The service holds the one
+//!   cell roster and decides each edit once; shards apply the edited
+//!   cell it sends, and a checkpoint records the roster as it stands;
 //! * **Per-query settings** — [`QuerySettings`] gives each registration its
 //!   own allowed lateness, emission cadence, and sink instead of one
 //!   group-wide conservative setting; queries with identical settings share
@@ -154,14 +156,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tilt_core::ir::DataType;
-use tilt_core::sharing::QueryGroup;
 use tilt_core::CompiledQuery;
 use tilt_data::{Event, Time, Value};
 use tilt_state::{SnapshotFile, SnapshotWriter, StateError};
 
 pub use tilt_state::Lineage;
 
-use durability::{CellRecord, ServiceRecord, SpillStore, KIND_SERVICE, KIND_SHARD};
+use durability::{ServiceRecord, SpillStore, KIND_SERVICE, KIND_SHARD};
 use shard::{CellSpec, Shard, ShardMsg, ShardOutput};
 pub use stats::{ControlEvent, RuntimeStats};
 use stats::{SharedStats, SinkTable};
@@ -341,6 +342,15 @@ impl QuerySettings {
     pub fn with_sink(sink: OutputSink) -> QuerySettings {
         QuerySettings { sink: Some(sink), ..QuerySettings::default() }
     }
+
+    /// The resolved (allowed lateness, emission cadence): what decides
+    /// which cell a query joins.
+    fn resolve(&self, config: &RuntimeConfig) -> (i64, i64) {
+        (
+            self.allowed_lateness.unwrap_or(config.allowed_lateness),
+            self.emit_interval.unwrap_or(config.emit_interval),
+        )
+    }
 }
 
 impl std::fmt::Debug for QuerySettings {
@@ -446,9 +456,10 @@ pub struct ServiceOutput {
     pub journal: tilt_obs::JournalSnapshot<ControlEvent>,
 }
 
-/// Service-side registry of query slots (shard-side state lives in the
-/// cells; this is only what the control plane needs to validate calls and
-/// assemble outputs).
+/// The service's registry: the query slots and the one cell roster.
+/// Attach and detach decide each roster edit here, once, and send shards
+/// the edited cell; a checkpoint records the roster as it stands, and
+/// restore rebuilds it from that record.
 #[derive(Debug, Default)]
 struct Registry {
     /// Liveness per query slot.
@@ -456,242 +467,9 @@ struct Registry {
     /// Source payload types any live-or-past query has declared, by source
     /// position (conservative: never shrinks on detach).
     source_types: Vec<Option<DataType>>,
-    /// Service-side mirror of the shard cell roster (every shard applies
-    /// the same attach/detach edits in the same order, so one mirror
-    /// describes them all). This is what a checkpoint records so restore
-    /// can rebuild the roster, dead cells included, with stable indices.
-    cells: Vec<CellRecord>,
-}
-
-impl Registry {
-    /// Checks `cq` against the declared source types and records its own.
-    fn admit(&mut self, cq: &CompiledQuery) -> Result<(), ServiceError> {
-        let q = cq.query();
-        for (i, obj) in q.inputs().iter().enumerate() {
-            let Some(ty) = q.input_type(*obj) else { continue };
-            if self.source_types.len() <= i {
-                self.source_types.resize(i + 1, None);
-            }
-            match &self.source_types[i] {
-                None => self.source_types[i] = Some(ty.clone()),
-                Some(prev) if prev == ty => {}
-                Some(prev) => {
-                    return Err(ServiceError::Compile(tilt_core::CompileError::Type(format!(
-                        "query reads source {i} as {ty:?}, \
-                         but a registered query reads it as {prev:?}"
-                    ))));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The running service: shard threads, channels, counters, registry.
-#[derive(Debug)]
-struct Core {
-    config: RuntimeConfig,
-    senders: Vec<SyncSender<ShardMsg>>,
-    handles: Vec<JoinHandle<ShardOutput>>,
-    stats: Arc<SharedStats>,
-    sinks: Arc<SinkTable>,
-    registry: Mutex<Registry>,
-    shards: usize,
-    ingest_batch: usize,
-    /// Key-route overrides installed by migrations: keys not present here
-    /// route by [`shard_index`] as always.
-    routes: RwLock<HashMap<u64, usize, KeyHash>>,
-    /// Fast-path flag: `false` until the first migration, so services that
-    /// never rebalance pay one relaxed load (no lock) per routed event.
-    routed: AtomicBool,
-}
-
-impl Core {
-    fn start(
-        cells: Vec<Arc<CellSpec>>,
-        config: RuntimeConfig,
-        sinks: Arc<SinkTable>,
-        stats: Arc<SharedStats>,
-        registry: Registry,
-        spill: Option<Arc<SpillStore>>,
-        routes: HashMap<u64, usize, KeyHash>,
-    ) -> Core {
-        let shards = config.shards.max(1);
-        let ingest_batch = config.ingest_batch.max(1);
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        let cap_msgs = (config.channel_capacity / ingest_batch).max(1);
-        for id in 0..shards {
-            let (tx, rx) = std::sync::mpsc::sync_channel(cap_msgs);
-            let shard = Shard::new(
-                id,
-                &cells,
-                config,
-                Arc::clone(&sinks),
-                Arc::clone(&stats),
-                spill.clone(),
-            );
-            let handle = std::thread::Builder::new()
-                .name(format!("tilt-shard-{id}"))
-                .spawn(move || shard.run(rx))
-                .expect("spawn shard worker");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        let routed = AtomicBool::new(!routes.is_empty());
-        Core {
-            config,
-            senders,
-            handles,
-            stats,
-            sinks,
-            registry: Mutex::new(registry),
-            shards,
-            ingest_batch,
-            routes: RwLock::new(routes),
-            routed,
-        }
-    }
-
-    /// The shard serving `key` right now: the migration route override if
-    /// one exists, the stable hash partition otherwise.
-    fn route_of(&self, key: u64) -> usize {
-        if self.routed.load(Ordering::Relaxed) {
-            if let Some(&s) = self.routes.read().expect("route lock").get(&key) {
-                return s;
-            }
-        }
-        shard_index(key, self.shards)
-    }
-
-    fn set_route(&self, key: u64, shard: usize) {
-        self.routes.write().expect("route lock").insert(key, shard);
-        self.routed.store(true, Ordering::Relaxed);
-    }
-
-    fn ingest<I: IntoIterator<Item = KeyedEvent>>(&self, events: I) {
-        self.ingest_with_pressure(events);
-    }
-
-    /// Like [`Core::ingest`], but reports whether any destination shard's
-    /// queue was full at enqueue time (the events are still delivered —
-    /// the full queue is waited out with a blocking send).
-    fn ingest_with_pressure<I: IntoIterator<Item = KeyedEvent>>(&self, events: I) -> bool {
-        let mut routed: Vec<Vec<KeyedEvent>> = (0..self.shards).map(|_| Vec::new()).collect();
-        let mut n: u64 = 0;
-        let mut stalled = false;
-        // The newest event end routed so far, published before every send:
-        // an attach negotiating its frontier right after a shard received a
-        // message sees the end of every event in it (one atomic per
-        // message, not per event).
-        let mut max_end = Time::MIN;
-        for ev in events {
-            n += 1;
-            max_end = max_end.max(ev.event.end);
-            let s = self.route_of(ev.key);
-            routed[s].push(ev);
-            if routed[s].len() >= self.ingest_batch {
-                self.stats.note_event_end(max_end);
-                stalled |= self.send_batch(s, std::mem::take(&mut routed[s]));
-            }
-        }
-        if n > 0 {
-            self.stats.note_event_end(max_end);
-        }
-        for (s, batch) in routed.into_iter().enumerate() {
-            if !batch.is_empty() {
-                stalled |= self.send_batch(s, batch);
-            }
-        }
-        self.stats.events_in.add(n);
-        stalled
-    }
-
-    fn send(&self, event: KeyedEvent) {
-        self.stats.note_event_end(event.event.end);
-        let s = self.route_of(event.key);
-        self.send_batch(s, vec![event]);
-        self.stats.events_in.inc();
-    }
-
-    fn watermark(&self, source: usize, time: Time) {
-        self.stats.note_promise(time);
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Watermark { source, time });
-        }
-    }
-
-    /// The frontier a query attaching right now joins at: past every event
-    /// already ingested (event starts are strictly below their ends) and
-    /// every explicit watermark promise, hence at or above every shard's
-    /// current and future-given-no-new-input watermark. Monotone
-    /// non-decreasing across attaches.
-    fn negotiate_frontier(&self) -> Time {
-        let seen = Time::new(self.stats.max_event_end.get());
-        let promised = Time::new(self.stats.max_promise.get());
-        self.config.start.max(seen).max(promised)
-    }
-
-    fn shutdown(&mut self, end: Option<Time>) -> (Vec<PerKeyOutput>, RuntimeStats) {
-        if let Some(end) = end {
-            for tx in &self.senders {
-                let _ = tx.send(ShardMsg::FinishAt(end));
-            }
-        }
-        self.senders.clear(); // close channels: workers drain and exit
-        let n_queries = self.registry.lock().expect("registry lock").live.len();
-        let mut per_query: Vec<PerKeyOutput> = (0..n_queries).map(|_| HashMap::new()).collect();
-        for handle in self.handles.drain(..) {
-            let out = match handle.join() {
-                Ok(out) => out,
-                Err(cause) => std::panic::resume_unwind(cause),
-            };
-            for (key, mut outs) in out.per_key {
-                outs.resize_with(n_queries, Vec::new);
-                for (qi, events) in outs.into_iter().enumerate() {
-                    per_query[qi].insert(key, events);
-                }
-            }
-        }
-        (per_query, self.stats.snapshot())
-    }
-
-    /// Enqueues one routed batch, returning `true` if the shard's queue
-    /// was full and the send had to block (the backpressure signal remote
-    /// front ends surface to their producers as `Busy`).
-    fn send_batch(&self, shard: usize, batch: Vec<KeyedEvent>) -> bool {
-        self.stats.queue_depth[shard].add(batch.len() as i64);
-        // A send can only fail if the shard thread died; surface that on
-        // join rather than panicking mid-ingest.
-        // Delay-only failpoint: a cross-thread send must never drop the
-        // batch (that would lose events), so error policies are inert here
-        // and Delay models a stalled shard queue instead.
-        tilt_fault::fail_point!("runtime.shard.send");
-        match self.senders[shard].try_send(ShardMsg::Batch(batch)) {
-            Ok(()) => false,
-            Err(std::sync::mpsc::TrySendError::Full(msg)) => {
-                let _ = self.senders[shard].send(msg);
-                true
-            }
-            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => false,
-        }
-    }
-}
-
-impl Drop for Core {
-    fn drop(&mut self) {
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            if let Err(cause) = handle.join() {
-                // A dead shard means lost events; surface the worker's
-                // panic instead of silently discarding it (unless this
-                // drop is itself part of a panic unwind).
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(cause);
-                }
-            }
-        }
-    }
+    /// The cell roster, dead cells included: slots are never reused, so
+    /// roster indices in per-key state stay valid.
+    cells: Vec<Arc<CellSpec>>,
 }
 
 /// Registers queries for a [`StreamService`] before it starts; create with
@@ -744,73 +522,32 @@ impl StreamServiceBuilder {
     /// source position, or a query group cannot be built.
     pub fn start(self) -> Result<StreamService, ServiceError> {
         let config = self.config;
-        let stats = Arc::new(SharedStats::new(
-            config.shards.max(1),
-            config.metrics,
-            config.journal_capacity,
-        ));
-        let sinks = Arc::new(SinkTable::new());
-        let mut registry = Registry::default();
-        // One cell per distinct (lateness, cadence) pair, preserving
-        // registration order for handle indices.
-        struct ProtoCell {
-            lateness: i64,
-            emit_interval: i64,
-            qids: Vec<usize>,
-            queries: Vec<Arc<CompiledQuery>>,
-        }
-        let mut protos: Vec<ProtoCell> = Vec::new();
-        for (qid, (cq, settings)) in self.regs.into_iter().enumerate() {
-            registry.admit(&cq)?;
-            registry.live.push(true);
-            let id = stats.register_query(config.start, false);
-            debug_assert_eq!(id, qid);
-            sinks.push(settings.sink);
-            let lateness = settings.allowed_lateness.unwrap_or(config.allowed_lateness);
-            let emit_interval = settings.emit_interval.unwrap_or(config.emit_interval);
-            match protos
-                .iter_mut()
-                .find(|p| p.lateness == lateness && p.emit_interval == emit_interval)
-            {
-                Some(p) => {
-                    p.qids.push(qid);
-                    p.queries.push(cq);
-                }
-                None => protos.push(ProtoCell {
-                    lateness,
-                    emit_interval,
-                    qids: vec![qid],
-                    queries: vec![cq],
-                }),
+        let mut service = StreamService::unspawned(config);
+        let mut registry = service.registry.lock().expect("registry lock");
+        // One cell per distinct (lateness, cadence) pair, in registration
+        // order.
+        let mut cells: Vec<((i64, i64), Vec<usize>)> = Vec::new();
+        for (cq, settings) in &self.regs {
+            let qid =
+                service.admit(&mut registry, cq, config.start, false, settings.sink.clone())?;
+            let cadence = settings.resolve(&config);
+            match cells.iter_mut().find(|(c, _)| *c == cadence) {
+                Some((_, qids)) => qids.push(qid),
+                None => cells.push((cadence, vec![qid])),
             }
         }
-        let mut cells = Vec::with_capacity(protos.len());
-        for p in protos {
-            cells.push(Arc::new(CellSpec {
-                group: Arc::new(QueryGroup::new(p.queries)?),
-                qids: p.qids,
-                root: config.start,
-                lateness: p.lateness,
-                emit_interval: p.emit_interval,
-            }));
+        for ((lateness, emit_interval), qids) in cells {
+            let members = qids.iter().map(|&q| Arc::clone(&self.regs[q].0)).collect();
+            let spec = CellSpec::new(members, qids, config.start, lateness, emit_interval)?;
+            registry.cells.push(Arc::new(spec));
         }
-        registry.cells = cells
-            .iter()
-            .map(|s| CellRecord {
-                alive: true,
-                qids: s.qids.clone(),
-                root: s.root,
-                lateness: s.lateness,
-                emit_interval: s.emit_interval,
-            })
-            .collect();
+        drop(registry);
         let spill = match &self.spill_dir {
             Some(dir) => Some(Arc::new(SpillStore::open(dir)?)),
             None => None,
         };
-        Ok(StreamService {
-            core: Core::start(cells, config, sinks, stats, registry, spill, HashMap::default()),
-        })
+        service.spawn(spill);
+        Ok(service)
     }
 }
 
@@ -830,7 +567,7 @@ impl StreamServiceBuilder {
 /// watermark tracking happen once per shard regardless of how many queries
 /// are registered; queries with identical settings and join frontier
 /// additionally share structurally identical kernel prefixes
-/// ([`QueryGroup`]). Each query's output is observationally identical to
+/// ([`tilt_core::sharing::QueryGroup`]). Each query's output is observationally identical to
 /// running it alone — the differential property suites pin this guarantee.
 ///
 /// **Watermarks are per cell.** Emission for a query is driven by the
@@ -848,10 +585,146 @@ impl StreamServiceBuilder {
 /// not be seen.
 #[derive(Debug)]
 pub struct StreamService {
-    core: Core,
+    config: RuntimeConfig,
+    senders: Vec<SyncSender<ShardMsg>>,
+    handles: Vec<JoinHandle<ShardOutput>>,
+    stats: Arc<SharedStats>,
+    sinks: Arc<SinkTable>,
+    /// Held for every roster edit, and by a checkpoint from its barrier
+    /// until its record is built.
+    registry: Mutex<Registry>,
+    shards: usize,
+    ingest_batch: usize,
+    /// Key-route overrides installed by migrations: keys not present here
+    /// route by [`shard_index`] as always.
+    routes: RwLock<HashMap<u64, usize, KeyHash>>,
+    /// Fast-path flag: `false` until the first migration, so services that
+    /// never rebalance pay one relaxed load (no lock) per routed event.
+    routed: AtomicBool,
 }
 
 impl StreamService {
+    /// A service with an empty registry and no shard workers: admit its
+    /// query slots, build its roster, then [`StreamService::spawn`].
+    fn unspawned(config: RuntimeConfig) -> StreamService {
+        let shards = config.shards.max(1);
+        StreamService {
+            config,
+            senders: Vec::with_capacity(shards),
+            handles: Vec::with_capacity(shards),
+            stats: Arc::new(SharedStats::new(shards, config.metrics, config.journal_capacity)),
+            sinks: Arc::new(SinkTable::new()),
+            registry: Mutex::default(),
+            shards,
+            ingest_batch: config.ingest_batch.max(1),
+            routes: RwLock::default(),
+            routed: AtomicBool::new(false),
+        }
+    }
+
+    /// Spawns the shard workers over the roster in the registry.
+    fn spawn(&mut self, spill: Option<Arc<SpillStore>>) {
+        let cells = self.registry.get_mut().expect("registry lock").cells.clone();
+        let cap_msgs = (self.config.channel_capacity / self.ingest_batch).max(1);
+        for id in 0..self.shards {
+            let (tx, rx) = std::sync::mpsc::sync_channel(cap_msgs);
+            let sinks = Arc::clone(&self.sinks);
+            let shard =
+                Shard::new(id, &cells, self.config, sinks, Arc::clone(&self.stats), spill.clone());
+            let handle = std::thread::Builder::new()
+                .name(format!("tilt-shard-{id}"))
+                .spawn(move || shard.run(rx))
+                .expect("spawn shard worker");
+            self.senders.push(tx);
+            self.handles.push(handle);
+        }
+        self.routed = AtomicBool::new(!self.routes.get_mut().expect("route lock").is_empty());
+    }
+
+    /// Admits one query slot — the one admission start, attach and restore
+    /// share: checks `cq`'s source payload types against every earlier
+    /// slot's and records its own, then gives the slot its liveness,
+    /// counters, join frontier and sink. Returns the slot.
+    fn admit(
+        &self,
+        registry: &mut Registry,
+        cq: &CompiledQuery,
+        frontier: Time,
+        live_attach: bool,
+        sink: Option<OutputSink>,
+    ) -> Result<usize, ServiceError> {
+        let q = cq.query();
+        for (i, obj) in q.inputs().iter().enumerate() {
+            let Some(ty) = q.input_type(*obj) else { continue };
+            if registry.source_types.len() <= i {
+                registry.source_types.resize(i + 1, None);
+            }
+            match &registry.source_types[i] {
+                None => registry.source_types[i] = Some(ty.clone()),
+                Some(prev) if prev == ty => {}
+                Some(prev) => {
+                    return Err(ServiceError::Compile(tilt_core::CompileError::Type(format!(
+                        "query reads source {i} as {ty:?}, \
+                         but a registered query reads it as {prev:?}"
+                    ))));
+                }
+            }
+        }
+        registry.live.push(true);
+        let qid = self.stats.register_query(frontier, live_attach);
+        debug_assert_eq!(qid + 1, registry.live.len());
+        self.sinks.push(sink);
+        Ok(qid)
+    }
+
+    /// The shard serving `key` right now: the migration route override if
+    /// one exists, the stable hash partition otherwise.
+    fn route_of(&self, key: u64) -> usize {
+        if self.routed.load(Ordering::Relaxed) {
+            if let Some(&s) = self.routes.read().expect("route lock").get(&key) {
+                return s;
+            }
+        }
+        shard_index(key, self.shards)
+    }
+
+    fn set_route(&self, key: u64, shard: usize) {
+        self.routes.write().expect("route lock").insert(key, shard);
+        self.routed.store(true, Ordering::Relaxed);
+    }
+
+    /// The frontier a query attaching right now joins at: past every event
+    /// already ingested (event starts are strictly below their ends) and
+    /// every explicit watermark promise, hence at or above every shard's
+    /// current and future-given-no-new-input watermark. Monotone
+    /// non-decreasing across attaches.
+    fn negotiate_frontier(&self) -> Time {
+        let seen = Time::new(self.stats.max_event_end.get());
+        let promised = Time::new(self.stats.max_promise.get());
+        self.config.start.max(seen).max(promised)
+    }
+
+    /// Enqueues one routed batch, returning `true` if the shard's queue
+    /// was full and the send had to block (the backpressure signal remote
+    /// front ends surface to their producers as `Busy`).
+    fn send_batch(&self, shard: usize, batch: Vec<KeyedEvent>) -> bool {
+        self.stats.queue_depth[shard].add(batch.len() as i64);
+        // A send can only fail if the shard thread died; surface that on
+        // join rather than panicking mid-ingest.
+        // Delay-only failpoint: a cross-thread send must never drop the
+        // batch (that would lose events), so error policies are inert here
+        // and Delay models a stalled shard queue instead.
+        tilt_fault::fail_point!("runtime.shard.send");
+        match self.senders[shard].try_send(ShardMsg::Batch(batch)) {
+            Ok(()) => false,
+            Err(std::sync::mpsc::TrySendError::Full(msg)) => {
+                let _ = self.senders[shard].send(msg);
+                true
+            }
+            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => false,
+        }
+    }
+
     /// Starts registering queries for a new service.
     pub fn builder(config: RuntimeConfig) -> StreamServiceBuilder {
         StreamServiceBuilder { config, regs: Vec::new(), spill_dir: None }
@@ -876,29 +749,15 @@ impl StreamService {
         cq: Arc<CompiledQuery>,
         settings: QuerySettings,
     ) -> Result<QueryHandle, ServiceError> {
-        let mut registry = self.core.registry.lock().expect("registry lock");
-        registry.admit(&cq)?;
-        let group = Arc::new(QueryGroup::new(vec![cq])?);
-        let frontier = self.core.negotiate_frontier();
-        let qid = self.core.stats.register_query(frontier, true);
-        debug_assert_eq!(qid, registry.live.len());
-        registry.live.push(true);
-        self.core.sinks.push(settings.sink);
-        let spec = Arc::new(CellSpec {
-            group,
-            qids: vec![qid],
-            root: frontier,
-            lateness: settings.allowed_lateness.unwrap_or(self.core.config.allowed_lateness),
-            emit_interval: settings.emit_interval.unwrap_or(self.core.config.emit_interval),
-        });
-        registry.cells.push(CellRecord {
-            alive: true,
-            qids: spec.qids.clone(),
-            root: spec.root,
-            lateness: spec.lateness,
-            emit_interval: spec.emit_interval,
-        });
-        for tx in &self.core.senders {
+        let mut registry = self.registry.lock().expect("registry lock");
+        let frontier = self.negotiate_frontier();
+        let (lateness, emit_interval) = settings.resolve(&self.config);
+        let qids = vec![registry.live.len()];
+        let spec = CellSpec::new(vec![Arc::clone(&cq)], qids, frontier, lateness, emit_interval)?;
+        let qid = self.admit(&mut registry, &cq, frontier, true, settings.sink)?;
+        let spec = Arc::new(spec);
+        registry.cells.push(Arc::clone(&spec));
+        for tx in &self.senders {
             let _ = tx.send(ShardMsg::Attach(Arc::clone(&spec)));
         }
         Ok(QueryHandle { id: qid, frontier })
@@ -914,27 +773,36 @@ impl StreamService {
     ///
     /// Fails when the handle is unknown or already detached.
     pub fn detach(&self, handle: QueryHandle) -> Result<(), ServiceError> {
-        let mut registry = self.core.registry.lock().expect("registry lock");
-        match registry.live.get_mut(handle.id) {
+        let mut registry = self.registry.lock().expect("registry lock");
+        match registry.live.get(handle.id) {
             None => return Err(ServiceError::UnknownQuery(handle.id)),
-            Some(live) if !*live => return Err(ServiceError::Detached(handle.id)),
-            Some(live) => *live = false,
+            Some(false) => return Err(ServiceError::Detached(handle.id)),
+            Some(true) => {}
         }
-        // Mirror the edit every shard will apply to its roster: a
-        // single-member cell dies in place (its slot is never reused), a
-        // multi-member cell sheds the leaving query.
-        if let Some(ci) = registry.cells.iter().position(|c| c.alive && c.qids.contains(&handle.id))
-        {
-            if registry.cells[ci].qids.len() == 1 {
-                registry.cells[ci].alive = false;
-            } else {
-                registry.cells[ci].qids.retain(|q| *q != handle.id);
-            }
+        // The roster edit, decided once for every shard: a single-member
+        // cell dies in place (its slot is never reused), a multi-member
+        // cell sheds the leaving query.
+        let ci = registry
+            .cells
+            .iter()
+            .position(|c| c.alive && c.qids.contains(&handle.id))
+            .expect("a live query belongs to a live cell");
+        let mut spec = CellSpec::clone(&registry.cells[ci]);
+        if spec.qids.len() == 1 {
+            spec.alive = false;
+        } else {
+            let mi = spec.qids.iter().position(|q| *q == handle.id).expect("member found");
+            spec.group = Arc::new(spec.group.without_member(mi)?);
+            spec.qids.remove(mi);
         }
-        self.core.stats.note_detach(handle.id);
-        self.core.sinks.set(handle.id, None);
-        for tx in &self.core.senders {
-            let _ = tx.send(ShardMsg::Detach { qid: handle.id });
+        let spec = Arc::new(spec);
+        registry.cells[ci] = Arc::clone(&spec);
+        registry.live[handle.id] = false;
+        self.stats.note_detach(handle.id);
+        self.sinks.set(handle.id, None);
+        for tx in &self.senders {
+            let msg = ShardMsg::Detach { qid: handle.id, cell: ci, spec: Arc::clone(&spec) };
+            let _ = tx.send(msg);
         }
         Ok(())
     }
@@ -948,19 +816,19 @@ impl StreamService {
     ///
     /// Fails when the handle is unknown or detached.
     pub fn subscribe(&self, handle: QueryHandle, sink: OutputSink) -> Result<(), ServiceError> {
-        let registry = self.core.registry.lock().expect("registry lock");
+        let registry = self.registry.lock().expect("registry lock");
         match registry.live.get(handle.id) {
             None => return Err(ServiceError::UnknownQuery(handle.id)),
             Some(false) => return Err(ServiceError::Detached(handle.id)),
             Some(true) => {}
         }
-        self.core.sinks.set(handle.id, Some(sink));
+        self.sinks.set(handle.id, Some(sink));
         Ok(())
     }
 
     /// Number of queries currently being served.
     pub fn num_queries(&self) -> usize {
-        let registry = self.core.registry.lock().expect("registry lock");
+        let registry = self.registry.lock().expect("registry lock");
         registry.live.iter().filter(|l| **l).count()
     }
 
@@ -968,7 +836,7 @@ impl StreamService {
     /// migration ([`StreamService::migrate_key`] /
     /// [`StreamService::rebalance`]) installed a route override.
     pub fn shard_of(&self, key: u64) -> usize {
-        self.core.route_of(key)
+        self.route_of(key)
     }
 
     /// Routes and enqueues events once for all registered queries,
@@ -977,7 +845,7 @@ impl StreamService {
     /// key and source, arrival order may deviate from time order by up to
     /// the configured allowed lateness.
     pub fn ingest<I: IntoIterator<Item = KeyedEvent>>(&self, events: I) {
-        self.core.ingest(events);
+        self.ingest_with_pressure(events);
     }
 
     /// Like [`StreamService::ingest`], but additionally reports whether
@@ -989,13 +857,43 @@ impl StreamService {
     /// surface backpressure to remote producers as explicit `Busy` replies
     /// instead of silently blocking their connection threads.
     pub fn ingest_with_pressure<I: IntoIterator<Item = KeyedEvent>>(&self, events: I) -> bool {
-        self.core.ingest_with_pressure(events)
+        let mut routed: Vec<Vec<KeyedEvent>> = (0..self.shards).map(|_| Vec::new()).collect();
+        let mut n: u64 = 0;
+        let mut stalled = false;
+        // The newest event end routed so far, published before every send:
+        // an attach negotiating its frontier right after a shard received a
+        // message sees the end of every event in it (one atomic per
+        // message, not per event).
+        let mut max_end = Time::MIN;
+        for ev in events {
+            n += 1;
+            max_end = max_end.max(ev.event.end);
+            let s = self.route_of(ev.key);
+            routed[s].push(ev);
+            if routed[s].len() >= self.ingest_batch {
+                self.stats.note_event_end(max_end);
+                stalled |= self.send_batch(s, std::mem::take(&mut routed[s]));
+            }
+        }
+        if n > 0 {
+            self.stats.note_event_end(max_end);
+        }
+        for (s, batch) in routed.into_iter().enumerate() {
+            if !batch.is_empty() {
+                stalled |= self.send_batch(s, batch);
+            }
+        }
+        self.stats.events_in.add(n);
+        stalled
     }
 
     /// Ingests a single event ([`StreamService::ingest`] amortizes
     /// better).
     pub fn send(&self, event: KeyedEvent) {
-        self.core.send(event);
+        self.stats.note_event_end(event.event.end);
+        let s = self.route_of(event.key);
+        self.send_batch(s, vec![event]);
+        self.stats.events_in.inc();
     }
 
     /// Broadcasts an explicit watermark: source `source` promises to
@@ -1003,12 +901,15 @@ impl StreamService {
     /// emission forward on sources that have gone quiet. Floors, never
     /// regresses: a promise behind the observed event frontier is a no-op.
     pub fn watermark(&self, source: usize, time: Time) {
-        self.core.watermark(source, time);
+        self.stats.note_promise(time);
+        for tx in &self.senders {
+            let _ = tx.send(ShardMsg::Watermark { source, time });
+        }
     }
 
     /// Snapshots service health counters.
     pub fn stats(&self) -> RuntimeStats {
-        self.core.stats.snapshot()
+        self.stats.snapshot()
     }
 
     /// Snapshots the full metrics registry: every counter, gauge, and
@@ -1017,20 +918,20 @@ impl StreamService {
     /// [`tilt_obs::MetricsSnapshot::to_prometheus`] or
     /// [`tilt_obs::MetricsSnapshot::to_json`].
     pub fn metrics(&self) -> tilt_obs::MetricsSnapshot {
-        self.core.stats.metrics()
+        self.stats.metrics()
     }
 
     /// The metrics registry in Prometheus text exposition format —
     /// shorthand for `self.metrics().to_prometheus()`.
     pub fn metrics_text(&self) -> String {
-        self.core.stats.metrics().to_prometheus()
+        self.stats.metrics().to_prometheus()
     }
 
     /// Snapshots the control-plane event journal: attach/detach,
     /// eviction, revival, quarantine, and backstop-drain transitions in
     /// sequence order. Empty when [`RuntimeConfig::metrics`] is off.
     pub fn journal(&self) -> tilt_obs::JournalSnapshot<ControlEvent> {
-        self.core.stats.journal_snapshot()
+        self.stats.journal_snapshot()
     }
 
     /// The metrics registry every service instrument lives in. Front ends
@@ -1038,7 +939,7 @@ impl StreamService {
     /// register their own instruments here so one
     /// [`StreamService::metrics_text`] scrape covers the whole process.
     pub fn registry(&self) -> Arc<tilt_obs::Registry> {
-        Arc::clone(&self.core.stats.registry)
+        Arc::clone(&self.stats.registry)
     }
 
     /// Appends a control-plane transition to the service journal on behalf
@@ -1049,7 +950,7 @@ impl StreamService {
     /// when [`RuntimeConfig::metrics`] is off, like every other journal
     /// write.
     pub fn record_control(&self, event: ControlEvent) {
-        self.core.stats.note_control(event);
+        self.stats.note_control(event);
     }
 
     /// Checkpoints the whole service into one snapshot file at `path`,
@@ -1070,10 +971,15 @@ impl StreamService {
     /// a spilling service only when spill and snapshot directories are
     /// preserved together (the property suites exercise them
     /// separately).
+    ///
+    /// The roster is locked from the barrier until the service record is
+    /// built, so an attach or detach from another thread lands wholly
+    /// before the cut or wholly after it.
     pub fn checkpoint(&self, path: &Path) -> Result<u64, StateError> {
-        let mut pending = Vec::with_capacity(self.core.senders.len());
-        let mut resumes = Vec::with_capacity(self.core.senders.len());
-        for tx in &self.core.senders {
+        let registry = self.registry.lock().expect("registry lock");
+        let mut pending = Vec::with_capacity(self.senders.len());
+        let mut resumes = Vec::with_capacity(self.senders.len());
+        for tx in &self.senders {
             let (reply, rx) = std::sync::mpsc::sync_channel(1);
             let (resume_tx, resume) = std::sync::mpsc::sync_channel(1);
             if tx.send(ShardMsg::Checkpoint { reply, resume }).is_err() {
@@ -1094,8 +1000,9 @@ impl StreamService {
         // before the record is built so the snapshot itself remembers
         // this checkpoint: a restored service reports the checkpoint
         // lineage it came from.
-        self.core.stats.checkpoints.inc();
-        let record = self.service_record();
+        self.stats.checkpoints.inc();
+        let record = self.service_record(&registry);
+        drop(registry);
         drop(resumes);
         let mut w = SnapshotWriter::create(path)?;
         w.record(KIND_SERVICE, &record.encode())?;
@@ -1103,10 +1010,8 @@ impl StreamService {
             w.record(KIND_SHARD, p)?;
         }
         let bytes = w.finish()?;
-        self.core.stats.state_bytes_written.add(bytes);
-        self.core
-            .stats
-            .note_control(ControlEvent::Checkpoint { shards: shard_payloads.len(), bytes });
+        self.stats.state_bytes_written.add(bytes);
+        self.stats.note_control(ControlEvent::Checkpoint { shards: shard_payloads.len(), bytes });
         Ok(bytes)
     }
 
@@ -1146,24 +1051,16 @@ impl StreamService {
         Err(last_err)
     }
 
-    /// Assembles the service-wide checkpoint header from the registry
-    /// mirror, route table, and counter registry.
-    fn service_record(&self) -> ServiceRecord {
-        let registry = self.core.registry.lock().expect("registry lock");
-        let mut routes: Vec<(u64, u32)> = self
-            .core
-            .routes
-            .read()
-            .expect("route lock")
-            .iter()
-            .map(|(k, s)| (*k, *s as u32))
-            .collect();
+    /// Assembles the service-wide checkpoint header from the registry,
+    /// route table, and counter registry.
+    fn service_record(&self, registry: &Registry) -> ServiceRecord {
+        let mut routes: Vec<(u64, u32)> =
+            self.routes.read().expect("route lock").iter().map(|(k, s)| (*k, *s as u32)).collect();
         routes.sort_unstable();
         ServiceRecord {
-            config: self.core.config,
+            config: self.config,
             live: registry.live.clone(),
             frontiers: self
-                .core
                 .stats
                 .query_frontier
                 .read()
@@ -1173,9 +1070,9 @@ impl StreamService {
                 .collect(),
             cells: registry.cells.clone(),
             routes,
-            counters: self.core.stats.durable_counters(),
-            max_event_end: self.core.stats.max_event_end.get(),
-            max_promise: self.core.stats.max_promise.get(),
+            counters: self.stats.durable_counters(),
+            max_event_end: self.stats.max_event_end.get(),
+            max_promise: self.stats.max_promise.get(),
         }
     }
 
@@ -1184,8 +1081,11 @@ impl StreamService {
     /// `queries` must provide the compiled query for every recorded slot,
     /// in registration order — queries are code, not data, so the
     /// snapshot records only their roster and the caller re-supplies the
-    /// compiled artifacts (detached slots still need theirs; their cells
-    /// are rebuilt dead to keep roster indices stable). The restored
+    /// compiled artifacts (detached slots still need theirs). The cell
+    /// roster comes back exactly as recorded, detach edits included: a
+    /// dead cell stays dead in its slot, so roster indices stay stable,
+    /// and a cell that shed members is rebuilt over the ones it kept.
+    /// Every shard's record is checked against that roster. The restored
     /// service's subsequent output is byte-identical to one that never
     /// stopped: sessions, reorder buffers (with per-cell consumption
     /// flags), tombstones, watermarks, emission progress, route
@@ -1208,7 +1108,7 @@ impl StreamService {
         if *kind != KIND_SERVICE {
             return Err(StateError::Corrupt("snapshot does not start with a service record"));
         }
-        let record = ServiceRecord::decode(service_payload)?;
+        let record = ServiceRecord::decode(service_payload, queries)?;
         let shards = record.config.shards.max(1);
         let shard_records = &records[1..];
         if shard_records.len() != shards {
@@ -1220,61 +1120,30 @@ impl StreamService {
         if queries.len() != record.live.len() {
             return Err(StateError::Corrupt("restore needs one compiled query per recorded slot"));
         }
-        let stats = Arc::new(SharedStats::new(
-            shards,
-            record.config.metrics,
-            record.config.journal_capacity,
-        ));
-        let sinks = Arc::new(SinkTable::new());
-        let mut registry = Registry::default();
+        let mut service = StreamService::unspawned(record.config);
+        let stats = Arc::clone(&service.stats);
+        let mut registry = service.registry.lock().expect("registry lock");
         for (qid, cq) in queries.iter().enumerate() {
-            registry
-                .admit(cq)
+            service
+                .admit(&mut registry, cq, record.frontiers[qid], false, None)
                 .map_err(|_| StateError::Corrupt("query conflicts with recorded source types"))?;
-            registry.live.push(record.live[qid]);
-            let id = stats.register_query(record.frontiers[qid], false);
-            debug_assert_eq!(id, qid);
-            sinks.push(None);
             if !record.live[qid] {
+                registry.live[qid] = false;
                 stats.queries_live.sub(1);
             }
         }
-        registry.cells = record.cells.clone();
-        let mut cells = Vec::with_capacity(record.cells.len());
-        for c in &record.cells {
-            let members: Vec<Arc<CompiledQuery>> = c
-                .qids
-                .iter()
-                .map(|&q| {
-                    queries
-                        .get(q)
-                        .cloned()
-                        .ok_or(StateError::Corrupt("cell names an unknown query slot"))
-                })
-                .collect::<Result<_, _>>()?;
-            let group = Arc::new(
-                QueryGroup::new(members)
-                    .map_err(|_| StateError::Corrupt("recorded cell failed to recompile"))?,
-            );
-            cells.push(Arc::new(CellSpec {
-                group,
-                qids: c.qids.clone(),
-                root: c.root,
-                lateness: c.lateness,
-                emit_interval: c.emit_interval,
-            }));
-        }
+        registry.cells = record.cells;
+        drop(registry);
         stats.restore_counters(&record.counters);
         stats.max_event_end.set_max(record.max_event_end);
         stats.max_promise.set_max(record.max_promise);
-        let routes: HashMap<u64, usize, KeyHash> =
+        *service.routes.get_mut().expect("route lock") =
             record.routes.iter().map(|&(k, s)| (k, s as usize)).collect();
-        let core =
-            Core::start(cells, record.config, sinks, Arc::clone(&stats), registry, None, routes);
+        service.spawn(None);
         // Install each shard's recorded state as that shard's first
         // message; a rejected record aborts the whole restore (dropping
-        // the half-built core joins its workers).
-        for ((_, payload), tx) in shard_records.iter().zip(&core.senders) {
+        // the half-built service joins its workers).
+        for ((_, payload), tx) in shard_records.iter().zip(&service.senders) {
             let (reply, rx) = std::sync::mpsc::sync_channel(1);
             if tx.send(ShardMsg::Restore { payload: payload.clone(), reply }).is_err() {
                 return Err(StateError::Corrupt("shard exited before restore"));
@@ -1287,7 +1156,7 @@ impl StreamService {
         }
         stats.state_bytes_read.add(bytes);
         stats.note_control(ControlEvent::Restored { shards, bytes });
-        Ok(StreamService { core })
+        Ok(service)
     }
 
     /// Handles for every *live* query slot, with their current
@@ -1297,8 +1166,8 @@ impl StreamService {
     /// [`StreamService::subscribe`] each. Detached slots are omitted —
     /// their indices stay reserved but accept no sinks.
     pub fn query_handles(&self) -> Vec<QueryHandle> {
-        let live = self.core.registry.lock().expect("registry lock").live.clone();
-        let frontiers = self.core.stats.query_frontier.read().expect("stats lock");
+        let live = self.registry.lock().expect("registry lock").live.clone();
+        let frontiers = self.stats.query_frontier.read().expect("stats lock");
         live.iter()
             .enumerate()
             .filter(|&(_, alive)| *alive)
@@ -1317,24 +1186,24 @@ impl StreamService {
     /// single-threaded driver: don't ingest the key concurrently with
     /// migrating it.
     pub fn migrate_key(&self, key: u64, to: usize) -> bool {
-        if to >= self.core.shards {
+        if to >= self.shards {
             return false;
         }
-        let from = self.core.route_of(key);
+        let from = self.route_of(key);
         if from == to {
             return false;
         }
         let (reply, rx) = std::sync::mpsc::sync_channel(1);
-        if self.core.senders[from].send(ShardMsg::MigrateOut { key, reply }).is_err() {
+        if self.senders[from].send(ShardMsg::MigrateOut { key, reply }).is_err() {
             return false;
         }
-        let Ok(Some(bundle)) = rx.recv() else { return false };
-        self.core.set_route(key, to);
-        self.core.stats.state_bytes_written.add(bundle.len() as u64);
-        self.core.stats.state_bytes_read.add(bundle.len() as u64);
-        let _ = self.core.senders[to].send(ShardMsg::MigrateIn { key, bundle });
-        self.core.stats.migrations.inc();
-        self.core.stats.note_control(ControlEvent::Migrate { key, from, to });
+        let Ok(Some((bundle, pending))) = rx.recv() else { return false };
+        self.set_route(key, to);
+        self.stats.state_bytes_written.add(bundle.len() as u64);
+        self.stats.state_bytes_read.add(bundle.len() as u64);
+        let _ = self.senders[to].send(ShardMsg::MigrateIn { key, bundle, pending });
+        self.stats.migrations.inc();
+        self.stats.note_control(ControlEvent::Migrate { key, from, to });
         true
     }
 
@@ -1346,11 +1215,11 @@ impl StreamService {
     /// moved. No-op on single-shard services or when the population is
     /// already balanced.
     pub fn rebalance(&self) -> usize {
-        if self.core.shards < 2 {
+        if self.shards < 2 {
             return 0;
         }
-        let mut pending = Vec::with_capacity(self.core.senders.len());
-        for tx in &self.core.senders {
+        let mut pending = Vec::with_capacity(self.senders.len());
+        for tx in &self.senders {
             let (reply, rx) = std::sync::mpsc::sync_channel(1);
             if tx.send(ShardMsg::Census { reply }).is_err() {
                 return 0;
@@ -1407,10 +1276,46 @@ impl StreamService {
     }
 
     fn shutdown(mut self, end: Option<Time>) -> ServiceOutput {
-        let (per_query, stats) = self.core.shutdown(end);
-        let metrics = self.core.stats.metrics();
-        let journal = self.core.stats.journal_snapshot();
+        if let Some(end) = end {
+            for tx in &self.senders {
+                let _ = tx.send(ShardMsg::FinishAt(end));
+            }
+        }
+        self.senders.clear(); // close channels: workers drain and exit
+        let n_queries = self.registry.lock().expect("registry lock").live.len();
+        let mut per_query: Vec<PerKeyOutput> = (0..n_queries).map(|_| HashMap::new()).collect();
+        for handle in self.handles.drain(..) {
+            let out = match handle.join() {
+                Ok(out) => out,
+                Err(cause) => std::panic::resume_unwind(cause),
+            };
+            for (key, mut outs) in out.per_key {
+                outs.resize_with(n_queries, Vec::new);
+                for (qi, events) in outs.into_iter().enumerate() {
+                    per_query[qi].insert(key, events);
+                }
+            }
+        }
+        let stats = self.stats.snapshot();
+        let metrics = self.stats.metrics();
+        let journal = self.stats.journal_snapshot();
         ServiceOutput { per_query, stats, metrics, journal }
+    }
+}
+
+impl Drop for StreamService {
+    fn drop(&mut self) {
+        self.senders.clear();
+        for handle in self.handles.drain(..) {
+            if let Err(cause) = handle.join() {
+                // A dead shard means lost events; surface the worker's
+                // panic instead of silently discarding it (unless this
+                // drop is itself part of a panic unwind).
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(cause);
+                }
+            }
+        }
     }
 }
 

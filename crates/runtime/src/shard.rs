@@ -40,13 +40,16 @@
 //! message that reads per-key state, and before the worker blocks — an
 //! idle channel delivers bursts of one message, accepted on arrival.
 //!
-//! Attach and detach arrive as in-band control messages, so their position
-//! in each shard's message stream is deterministic relative to event
-//! batches. Detach edits the cell's [`QueryGroup`] incrementally
-//! ([`QueryGroup::without_member`]) and migrates live sessions in place;
-//! removing a cell's last member tears the cell's per-key sessions and
-//! tombstone outputs down (the reclamation counted in
-//! `RuntimeStats::sessions_reclaimed`).
+//! **The roster is the service's.** Attach and detach arrive as in-band
+//! control messages, so their position in each shard's message stream is
+//! deterministic relative to event batches, and each carries the finished
+//! [`CellSpec`] the service decided on: a new cell, a cell whose group shed
+//! the departed query, or a dead cell. A shard never edits a group; it only
+//! applies the per-key effects of an edit ([`Shard::detach`]) — live
+//! sessions migrate to the edited group in place, or, in a dead cell, are
+//! reclaimed with the key's frontier there (counted in
+//! `RuntimeStats::sessions_reclaimed`) — and clears the departed query's
+//! output. A restored shard checks its record against the same roster.
 //!
 //! **One key lifecycle.** The emission cycle, both evictions
 //! ([`Shard::retire`]), a force drain and the final flush run a key's
@@ -70,6 +73,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tilt_core::sharing::{QueryGroup, SharedGroupSession};
+use tilt_core::{CompileError, CompiledQuery};
 use tilt_data::{BufPool, Event, SnapshotBuf, Time, Value};
 use tilt_state::{Dec, Enc, StateError};
 
@@ -86,10 +90,14 @@ pub(crate) enum ShardMsg {
     Watermark { source: usize, time: Time },
     /// A query joins the running service as a new cell.
     Attach(Arc<CellSpec>),
-    /// A query leaves the running service.
+    /// A query leaves the running service and cell `cell` becomes `spec`.
     Detach {
         /// The global query slot being detached.
         qid: usize,
+        /// The roster index of the query's cell.
+        cell: usize,
+        /// The cell without the query: a smaller group, or dead.
+        spec: Arc<CellSpec>,
     },
     /// Serialize the shard's full state (keys, tombstones, watermarks,
     /// emission progress) and reply with the record payload. In-band, so
@@ -119,8 +127,8 @@ pub(crate) enum ShardMsg {
     MigrateOut {
         /// The key leaving this shard.
         key: u64,
-        /// Where the serialized key bundle goes.
-        reply: SyncSender<Option<Vec<u8>>>,
+        /// Where the serialized key bundle and its pending-event count go.
+        reply: SyncSender<Option<(Vec<u8>, usize)>>,
     },
     /// Splice a migrated key's state into this shard.
     MigrateIn {
@@ -128,6 +136,9 @@ pub(crate) enum ShardMsg {
         key: u64,
         /// The bundle produced by [`ShardMsg::MigrateOut`].
         bundle: Vec<u8>,
+        /// The pending events the bundle carries (on `spilled_pending`
+        /// until installed, or dropped with the key if it cannot be).
+        pending: usize,
     },
     /// Report per-key load scores (the input to
     /// [`crate::StreamService::rebalance`]).
@@ -140,8 +151,9 @@ pub(crate) enum ShardMsg {
     FinishAt(Time),
 }
 
-/// Everything a shard needs to instantiate one cell: built once by the
-/// control plane, shared read-only by every shard.
+/// One cell of the roster: built or edited once by the control plane,
+/// shared read-only by every shard, and recorded as it is by a checkpoint.
+#[derive(Clone, Debug)]
 pub(crate) struct CellSpec {
     /// The (deduplicated) execution plan for the cell's member queries.
     pub(crate) group: Arc<QueryGroup>,
@@ -155,6 +167,25 @@ pub(crate) struct CellSpec {
     /// The cell's emission cadence (minimum watermark advance between
     /// kernel re-runs).
     pub(crate) emit_interval: i64,
+    /// False once every member detached: a dead cell holds no sessions, and
+    /// keeps its roster slot so per-key cell indices stay valid.
+    pub(crate) alive: bool,
+}
+
+impl CellSpec {
+    /// A live cell over `members`, the compiled queries of slots `qids` in
+    /// the same order. The only place a cell's group is built from queries:
+    /// start, attach and restore come here; detach edits a built group.
+    pub(crate) fn new(
+        members: Vec<Arc<CompiledQuery>>,
+        qids: Vec<usize>,
+        root: Time,
+        lateness: i64,
+        emit_interval: i64,
+    ) -> Result<CellSpec, CompileError> {
+        let group = Arc::new(QueryGroup::new(members)?);
+        Ok(CellSpec { group, qids, root, lateness, emit_interval, alive: true })
+    }
 }
 
 /// How many channel messages make one *receive burst*: after a blocking
@@ -264,23 +295,18 @@ impl ReorderBuf {
     }
 }
 
-/// One cell as a shard serves it: the shared plan plus per-shard emission
-/// progress.
+/// One cell as a shard serves it: the roster's spec, what is derived from
+/// it, and per-shard emission progress.
 struct Cell {
-    group: Arc<QueryGroup>,
-    /// Global query slot per group member, in member order.
-    qids: Vec<usize>,
-    root: Time,
-    lateness: i64,
-    emit_interval: i64,
-    // Cached from `group` (refreshed after incremental edits).
+    spec: Arc<CellSpec>,
+    // Derived from `spec` (refreshed when the service edits it).
     grid: i64,
     /// How far emission trails the watermark: the group's aligned input
     /// lookahead (0 unless a member shifts into the future).
     lookahead: i64,
     n_sources: usize,
     kernel_counts: (u64, u64),
-    /// Per member (parallel to `qids`): the cached attribution counters,
+    /// Per member (parallel to `spec.qids`): the cached attribution counters,
     /// so emit/advance paths never touch the per-query table lock.
     counters: Vec<QueryCounters>,
     /// Kernel work charged to each member per advance, in millikernels
@@ -288,41 +314,36 @@ struct Cell {
     millis_per_member: u64,
     /// The last emission target this shard advanced the cell's keys to.
     emitted: Time,
-    /// False once every member detached; dead cells hold no sessions.
-    alive: bool,
 }
 
 impl Cell {
-    fn new(spec: &CellSpec, stats: &SharedStats) -> Cell {
+    fn new(spec: Arc<CellSpec>, stats: &SharedStats) -> Cell {
+        let emitted = spec.root;
         let mut cell = Cell {
-            group: Arc::clone(&spec.group),
-            qids: spec.qids.clone(),
-            root: spec.root,
-            lateness: spec.lateness,
-            emit_interval: spec.emit_interval,
+            spec,
             grid: 1,
             lookahead: 0,
             n_sources: 0,
             kernel_counts: (0, 0),
             counters: Vec::new(),
             millis_per_member: 0,
-            emitted: spec.root,
-            alive: true,
+            emitted,
         };
         cell.refresh(stats);
         cell
     }
 
-    /// Re-derives the cached plan facts after the group was edited.
+    /// Re-derives the cached plan facts from the spec.
     fn refresh(&mut self, stats: &SharedStats) {
-        self.grid = self.group.grid();
-        self.lookahead = self.group.max_input_lookahead();
-        self.n_sources = self.group.n_sources();
-        let distinct = self.group.distinct_kernels() as u64;
-        self.kernel_counts = (distinct, self.group.kernel_instances() as u64 - distinct);
-        self.counters = stats.query_counters(&self.qids);
+        let (group, qids) = (&self.spec.group, &self.spec.qids);
+        self.grid = group.grid();
+        self.lookahead = group.max_input_lookahead();
+        self.n_sources = group.n_sources();
+        let distinct = group.distinct_kernels() as u64;
+        self.kernel_counts = (distinct, group.kernel_instances() as u64 - distinct);
+        self.counters = stats.query_counters(qids);
         self.millis_per_member =
-            if self.qids.is_empty() { 0 } else { distinct * 1000 / self.qids.len() as u64 };
+            if qids.is_empty() { 0 } else { distinct * 1000 / qids.len() as u64 };
     }
 
     /// Accounts one advance/flush of this cell's kernels: the shard-wide
@@ -343,7 +364,7 @@ impl Cell {
     /// cell accepts may start before it.
     fn watermark(&self, max_start: &[Time], explicit: &[Time]) -> Time {
         (0..self.n_sources)
-            .map(|s| max_start[s].saturating_add(-self.lateness).max(explicit[s]))
+            .map(|s| max_start[s].saturating_add(-self.spec.lateness).max(explicit[s]))
             .min()
             .unwrap_or(Time::MIN)
     }
@@ -373,7 +394,7 @@ struct CellSession {
 impl CellSession {
     fn open(cell: &Cell, root: Time) -> CellSession {
         CellSession {
-            session: cell.group.shared_session(root),
+            session: cell.spec.group.shared_session(root),
             pushed_end: vec![root; cell.n_sources],
             dirty: false,
         }
@@ -471,7 +492,7 @@ impl KeyState {
             .iter()
             .enumerate()
             .map(|(ci, c)| {
-                let f = frontiers.get(ci).copied().flatten().filter(|_| c.alive)?;
+                let f = frontiers.get(ci).copied().flatten().filter(|_| c.spec.alive)?;
                 last_end = last_end.max(f);
                 Some(CellSession::open(c, f))
             })
@@ -655,7 +676,8 @@ impl Shard {
         stats: Arc<SharedStats>,
         spill: Option<Arc<SpillStore>>,
     ) -> Self {
-        let cells: Vec<Cell> = cells.iter().map(|spec| Cell::new(spec, &stats)).collect();
+        let cells: Vec<Cell> =
+            cells.iter().map(|spec| Cell::new(Arc::clone(spec), &stats)).collect();
         let n_sources = cells.iter().map(|c| c.n_sources).max().unwrap_or(0);
         let mut shard = Shard {
             id,
@@ -698,8 +720,8 @@ impl Shard {
         let horizon = self
             .cells
             .iter()
-            .filter(|c| c.alive)
-            .map(|c| c.group.state_horizon())
+            .filter(|c| c.spec.alive)
+            .map(|c| c.spec.group.state_horizon())
             .max()
             .unwrap_or(0);
         self.ttl = self.cfg.key_ttl.map(|t| t.max(horizon).max(1));
@@ -776,8 +798,8 @@ impl Shard {
                     *w = (*w).max(time);
                 }
             }
-            ShardMsg::Attach(spec) => self.attach(&spec),
-            ShardMsg::Detach { qid } => self.detach(qid),
+            ShardMsg::Attach(spec) => self.attach(spec),
+            ShardMsg::Detach { qid, cell, spec } => self.detach(qid, cell, spec),
             ShardMsg::Checkpoint { reply, resume } => {
                 let _ = reply.send(self.checkpoint_payload());
                 let _ = resume.recv();
@@ -788,7 +810,7 @@ impl Shard {
             ShardMsg::MigrateOut { key, reply } => {
                 let _ = reply.send(self.migrate_out(key));
             }
-            ShardMsg::MigrateIn { key, bundle } => self.migrate_in(key, bundle),
+            ShardMsg::MigrateIn { key, bundle, pending } => self.migrate_in(key, &bundle, pending),
             ShardMsg::Census { reply } => {
                 let _ = reply.send(self.census());
             }
@@ -797,7 +819,7 @@ impl Shard {
     }
 
     /// Admits a new cell: later events at or after its root feed it.
-    fn attach(&mut self, spec: &CellSpec) {
+    fn attach(&mut self, spec: Arc<CellSpec>) {
         let cell = Cell::new(spec, &self.stats);
         if cell.n_sources > self.n_sources {
             self.n_sources = cell.n_sources;
@@ -808,53 +830,35 @@ impl Shard {
         self.refresh_ttl();
     }
 
-    /// Removes one query. If its cell keeps other members, the cell's
-    /// group is edited incrementally and live sessions migrate in place;
-    /// otherwise the whole cell dies and its per-key sessions and tombstone
-    /// slots are reclaimed.
-    fn detach(&mut self, qid: usize) {
-        let Some(ci) = self.cells.iter().position(|c| c.alive && c.qids.contains(&qid)) else {
-            return;
-        };
-        let mi = self.cells[ci].qids.iter().position(|q| *q == qid).expect("member found");
-        if self.cells[ci].qids.len() == 1 {
-            self.cells[ci].alive = false;
-            for state in self.keys.values_mut() {
-                if state.cells.len() > ci && state.cells[ci].take().is_some() {
-                    self.stats.sessions_reclaimed.inc();
+    /// Applies the service's edit of cell `ci` after query `qid` left it:
+    /// the cell becomes `spec`. Live sessions migrate to its group in place
+    /// or, when the cell died, are reclaimed together with every retired
+    /// key's frontier there; every key's output for `qid` is cleared.
+    fn detach(&mut self, qid: usize, ci: usize, spec: Arc<CellSpec>) {
+        let cell = &mut self.cells[ci];
+        cell.spec = spec;
+        cell.refresh(&self.stats);
+        let spec = &cell.spec;
+        let reclaimed = &self.stats.sessions_reclaimed;
+        for state in self.keys.values_mut() {
+            match state.cells.get_mut(ci) {
+                Some(Some(cs)) if spec.alive => cs.session.migrate_group(Arc::clone(&spec.group)),
+                Some(slot @ Some(_)) => {
+                    *slot = None;
+                    reclaimed.inc();
                 }
-                if state.out.len() > qid && !state.out[qid].is_empty() {
-                    state.out[qid] = Vec::new();
-                }
+                _ => {}
             }
-            for r in self.retired.values_mut() {
-                if r.frontiers.len() > ci && r.frontiers[ci].take().is_some() {
-                    self.stats.sessions_reclaimed.inc();
-                }
-                if r.out.len() > qid && !r.out[qid].is_empty() {
-                    r.out[qid] = Vec::new();
-                }
+            if let Some(out) = state.out.get_mut(qid) {
+                *out = Vec::new();
             }
-        } else {
-            let edited = Arc::new(
-                self.cells[ci].group.without_member(mi).expect("detach keeps the group non-empty"),
-            );
-            self.cells[ci].qids.remove(mi);
-            self.cells[ci].group = Arc::clone(&edited);
-            let stats = Arc::clone(&self.stats);
-            self.cells[ci].refresh(&stats);
-            for state in self.keys.values_mut() {
-                if let Some(Some(cs)) = state.cells.get_mut(ci).map(Option::as_mut) {
-                    cs.session.migrate_group(Arc::clone(&edited));
-                }
-                if state.out.len() > qid && !state.out[qid].is_empty() {
-                    state.out[qid] = Vec::new();
-                }
+        }
+        for r in self.retired.values_mut() {
+            if !spec.alive && r.frontiers.get_mut(ci).and_then(Option::take).is_some() {
+                reclaimed.inc();
             }
-            for r in self.retired.values_mut() {
-                if r.out.len() > qid && !r.out[qid].is_empty() {
-                    r.out[qid] = Vec::new();
-                }
+            if let Some(out) = r.out.get_mut(qid) {
+                *out = Vec::new();
             }
         }
         self.refresh_ttl();
@@ -1069,11 +1073,11 @@ impl Shard {
                     }
                     let ev = &self.burst[self.order[at].1];
                     let revivable = self.cells.iter().enumerate().any(|(ci, c)| {
-                        c.alive
+                        c.spec.alive
                             && ev.source < c.n_sources
                             && match r.frontiers.get(ci).copied().flatten() {
                                 Some(f) => ev.event.start >= f,
-                                None => ev.event.start >= c.root,
+                                None => ev.event.start >= c.spec.root,
                             }
                     });
                     if !revivable {
@@ -1118,14 +1122,14 @@ impl Shard {
                 // cells are registered.
                 let mut admitted = false;
                 for (ci, c) in cells.iter().enumerate() {
-                    if !c.alive || source >= c.n_sources {
+                    if !c.spec.alive || source >= c.n_sources {
                         continue;
                     }
                     let cell_admits = match &state.cells[ci] {
                         Some(cs) => start >= cs.frontier(source),
                         None => {
-                            if start >= c.root {
-                                state.cells[ci] = Some(CellSession::open(c, c.root));
+                            if start >= c.spec.root {
+                                state.cells[ci] = Some(CellSession::open(c, c.spec.root));
                                 true
                             } else {
                                 false
@@ -1212,12 +1216,12 @@ impl Shard {
         self.cells
             .iter()
             .map(|c| {
-                if !c.alive {
+                if !c.spec.alive {
                     return CellPlan { alive: false, wm: Time::MIN, target: Time::MIN, due: false };
                 }
                 let wm = c.watermark(&self.max_start, &self.explicit);
                 let target = Time::new(wm.ticks().saturating_sub(c.lookahead)).align_down(c.grid);
-                let due = target.ticks() >= c.emitted.ticks().saturating_add(c.emit_interval);
+                let due = target.ticks() >= c.emitted.ticks().saturating_add(c.spec.emit_interval);
                 CellPlan { alive: true, wm, target, due }
             })
             .collect()
@@ -1278,8 +1282,13 @@ impl Shard {
                 cell.emitted = plan.target;
             }
         }
-        self.emitted =
-            self.cells.iter().filter(|c| c.alive).map(|c| c.emitted).min().unwrap_or(self.emitted);
+        self.emitted = self
+            .cells
+            .iter()
+            .filter(|c| c.spec.alive)
+            .map(|c| c.emitted)
+            .min()
+            .unwrap_or(self.emitted);
 
         let eager = self.sinks.any();
         let step = |ci: usize, _: &Cell, cs: &CellSession| {
@@ -1368,7 +1377,7 @@ impl Shard {
         let step = |_: usize, cell: &Cell, cs: &CellSession| {
             let wm = cs.session.watermark();
             let pushed = cs.pushed_end.iter().copied().max().unwrap_or(wm);
-            let tail = pushed.saturating_add(cell.group.state_horizon());
+            let tail = pushed.saturating_add(cell.spec.group.state_horizon());
             (tail > wm).then_some(Step::Flush(tail))
         };
         self.retire(victims, &plans, true, step);
@@ -1377,8 +1386,10 @@ impl Shard {
     /// The plan under which every live cell is fully matured: a wall-clock
     /// eviction's and the final flush's.
     fn matured_plans(&self) -> Vec<CellPlan> {
-        let plan =
-            |c: &Cell| CellPlan { alive: c.alive, wm: Time::MAX, target: Time::MAX, due: c.alive };
+        let plan = |c: &Cell| {
+            let alive = c.spec.alive;
+            CellPlan { alive, wm: Time::MAX, target: Time::MAX, due: alive }
+        };
         self.cells.iter().map(plan).collect()
     }
 
@@ -1608,21 +1619,26 @@ impl Shard {
                 cells.push(None);
                 continue;
             };
-            if !cell.alive {
+            if !cell.spec.alive {
                 self.stats.sessions_reclaimed.inc();
                 cells.push(None);
                 continue;
             }
-            let session =
-                SharedGroupSession::from_parts(Arc::clone(&cell.group), ds.histories, ds.watermark)
-                    .map_err(|_| StateError::Corrupt("session state violates group invariants"))?;
+            let session = SharedGroupSession::from_parts(
+                Arc::clone(&cell.spec.group),
+                ds.histories,
+                ds.watermark,
+            )
+            .map_err(|_| StateError::Corrupt("session state violates group invariants"))?;
             let mut pushed_end = ds.pushed_end;
             pushed_end.resize(cell.n_sources, ds.watermark);
             cells.push(Some(CellSession { session, pushed_end, dirty: ds.dirty }));
         }
         let mut out = dk.out;
         for (qid, evs) in out.iter_mut().enumerate() {
-            if !evs.is_empty() && !self.cells.iter().any(|c| c.alive && c.qids.contains(&qid)) {
+            if !evs.is_empty()
+                && !self.cells.iter().any(|c| c.spec.alive && c.spec.qids.contains(&qid))
+            {
                 *evs = Vec::new();
             }
         }
@@ -1670,7 +1686,7 @@ impl Shard {
         e.time(self.last_sweep);
         e.u32(self.cells.len() as u32);
         for c in &self.cells {
-            e.u8(c.alive as u8);
+            e.u8(c.spec.alive as u8);
             e.time(c.emitted);
         }
         let mut keys: Vec<u64> = self.keys.keys().copied().collect();
@@ -1698,7 +1714,8 @@ impl Shard {
 
     /// Installs a checkpointed shard record. Sent as the first message
     /// after a restore spawn, so it replaces pristine state; the roster
-    /// (rebuilt by the service from the same snapshot) must match.
+    /// (rebuilt by the service from the same snapshot) must match it, each
+    /// cell's liveness included.
     fn install(&mut self, payload: &[u8]) -> Result<(), StateError> {
         let mut d = Dec::new(payload);
         let id = d.u32()? as usize;
@@ -1722,11 +1739,14 @@ impl Shard {
         if n_cells != self.cells.len() {
             return Err(StateError::Corrupt("shard record cell count does not match the roster"));
         }
-        for ci in 0..n_cells {
-            self.cells[ci].alive = d.flag()?;
-            self.cells[ci].emitted = d.time()?;
+        for cell in &mut self.cells {
+            if d.flag()? != cell.spec.alive {
+                return Err(StateError::Corrupt(
+                    "shard record disagrees with the roster on a cell",
+                ));
+            }
+            cell.emitted = d.time()?;
         }
-        self.refresh_ttl();
         let n_keys = d.count(12)?;
         for _ in 0..n_keys {
             let key = d.u64()?;
@@ -1746,10 +1766,11 @@ impl Shard {
         Ok(d.finish()?)
     }
 
-    /// Serializes one key out of this shard for migration and forgets it.
-    /// Pending events leave the reorder gauge and ride the bundle, held
-    /// by the `spilled_pending` gauge until the target installs them.
-    fn migrate_out(&mut self, key: u64) -> Option<Vec<u8>> {
+    /// Serializes one key out of this shard for migration and forgets it,
+    /// returning the bundle and the pending events it carries. They leave
+    /// the reorder gauge and are held by the `spilled_pending` gauge until
+    /// the target installs them.
+    fn migrate_out(&mut self, key: u64) -> Option<(Vec<u8>, usize)> {
         let state = self.keys.remove(&key)?;
         let payload = Self::encode_key_state(&state);
         let n_pending = state.pending_len();
@@ -1758,17 +1779,18 @@ impl Shard {
             self.stats.sub_reorder_pending(self.id, n_pending);
         }
         self.stats.live_keys.sub(1);
-        Some(payload)
+        Some((payload, n_pending))
     }
 
-    /// Splices a migrated key into this shard. An undecodable bundle
-    /// quarantines the key (fail closed) rather than silently restarting
-    /// it from an empty session.
-    fn migrate_in(&mut self, key: u64, bundle: Vec<u8>) {
+    /// Splices a migrated key, whose bundle carries `pending` buffered
+    /// events, into this shard. An undecodable bundle quarantines the key
+    /// (fail closed) rather than silently restarting it from an empty
+    /// session, and its pending events leave `spilled_pending` as drops.
+    fn migrate_in(&mut self, key: u64, bundle: &[u8], pending: usize) {
         let installed =
-            Self::decode_key_state(&bundle).and_then(|dk| self.install_key_state(key, dk, true));
+            Self::decode_key_state(bundle).and_then(|dk| self.install_key_state(key, dk, true));
         if installed.is_err() {
-            self.quarantine(key, Held::Bundle(0));
+            self.quarantine(key, Held::Bundle(pending));
         }
     }
 
@@ -1874,7 +1896,7 @@ impl Shard {
         for (key, pending) in std::mem::take(&mut self.spilled) {
             self.revive_from_spill(key, pending);
         }
-        let grid = self.cells.iter().filter(|c| c.alive).map(|c| c.grid).max().unwrap_or(1);
+        let grid = self.cells.iter().filter(|c| c.spec.alive).map(|c| c.grid).max().unwrap_or(1);
         let horizon = finish_at.unwrap_or_else(|| self.max_end.max(self.cfg.start).align_up(grid));
         self.stats.shard_watermark[self.id].set(horizon.ticks());
         let flush_start = self.stats.detailed.then(Instant::now);
@@ -1958,7 +1980,9 @@ impl Exec<'_> {
             let cells = self.cells;
             let mut emitted = false;
             for (ci, cell) in cells.iter().enumerate() {
-                let Some(cs) = state.cells[ci].as_mut().filter(|_| cell.alive) else { continue };
+                let Some(cs) = state.cells[ci].as_mut().filter(|_| cell.spec.alive) else {
+                    continue;
+                };
                 if let Feed::Batch(source, ref mut batch) = feed {
                     if source >= cell.n_sources || !cs.push_new(source, batch, self.scratch) {
                         continue;
@@ -1992,7 +2016,7 @@ impl Exec<'_> {
         cs.dirty = false;
         cell.note_kernels(self.stats);
         let mut emitted = false;
-        for (&query, buf) in cell.qids.iter().zip(bufs) {
+        for (&query, buf) in cell.spec.qids.iter().zip(bufs) {
             let events = buf.to_events();
             self.pool.put(buf);
             if events.is_empty() {
@@ -2239,13 +2263,9 @@ mod tests {
             .map(|(cq, lateness)| {
                 let qid = stats.register_query(cfg.start, false);
                 sinks.push(None);
-                Arc::new(CellSpec {
-                    group: Arc::new(QueryGroup::new(vec![cq]).unwrap()),
-                    qids: vec![qid],
-                    root: cfg.start,
-                    lateness,
-                    emit_interval: cfg.emit_interval,
-                })
+                let spec =
+                    CellSpec::new(vec![cq], vec![qid], cfg.start, lateness, cfg.emit_interval);
+                Arc::new(spec.unwrap())
             })
             .collect();
         let mut shard = Shard::new(0, &specs, cfg, sinks, Arc::clone(&stats), None);
@@ -2406,6 +2426,44 @@ mod tests {
                 BackstopPolicy::ForceDrain => assert!(stats.backstop_forced > 0),
             }
         }
+    }
+
+    /// A migration bundle the target cannot install takes the pending
+    /// events it carries off `spilled_pending`, as quarantine drops.
+    #[test]
+    fn a_migration_bundle_that_fails_to_install_drops_its_pending_events() {
+        let (mut shard, stats) = two_cell_shard(RuntimeConfig::default());
+        // Behind both cells' lateness bounds: every event stays pending.
+        let events = (0..5).map(|t| KeyedEvent::new(7, 0, ev(5 - t, 6 - t, 1.0))).collect();
+        cycle(&mut shard, &stats, vec![events]);
+        let (bundle, pending) = shard.migrate_out(7).expect("key 7 is live");
+        assert_eq!(pending, 5);
+        shard.migrate_in(7, &bundle[..bundle.len() / 2], pending);
+        let s = stats.snapshot();
+        assert_eq!((s.spilled_pending, s.quarantine_dropped), (0, 5));
+        assert_eq!(s.conservation_balance(), 0);
+    }
+
+    /// A shard record cut against another roster — one where cell 0 is
+    /// alive, or one where it died — is refused, not installed over the
+    /// roster's liveness.
+    #[test]
+    fn install_refuses_a_record_cut_against_another_roster() {
+        let fresh = |dead: bool| {
+            let (mut shard, _) = two_cell_shard(RuntimeConfig::default());
+            shard.retired.clear();
+            if dead {
+                let spec = CellSpec { alive: false, ..CellSpec::clone(&shard.cells[0].spec) };
+                shard.detach(0, 0, Arc::new(spec));
+            }
+            shard
+        };
+        let (alive, dead) = (fresh(false).checkpoint_payload(), fresh(true).checkpoint_payload());
+        for (roster_dead, payload) in [(true, &alive), (false, &dead)] {
+            let refused = fresh(roster_dead).install(payload);
+            assert!(matches!(refused, Err(StateError::Corrupt(_))), "{refused:?}");
+        }
+        assert!(fresh(true).install(&dead).is_ok() && fresh(false).install(&alive).is_ok());
     }
 
     #[test]
