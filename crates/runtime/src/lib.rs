@@ -792,7 +792,8 @@ impl StreamService {
             spec.alive = false;
         } else {
             let mi = spec.qids.iter().position(|q| *q == handle.id).expect("member found");
-            spec.group = Arc::new(spec.group.without_member(mi)?);
+            let group = spec.group.without_member(mi).expect("the group keeps a member");
+            spec.group = Arc::new(group);
             spec.qids.remove(mi);
         }
         let spec = Arc::new(spec);
